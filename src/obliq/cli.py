@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import gates, harness, oracle, tgdmqc, toqc, toy
-from .qsim import trace_distance
+from .qsim import CapacityError, trace_distance
 
 
 def _seed_or_new(args):
@@ -45,16 +45,18 @@ def _write_transcript(args, transcript):
 
 def _load_input_state(spec, n):
     bits = spec.strip()
-    if set(bits) <= {"0", "1"} and len(bits) == n:
+    if bits and set(bits) <= {"0", "1"}:
+        if len(bits) != n:
+            raise ValueError(f"--input has {len(bits)} basis bits, the program has n={n}")
         return None, tuple(int(b) for b in bits)
     with open(spec, "r", encoding="utf-8") as fh:
         rows = [line.split() for line in fh if line.strip()]
     vec = np.array([float(r[0]) + 1j * float(r[1]) for r in rows], dtype=np.complex128)
     if vec.size != 1 << n:
-        raise SystemExit(f"state file holds {vec.size} amplitudes, expected {1 << n}")
+        raise ValueError(f"state file holds {vec.size} amplitudes, expected {1 << n}")
     nrm = np.linalg.norm(vec)
     if abs(nrm - 1.0) > 1e-9:
-        raise SystemExit("state file must hold a normalized vector")
+        raise ValueError("state file must hold a normalized vector")
     return vec, None
 
 
@@ -88,7 +90,7 @@ def cmd_toqc(args):
     w = gates.load_program(args.program)
     psi, bits = _load_input_state(args.input, w.n)
     if args.classical_output and bits is None:
-        raise SystemExit("--classical-output needs a basis-bit input")
+        raise ValueError("--classical-output needs a basis-bit input")
     res = toqc.run_toqc(
         w, psi=psi, basis_bits=bits, n_circ=args.n_circ, seed=seed,
         classical_output=args.classical_output, eager_bell=args.eager_bell,
@@ -114,7 +116,8 @@ def cmd_toqc(args):
         res.ledger, w.n, w.m, args.n_circ, transcript=res.transcript,
         classical_output=args.classical_output,
     ))
-    verdicts.append(harness.audit_bell_uniformity(res.branch_records))
+    if args.eager_bell:
+        verdicts.append(harness.audit_bell_uniformity(res.branch_records))
     for label, val in zip(
         ("upload_bits", "upload_qubits", "download_bits", "download_qubits"),
         res.ledger.totals(),
@@ -129,7 +132,7 @@ def cmd_tgdmqc(args):
     w = gates.load_program(args.server_program)
     users = gates.load_program(args.user_rounds)
     if users.n != w.n or users.m != w.m:
-        raise SystemExit("user rounds must match the server program shape")
+        raise ValueError("user rounds must match the server program shape")
     res = tgdmqc.run_tgdmqc(w, users.rounds, args.n_circ, seed=seed,
                             eager_bell=args.eager_bell)
     print(f"output_bits={''.join(str(b) for b in res.output_bits)}")
@@ -149,7 +152,8 @@ def cmd_tgdmqc(args):
                                         [f"per-branch total variation {tv:.3e}"]))
     verdicts.append(harness.assert_complexity_tgdmqc(
         res.ledger, w.n, w.m, args.n_circ, transcript=res.transcript))
-    verdicts.append(harness.audit_bell_uniformity(res.branch_records))
+    if args.eager_bell:
+        verdicts.append(harness.audit_bell_uniformity(res.branch_records))
     for label, val in zip(
         ("upload_bits", "upload_qubits", "download_bits", "download_qubits"),
         res.ledger.totals(),
@@ -163,7 +167,7 @@ def cmd_demo_parity(args):
     seed = _seed_or_new(args)
     bits = args.bits
     if len(bits) != args.l:
-        raise SystemExit(f"expected {args.l} input bits, got {len(bits)}")
+        raise ValueError(f"expected {args.l} input bits, got {len(bits)}")
     program, n_circ = gates.compile_parity(bits)
     w = gates.identity_program(program.n, program.m)
     res = tgdmqc.run_tgdmqc(w, program.rounds, n_circ, seed=seed)
@@ -228,7 +232,8 @@ def build_parser():
     q.add_argument("--n-circ", type=int, default=1)
     q.add_argument("--seed", type=int)
     q.add_argument("--classical-output", action="store_true")
-    q.add_argument("--eager-bell", action="store_true")
+    q.add_argument("--eager-bell", action="store_true",
+                   help="run the physical Bell-pair executor and audit its outcomes")
     q.add_argument("--out")
     q.set_defaults(func=cmd_toqc)
 
@@ -238,7 +243,8 @@ def build_parser():
     g.add_argument("--n-circ", type=int, default=1)
     g.add_argument("--seed", type=int)
     g.add_argument("--exhaustive-branches", action="store_true")
-    g.add_argument("--eager-bell", action="store_true")
+    g.add_argument("--eager-bell", action="store_true",
+                   help="run the physical Bell-pair executor and audit its outcomes")
     g.add_argument("--out")
     g.set_defaults(func=cmd_tgdmqc)
 
@@ -271,9 +277,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, CapacityError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,6 @@ CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
 
 GATE_ORDER = {"X": 2, "Z": 2, "CZ": 2, "T": 8, "H": 8, "Y": 4}
 
-# wire width in bits of one exponent entry, by residue ring
-WIDTH = {2: 1, 4: 2, 8: 3}
-
 
 def matrix_of(name, power=1):
     """Gate matrix raised to `power` (reduced modulo the gate's order)."""
@@ -43,10 +40,6 @@ def matrix_of(name, power=1):
         return np.array([[c, s], [-s, c]], dtype=np.complex128)
     base = {"X": X, "Z": Z, "Y": Y, "CZ": CZ}[name]
     return np.linalg.matrix_power(base, p)
-
-
-def t_power(k):
-    return matrix_of("T", k)
 
 
 def h_power(k):

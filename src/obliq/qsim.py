@@ -66,9 +66,6 @@ class StateRegister:
     def norm_error(self):
         return abs(float(np.sum(self._amps.real**2 + self._amps.imag**2)) - 1.0)
 
-    def is_live(self, q):
-        return q in self._axis
-
     def _bitpos(self, q):
         try:
             axis = self._axis[q]
@@ -184,12 +181,6 @@ class StateRegister:
         else:
             kernels.apply_diag2(self._amps, m2, m1, d00, d10, d01, d11)
 
-    def scale_phase(self, phase):
-        """Multiply the whole state by a unit-modulus scalar."""
-        if abs(abs(phase) - 1.0) > 1e-12:
-            raise ValueError("phase must have unit modulus")
-        self._amps *= phase
-
     # -- measurement -------------------------------------------------------
 
     def bell_measure(self, q1, q2, rng=None, force=None):
@@ -288,7 +279,8 @@ def _sample_index(probs, rng):
         acc += p
         if r < acc:
             return i
-    return len(probs) - 1
+    # round-off left the sum below r: take the last outcome that can happen
+    return max(i for i, p in enumerate(probs) if p > 0)
 
 
 # -- density-matrix helpers -------------------------------------------------

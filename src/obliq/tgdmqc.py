@@ -18,7 +18,6 @@ import numpy as np
 
 from .gates import Program, qubit_pairs
 from .harness import (
-    BranchRecord,
     BranchSource,
     ChannelRegistry,
     ClassicalPart,
@@ -33,7 +32,6 @@ from .toqc import (
     SERVER_A,
     SERVER_B,
     UV_PAIRS,
-    BellStore,
     ProtocolServer,
     cz_family_parts,
     derive_cz_queries,
@@ -44,6 +42,7 @@ from .toqc import (
     draw_t_family,
     h_family_parts,
     t_family_parts,
+    teleport_executor,
 )
 
 
@@ -131,7 +130,9 @@ def run_tgdmqc(
 
     Returns a TgdmqcRunResult whose `output_distribution` is the exact
     distribution of the reconstructed bits given the run's Bell branch (the
-    sampled `output_bits` are one draw from it).
+    sampled `output_bits` are one draw from it). The run holds n live
+    qubits; `eager_bell=True` selects the physical reference executor, which
+    holds 4mn + n.
     """
     n, m = w.n, w.m
     user_rounds = tuple(user_rounds)
@@ -155,17 +156,17 @@ def run_tgdmqc(
         registry.register(nm, SERVER_B)
 
     reg = StateRegister(max_qubits=max_qubits)
-    bell = BellStore(reg, m, n, eager=eager_bell)
     branch_records = []
     source = BranchSource(branch_plan)
+    teleport = teleport_executor(reg, m, n, source, branch_records, eager_bell)
     users = {
         j: TgdmqcUser(j, n, user_rounds[j - 1], user_rngs[j - 1])
         for j in range(1, m + 1)
     }
     final = PartyView(user_name(m + 1))
     final_outcomes = {}
-    server_a = ProtocolServer(SERVER_A, "a", w, reg, bell, rng_a, source, branch_records)
-    server_b = ProtocolServer(SERVER_B, "b", w, reg, bell, rng_b, source, branch_records)
+    server_a = ProtocolServer(SERVER_A, "a", w, reg, teleport, rng_a)
+    server_b = ProtocolServer(SERVER_B, "b", w, reg, teleport, rng_b)
     steps = []
 
     def send(msg, *recipients):

@@ -8,6 +8,13 @@ pair telescopes to the true program layer while each server's queries stay
 uniform. The party that measures a pair pre-corrects its half of the next
 pair, so corrections ride along with the data.
 
+Two teleport executors carry out the hops. The default `PauliFrame` keeps
+only the n data qubits live and turns each hop into a Pauli update on them;
+`eager_bell=True` selects the physical reference `BellStore`, which shares
+all 2mn Bell pairs before the run as in the paper (4mn + n live qubits).
+Both draw each unforced outcome with one `rng.random()` call, so a seed
+gives the same transcript under either.
+
 Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
 server B and re-derived to server A. Index arithmetic on the mask index u is
@@ -36,8 +43,7 @@ from .layers import (
     apply_xz,
     apply_zx,
 )
-from .oracle import basis_state
-from .qsim import StateRegister
+from .qsim import StateRegister, _sample_index
 
 USER = "user"
 SERVER_A = "server-a"
@@ -142,51 +148,110 @@ def draw_h_family(rng, n):
 
 # -- shared quantum-side machinery ---------------------------------------------
 
-class BellStore:
-    """The 2m x n Bell pairs the servers share before the run.
+BELL_UNIFORM = (0.25, 0.25, 0.25, 0.25)
 
-    Pairs are created on first touch by default; unallocated pairs are in
-    tensor product with everything, so this is observationally equivalent to
-    eager sharing (checked by the test suite) and caps the live register at
-    3n + O(1) qubits.
+
+class BellStore:
+    """Physical reference executor: the 2m x n Bell pairs the servers share
+    before the run, all allocated up front as in the paper.
+
+    Hop k Bell-measures each data qubit with the measuring server's half of
+    pair (k, s); the partner half becomes the data qubit. The measuring
+    server pre-corrects its half of pair k+1 by the outcome's Z^b X^a, so
+    the correction meets the data after the partner's teleport.
     """
 
-    def __init__(self, reg, m, n, eager=False):
+    def __init__(self, reg, m, n, source, records):
         self.reg = reg
-        self.m, self.n = m, n
-        self._pairs = {}
-        if eager:
-            for k in range(1, 2 * m + 1):
-                for s in range(n):
-                    self._ensure(k, s)
-
-    def _ensure(self, k, s):
-        if not 1 <= k <= 2 * self.m:
-            raise ValueError(f"pair index {k} out of range")
-        if (k, s) not in self._pairs:
-            self._pairs[(k, s)] = self.reg.alloc_bell_pair()
+        self.m = m
+        self.source = source
+        self.records = records
+        self._pairs = {
+            (k, s): reg.alloc_bell_pair()
+            for k in range(1, 2 * m + 1) for s in range(n)
+        }
 
     def half(self, k, s, side):
-        self._ensure(k, s)
         return self._pairs[(k, s)][0 if side == "a" else 1]
+
+    def hop(self, k, side, data, rng, step):
+        """Teleport the data through pair k; returns (outcomes, new data)."""
+        outcomes = []
+        for s, q in enumerate(data):
+            a, b, probs = self.reg.bell_measure(
+                q, self.half(k, s, side), rng=rng, force=self.source.next_force()
+            )
+            self.records.append(BranchRecord(step, s + 1, probs, (a, b)))
+            outcomes.append((a, b))
+        if k < 2 * self.m:
+            for s, (a, b) in enumerate(outcomes):
+                apply_zx(self.reg, self.half(k + 1, s, side), a, b)
+        other = "b" if side == "a" else "a"
+        return outcomes, [self.half(k, s, other) for s in range(len(data))]
+
+
+class PauliFrame:
+    """Default executor: each hop is a Pauli update on the data qubits.
+
+    A Bell measurement of a data qubit with a fresh pair's half gives every
+    (a, b) with probability exactly 1/4 and leaves the partner half holding
+    Z^b X^a times the data state (`StateRegister.bell_measure`). The
+    physical pre-correction of pair k+1 reaches the data right after hop
+    k+1. So the data qubits never move: hop k applies its own Z^b X^a, then
+    the Pauli queued by hop k-1, and queues (a, b) for hop k+1. The register
+    holds exactly the n data qubits.
+    """
+
+    def __init__(self, reg, m, n, source, records):
+        self.reg = reg
+        self.m = m
+        self.source = source
+        self.records = records
+        self._queued = [(0, 0)] * n
+
+    def hop(self, k, side, data, rng, step):
+        """Apply hop k's frame update; returns (outcomes, the same data)."""
+        outcomes = []
+        for s, q in enumerate(data):
+            force = self.source.next_force()
+            if force is None:
+                idx = _sample_index(BELL_UNIFORM, rng)
+                a, b = idx >> 1, idx & 1
+            else:
+                a, b = force
+            qa, qb = self._queued[s]
+            # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
+            # up to a global sign no output can see
+            apply_zx(self.reg, q, a ^ qa, b ^ qb)
+            self._queued[s] = (a, b) if k < 2 * self.m else (0, 0)
+            self.records.append(
+                BranchRecord(step, s + 1, BELL_UNIFORM, (a, b), measured=False)
+            )
+            outcomes.append((a, b))
+        return outcomes, data
+
+
+def teleport_executor(reg, m, n, source, records, eager_bell):
+    """The physical reference when `eager_bell`, else the Pauli frame."""
+    cls = BellStore if eager_bell else PauliFrame
+    return cls(reg, m, n, source, records)
 
 
 class ProtocolServer:
     """One server: holds the program, applies queried layers, teleports on.
 
     The side ("a" or "b") fixes which Bell halves it owns and which pair
-    index it measures during round j (2j-1 for A, 2j for B).
+    index it measures during round j (2j-1 for A, 2j for B). `teleport` is
+    the run's executor, shared by both servers.
     """
 
-    def __init__(self, name, side, program, reg, bell, rng, branch_source, branch_records):
+    def __init__(self, name, side, program, reg, teleport, rng):
         self.name = name
         self.side = side
         self.program = program
         self.reg = reg
-        self.bell = bell
+        self.teleport = teleport
         self.rng = rng
-        self.branch_source = branch_source
-        self.branch_records = branch_records
         self.t_queries = {}
         self.cz_queries = {}
         self.h_queries = {}
@@ -209,9 +274,7 @@ class ProtocolServer:
     def unitary_round(self, j, data, step):
         """Apply the queried layers for round j, then teleport the data on.
 
-        Returns (outcome x bits, outcome z bits, new data handles). The
-        measuring server pre-corrects its half of the next pair, so the
-        correction meets the data after the partner's teleport.
+        Returns (outcome x bits, outcome z bits, new data handles).
         """
         w = self.program
         if self.side == "a" and j >= 2:
@@ -226,25 +289,8 @@ class ProtocolServer:
             apply_masked_h_layer(self.reg, data, hq, w.rounds[j - 1].x)
 
         k = 2 * j - 1 if self.side == "a" else 2 * j
-        out_x, out_z = [], []
-        for s in range(len(data)):
-            mine = self.bell.half(k, s, self.side)
-            a, b, probs = self.reg.bell_measure(
-                data[s], mine, rng=self.rng, force=self.branch_source.next_force()
-            )
-            self.branch_records.append(BranchRecord(step, s + 1, probs, (a, b)))
-            out_x.append(a)
-            out_z.append(b)
-        if k + 1 <= 2 * self.m_pairs:
-            for s in range(len(data)):
-                apply_zx(self.reg, self.bell.half(k + 1, s, self.side), out_x[s], out_z[s])
-        other = "b" if self.side == "a" else "a"
-        new_data = [self.bell.half(k, s, other) for s in range(len(data))]
-        return tuple(out_x), tuple(out_z), new_data
-
-    @property
-    def m_pairs(self):
-        return self.bell.m
+        outcomes, new_data = self.teleport.hop(k, self.side, data, self.rng, step)
+        return tuple(a for a, _ in outcomes), tuple(b for _, b in outcomes), new_data
 
     def final_h_layer(self, data):
         hq = self._require(self.h_queries, self.program.m, "h")
@@ -357,10 +403,12 @@ def run_toqc(
 ):
     """One full protocol run.
 
-    Exactly one of `psi` (amplitude vector) or `basis_bits` must be given;
+    Exactly one of `psi` (2^n amplitudes) or `basis_bits` must be given;
     classical output mode requires `basis_bits` and then carries no qubits on
     the wire at all. `branch_plan` forces the Bell outcomes in chronological
-    order (2mn of them). Returns a ToqcRunResult.
+    order (2mn of them). The run holds n live qubits; `eager_bell=True`
+    selects the physical reference executor, which holds 4mn + n.
+    Returns a ToqcRunResult.
     """
     n, m = w.n, w.m
     if not 1 <= n_circ <= n:
@@ -373,6 +421,12 @@ def run_toqc(
         basis_bits = tuple(int(b) % 2 for b in basis_bits)
         if len(basis_bits) != n:
             raise ValueError(f"expected {n} input bits")
+    else:
+        psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+        if psi.size != 1 << n:
+            raise ValueError(
+                f"psi has {psi.size} amplitudes, expected 2^{n} = {1 << n}"
+            )
 
     streams = streams or make_streams(seed)
     registry = ChannelRegistry()
@@ -380,14 +434,12 @@ def run_toqc(
     registry.register(USER, SERVER_B)
 
     reg = StateRegister(max_qubits=max_qubits)
-    bell = BellStore(reg, m, n, eager=eager_bell)
     branch_records = []
     source = BranchSource(branch_plan)
+    teleport = teleport_executor(reg, m, n, source, branch_records, eager_bell)
     user = ToqcUser(n, m, n_circ, streams.user, tcz_delta_coeff=tcz_delta_coeff)
-    server_a = ProtocolServer(SERVER_A, "a", w, reg, bell, streams.server_a,
-                              source, branch_records)
-    server_b = ProtocolServer(SERVER_B, "b", w, reg, bell, streams.server_b,
-                              source, branch_records)
+    server_a = ProtocolServer(SERVER_A, "a", w, reg, teleport, streams.server_a)
+    server_b = ProtocolServer(SERVER_B, "b", w, reg, teleport, streams.server_b)
     steps = []
 
     def send(msg, *recipients):
@@ -409,8 +461,13 @@ def run_toqc(
             if masked[s]:
                 apply_zx(reg, data[s], 1, 0)
     else:
-        vec = basis_state(n, basis_bits) if psi is None else np.asarray(psi, dtype=np.complex128)
-        data = reg.alloc_state(vec)
+        if psi is None:
+            # |bits> from |0...0>, so the capacity check precedes any 2^n array
+            data = reg.alloc_zero_qubits(n)
+            for s in range(n):
+                apply_zx(reg, data[s], basis_bits[s], 0)
+        else:
+            data = reg.alloc_state(psi)
         for s in range(n):
             apply_zx(reg, data[s], user.mask_x[s], user.mask_z[s])
         msg = StepMessage("step-1", USER, (SERVER_A,), parts, qubits=n)

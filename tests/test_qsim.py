@@ -13,6 +13,7 @@ from obliq.gates import matrix_of
 from obliq.qsim import (
     CapacityError,
     StateRegister,
+    _sample_index,
     check_density,
     pure_density,
     trace_distance,
@@ -306,3 +307,22 @@ def test_norm_preserved_under_random_ops(seed, n):
             if reg.num_live < 6:
                 qubits.extend(reg.alloc_zero_qubits(1))
         assert reg.norm_error() < 1e-12
+
+
+class FixedRng:
+    """Stand-in stream whose draws are one fixed value."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def random(self):
+        return self.r
+
+
+def test_sample_index_skips_zero_probability_tail():
+    # probabilities summing below the draw must not yield the impossible
+    # last outcome
+    probs = (0.3, 0.3, 0.3, 0.0)
+    assert _sample_index(probs, FixedRng(0.95)) == 2
+    assert _sample_index(probs, FixedRng(0.5)) == 1
+    assert _sample_index((0.25,) * 4, FixedRng(0.75)) == 3

@@ -12,6 +12,7 @@ from obliq.gates import (
     zero_round,
 )
 from obliq.harness import (
+    all_branch_plans,
     assert_complexity_tgdmqc,
     audit_bell_uniformity,
     audit_query_uniformity,
@@ -215,6 +216,44 @@ def test_branch_records_uniform():
     res = run_tgdmqc(random_program(2, 2, np.random.default_rng(17)),
                      random_rounds(2, 2, 18), 1, seed=20)
     assert audit_bell_uniformity(res.branch_records).ok
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+def test_frame_matches_physical_on_every_branch_plan(n, m):
+    w = random_program(n, m, np.random.default_rng((n, m, 40)))
+    rounds = random_rounds(n, m, (n, m, 41))
+    count = 0
+    for plan in all_branch_plans(2 * n * m):
+        frame = run_tgdmqc(w, rounds, n, seed=42, branch_plan=plan)
+        phys = run_tgdmqc(w, rounds, n, seed=42, branch_plan=plan, eager_bell=True)
+        assert np.abs(frame.output_distribution - phys.output_distribution).max() < 1e-12
+        # the physical probabilities carry round-off from the amplitudes
+        assert frame.branch_probability == pytest.approx(
+            phys.branch_probability, rel=1e-12)
+        assert frame.transcript.render() == phys.transcript.render()
+        count += 1
+    assert count == 4 ** (2 * n * m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 1)])
+def test_frame_matches_physical_on_seeded_runs(n, m):
+    for trial in range(10):
+        w = random_program(n, m, np.random.default_rng((n, m, trial, 43)))
+        rounds = random_rounds(n, m, (n, m, trial, 44))
+        frame = run_tgdmqc(w, rounds, n, seed=(n, m, trial))
+        phys = run_tgdmqc(w, rounds, n, seed=(n, m, trial), eager_bell=True)
+        assert frame.transcript.render() == phys.transcript.render()
+        assert frame.outcomes == phys.outcomes
+        assert frame.output_bits == phys.output_bits
+        assert np.abs(frame.output_distribution - phys.output_distribution).max() < 1e-12
+
+
+def test_frame_run_holds_only_data_qubits():
+    w = random_program(3, 2, np.random.default_rng(45))
+    rounds = random_rounds(3, 2, 46)
+    ideal = ideal_outcome_distribution(program_with_users(w, rounds), 1)
+    res = run_tgdmqc(w, rounds, 1, seed=47, max_qubits=3)
+    assert total_variation(res.output_distribution, ideal) < 1e-9
 
 
 def test_shape_validation():

@@ -11,8 +11,10 @@ from obliq.gates import (
     zero_program,
 )
 from obliq.harness import (
+    BranchRecord,
     ChannelError,
     ChannelRegistry,
+    all_branch_plans,
     assert_complexity_toqc,
     audit_bell_uniformity,
     audit_query_uniformity,
@@ -233,7 +235,8 @@ def test_lazy_vs_eager_allocation():
 
 
 def test_live_qubits_stay_bounded_lazily():
-    import obliq.toqc as toqc_mod
+    # the default executor holds only the n data qubits: the run completes
+    # under a cap of n and never allocates a Bell pair
     from obliq.qsim import StateRegister
 
     seen = []
@@ -248,10 +251,95 @@ def test_live_qubits_stay_bounded_lazily():
     try:
         w = random_program(3, 2, np.random.default_rng(17))
         psi = random_state(3, np.random.default_rng(18))
-        run_toqc(w, psi=psi, n_circ=1, seed=20)
+        res = run_toqc(w, psi=psi, n_circ=1, seed=20, max_qubits=3)
     finally:
         StateRegister.alloc_bell_pair = orig
-    assert max(seen) <= 3 * 3 + 2
+    assert seen == []
+    assert trace_distance(res.output_density, ideal_output(w, psi, 1)) < 1e-9
+
+
+def test_wide_run_fits_default_cap():
+    # n = 8 needs 40 live qubits with pre-shared pairs, 8 with the frame
+    rng = np.random.default_rng(25)
+    w = random_program(8, 1, rng)
+    psi = random_state(8, rng)
+    res = run_toqc(w, psi=psi, n_circ=2, seed=26)
+    assert trace_distance(res.output_density, ideal_output(w, psi, 2)) < 1e-9
+
+
+@pytest.mark.parametrize("eager", [False, True])
+def test_malformed_branch_plan_rejected(eager):
+    with pytest.raises(ValueError, match="not a Bell outcome"):
+        run_toqc(zero_program(1, 1), psi=basis_state(1, (0,)), n_circ=1, seed=0,
+                 branch_plan=[(2, 0), (0, 0)], eager_bell=eager)
+
+
+def test_wrong_length_psi_rejected_at_the_boundary():
+    psi = np.full(8, 1 / np.sqrt(8), dtype=complex)
+    with pytest.raises(ValueError, match=r"expected 2\^2 = 4"):
+        run_toqc(zero_program(2, 1), psi=psi, n_circ=1, seed=0)
+
+
+# -- Pauli-frame executor against the physical reference ------------------------
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+def test_frame_matches_physical_on_every_branch_plan(n, m):
+    rng = np.random.default_rng((n, m, 30))
+    w = random_program(n, m, rng)
+    psi = random_state(n, rng)
+    count = 0
+    for plan in all_branch_plans(2 * n * m):
+        frame = run_toqc(w, psi=psi, n_circ=n, seed=31, branch_plan=plan)
+        phys = run_toqc(w, psi=psi, n_circ=n, seed=31, branch_plan=plan,
+                        eager_bell=True)
+        assert np.abs(frame.output_density - phys.output_density).max() < 1e-12
+        # the physical probabilities carry round-off from the amplitudes
+        assert frame.branch_probability == pytest.approx(
+            phys.branch_probability, rel=1e-12)
+        assert frame.transcript.render() == phys.transcript.render()
+        count += 1
+    assert count == 4 ** (2 * n * m)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 1)])
+def test_frame_matches_physical_on_seeded_runs(n, m):
+    rng = np.random.default_rng((n, m, 32))
+    for trial in range(10):
+        w = random_program(n, m, rng)
+        psi = random_state(n, rng)
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        seed = (n, m, trial)
+        frame = run_toqc(w, psi=psi, n_circ=1, seed=seed)
+        phys = run_toqc(w, psi=psi, n_circ=1, seed=seed, eager_bell=True)
+        assert frame.transcript.render() == phys.transcript.render()
+        assert frame.outcomes == phys.outcomes
+        assert np.abs(frame.output_density - phys.output_density).max() < 1e-12
+        frame = run_toqc(w, basis_bits=bits, n_circ=n, seed=seed,
+                         classical_output=True)
+        phys = run_toqc(w, basis_bits=bits, n_circ=n, seed=seed,
+                        classical_output=True, eager_bell=True)
+        assert frame.transcript.render() == phys.transcript.render()
+        assert frame.output_bits == phys.output_bits
+        assert np.abs(frame.output_distribution - phys.output_distribution).max() < 1e-12
+
+
+def test_bell_audit_not_applicable_under_frame():
+    w = random_program(2, 1, np.random.default_rng(33))
+    psi = random_state(2, np.random.default_rng(34))
+    frame = run_toqc(w, psi=psi, n_circ=1, seed=35)
+    assert frame.branch_records and not any(r.measured for r in frame.branch_records)
+    verdict = audit_bell_uniformity(frame.branch_records)
+    assert verdict.ok
+    assert any("not applicable (Pauli-frame executor)" in d for d in verdict.details)
+    assert not any("max |prob" in d for d in verdict.details)
+
+    phys = run_toqc(w, psi=psi, n_circ=1, seed=35, eager_bell=True)
+    assert all(r.measured for r in phys.branch_records)
+    verdict = audit_bell_uniformity(phys.branch_records)
+    assert verdict.ok
+    assert not any("not applicable" in d for d in verdict.details)
+    skewed = BranchRecord("step-2", 1, (0.3, 0.2, 0.25, 0.25), (0, 0))
+    assert not audit_bell_uniformity(phys.branch_records + [skewed]).ok
 
 
 # -- secrecy ------------------------------------------------------------------------
