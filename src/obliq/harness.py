@@ -106,20 +106,17 @@ class Transcript:
 
     def column_sums(self):
         """(upload bits, upload qubits, download bits, download qubits)."""
-        ub = uq = db = dq = 0
+        ledger = ComplexityLedger()
         for r in self.records:
-            m = r.message
-            if is_user(m.sender):
-                ub += m.bits
-                uq += m.qubits
-            else:
-                db += m.bits
-                dq += m.qubits
-        return ub, uq, db, dq
+            ledger.add(r.message)
+        return ledger.totals()
 
 
 @dataclass(frozen=True)
 class ParsedRecord:
+    """One rendered transcript line; it stands in for the StepMessage it
+    describes wherever only the sender, receivers, step and sizes count."""
+
     seq: int
     step: str
     sender: str
@@ -156,14 +153,24 @@ class ComplexityLedger:
     download_qubits: int = 0
 
     def add(self, message):
+        """Count a user's message as an upload and a server's as a download;
+        every message must go between users and servers."""
         if is_user(message.sender):
-            self.upload_bits += message.bits
-            self.upload_qubits += message.qubits
+            peer = is_server
         elif is_server(message.sender):
-            self.download_bits += message.bits
-            self.download_qubits += message.qubits
+            peer = is_user
         else:
             raise ValueError(f"unknown party {message.sender!r}")
+        for r in message.receivers:
+            if not peer(r):
+                raise ValueError(f"{message.step}: {message.sender} -> {r} "
+                                 "is not a user-server channel")
+        if peer is is_server:
+            self.upload_bits += message.bits
+            self.upload_qubits += message.qubits
+        else:
+            self.download_bits += message.bits
+            self.download_qubits += message.qubits
 
     def totals(self):
         return (
@@ -227,6 +234,7 @@ class BranchRecord:
 
 
 BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
+_END = object()
 
 
 class BranchSource:
@@ -234,7 +242,6 @@ class BranchSource:
 
     def __init__(self, plan=None):
         self._iter = iter(plan) if plan is not None else None
-        self.forced = plan is not None
 
     def next_force(self):
         if self._iter is None:
@@ -246,6 +253,11 @@ class BranchSource:
         if tuple(force) not in BELL_OUTCOMES:
             raise ValueError(f"branch plan entry {force!r} is not a Bell outcome (a, b)")
         return force
+
+    def check_exhausted(self):
+        """Raise if a forced plan has entries the run did not use."""
+        if self._iter is not None and next(self._iter, _END) is not _END:
+            raise ValueError("branch plan longer than the number of measurements")
 
 
 def all_branch_plans(num_measurements):
@@ -351,21 +363,24 @@ def assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=None):
 
 
 def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
-    """Recompute a ledger from transcript text and run the complexity check."""
-    records = parse_transcript(text)
+    """Re-check transcript text under the rules of a live run: the ledger
+    is rebuilt with `ComplexityLedger.add`, then the totals and every step
+    are checked against the exact per-step table. A record between two
+    servers or naming an unknown party fails the verdict."""
+    if protocol not in ("toqc", "tgdmqc"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    transcript = Transcript()
+    transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
     ledger = ComplexityLedger()
-    for rec in records:
-        if is_user(rec.sender):
-            ledger.upload_bits += rec.bits
-            ledger.upload_qubits += rec.qubits
-        else:
-            ledger.download_bits += rec.bits
-            ledger.download_qubits += rec.qubits
+    try:
+        for r in transcript.records:
+            ledger.add(r.message)
+    except ValueError as exc:
+        return Verdict(f"{protocol}-complexity", False, [str(exc)])
     if protocol == "toqc":
-        return assert_complexity_toqc(ledger, n, m, n_circ, classical_output=classical_output)
-    if protocol == "tgdmqc":
-        return assert_complexity_tgdmqc(ledger, n, m, n_circ)
-    raise ValueError(f"unknown protocol {protocol!r}")
+        return assert_complexity_toqc(ledger, n, m, n_circ, transcript=transcript,
+                                      classical_output=classical_output)
+    return assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=transcript)
 
 
 # -- secrecy audits -----------------------------------------------------------

@@ -8,7 +8,12 @@ applying them one by one.
 
 import numpy as np
 
-from .gates import h_power, qubit_pairs
+from .gates import h_power, matrix_of, qubit_pairs
+from .qsim import checked_1q
+
+# validated once here, so the hot Pauli and rotation updates skip the check
+_X = checked_1q(matrix_of("X"))
+_H_POWERS = tuple(checked_1q(h_power(e)) for e in range(8))
 
 
 def t_phase(k):
@@ -51,13 +56,13 @@ def apply_masked_h_layer(reg, qubits, family, x_exps):
     for s, q in enumerate(qubits):
         e = ((family[0][s] - family[1][s]) * x_exps[s]) % 8
         if e:
-            reg.apply_1q(q, h_power(e))
+            reg.apply_checked_1q(q, _H_POWERS[e])
 
 
 def apply_zx(reg, qubit, x_bit, z_bit):
     """Z^z X^x: the X flip first, then the Z phase."""
     if x_bit % 2:
-        reg.apply_1q(qubit, np.array([[0, 1], [1, 0]], dtype=np.complex128))
+        reg.apply_checked_1q(qubit, _X)
     if z_bit % 2:
         reg.apply_diag1(qubit, 1.0, -1.0)
 
@@ -67,4 +72,4 @@ def apply_xz(reg, qubit, x_bit, z_bit):
     if z_bit % 2:
         reg.apply_diag1(qubit, 1.0, -1.0)
     if x_bit % 2:
-        reg.apply_1q(qubit, np.array([[0, 1], [1, 0]], dtype=np.complex128))
+        reg.apply_checked_1q(qubit, _X)

@@ -66,6 +66,17 @@ class StateRegister:
     def norm_error(self):
         return abs(float(np.sum(self._amps.real**2 + self._amps.imag**2)) - 1.0)
 
+    def snapshot(self):
+        """The amplitudes and handle map, for `restore` to return to."""
+        return self._amps.copy(), list(self._order), dict(self._axis), self._next_uid
+
+    def restore(self, snap):
+        amps, order, axis, next_uid = snap
+        self._amps = amps.copy()
+        self._order = list(order)
+        self._axis = dict(axis)
+        self._next_uid = next_uid
+
     def _bitpos(self, q):
         try:
             axis = self._axis[q]
@@ -131,14 +142,12 @@ class StateRegister:
 
     def apply_1q(self, q, gate):
         """Apply a 2x2 unitary to one qubit; rejects non-unitary input."""
-        g = np.asarray(gate, dtype=np.complex128)
-        if g.shape != (2, 2):
-            raise ValueError("gate must be 2x2")
-        err = np.abs(g @ g.conj().T - np.eye(2)).max()
-        if err > 1e-12:
-            raise ValueError(f"gate is not unitary (deviation {err:.2e})")
-        m = self._bitpos(q)
-        kernels.apply_1q(self._amps, m, g[0, 0], g[0, 1], g[1, 0], g[1, 1])
+        self.apply_checked_1q(q, checked_1q(gate))
+
+    def apply_checked_1q(self, q, entries):
+        """Apply a gate already validated by `checked_1q`, without checking
+        it again; for fixed gate tables built once at import."""
+        kernels.apply_1q(self._amps, self._bitpos(q), *entries)
 
     def apply_diag1(self, q, d0, d1):
         """Apply diag(d0, d1) to one qubit; entries must be unit modulus."""
@@ -268,6 +277,18 @@ class StateRegister:
         rest = [a for a in range(k) if a not in axes]
         t = np.transpose(t, axes + rest).reshape(1 << len(axes), -1)
         return np.sum(t.real**2 + t.imag**2, axis=1)
+
+
+def checked_1q(gate):
+    """The entries (u00, u01, u10, u11) of a 2x2 unitary; raises ValueError
+    if `gate` is not one."""
+    g = np.asarray(gate, dtype=np.complex128)
+    if g.shape != (2, 2):
+        raise ValueError("gate must be 2x2")
+    err = np.abs(g @ g.conj().T - np.eye(2)).max()
+    if err > 1e-12:
+        raise ValueError(f"gate is not unitary (deviation {err:.2e})")
+    return g[0, 0], g[0, 1], g[1, 0], g[1, 1]
 
 
 def _sample_index(probs, rng):

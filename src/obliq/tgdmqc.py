@@ -116,6 +116,249 @@ class TgdmqcRunResult:
     branch_probability: float = 1.0
 
 
+class _Run:
+    """One run of the 4m+3-step schedule, resumable at its 2m teleport hops.
+
+    `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
+    everything up to hop k+1, or through the readout when k = 2m.
+    `snapshot()` and `restore()` save and reset everything a run changes, so
+    one state can be continued with each outcome of the next hop in turn.
+    """
+
+    def __init__(self, w, user_rounds, n_circ, seed, *,
+                 eager_bell=False, branch_plan=None, max_qubits=None):
+        n, m = w.n, w.m
+        user_rounds = tuple(user_rounds)
+        if len(user_rounds) != m:
+            raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
+        for r in user_rounds:
+            r.check_shape(n)
+        if not 1 <= n_circ <= n:
+            raise ValueError(f"n_circ must be in [1, {n}]")
+        self.n, self.m, self.n_circ = n, m, n_circ
+
+        # streams 0..m-1 are users 1..m, stream m is unused, then A and B
+        streams = np.random.SeedSequence(seed).spawn(m + 3)
+        self.rngs = [np.random.default_rng(s) for s in streams]
+        self.registry = ChannelRegistry()
+        for j in range(1, m + 2):
+            self.registry.register(user_name(j), SERVER_A)
+            self.registry.register(user_name(j), SERVER_B)
+
+        self.reg = StateRegister(max_qubits=max_qubits)
+        self.branch_records = []
+        self.source = BranchSource(branch_plan)
+        self.teleport = teleport_executor(
+            self.reg, m, n, self.source, self.branch_records, eager_bell
+        )
+        self.users = {
+            j: TgdmqcUser(j, n, user_rounds[j - 1], self.rngs[j - 1])
+            for j in range(1, m + 1)
+        }
+        self.final = PartyView(user_name(m + 1))
+        self.final_outcomes = {}
+        self.server_a = ProtocolServer(SERVER_A, "a", w, self.reg, self.teleport,
+                                       self.rngs[m + 1])
+        self.server_b = ProtocolServer(SERVER_B, "b", w, self.reg, self.teleport,
+                                       self.rngs[m + 2])
+        self.steps = []
+        self.data = None
+        self.views = [u.view for u in self.users.values()]
+        self.views += [self.final, self.server_a.view, self.server_b.view]
+
+    # -- the schedule ------------------------------------------------------
+
+    def open(self):
+        """Step 1, then step 2 up to server A's first hop."""
+        t1, cz1 = self.users[1].fresh_tcz()
+        self.server_a.store_queries(1, t=t1, cz=cz1)
+        self._send(
+            StepMessage("step-1", user_name(1), (SERVER_A,),
+                        t_family_parts("t-query", t1) + cz_family_parts("cz-query", cz1)),
+            self.server_a.view,
+        )
+        self.data = self.reg.alloc_zero_qubits(self.n)
+        self.server_a.apply_layers(1, self.data)
+
+    def hop(self, k, outcomes=None):
+        """Hop k and the steps up to the next hop (through the readout at
+        k = 2m). `outcomes` forces this hop's n Bell outcomes; None takes
+        them from the run's branch plan, or samples them without one."""
+        if outcomes is not None:
+            self.teleport.source = BranchSource(outcomes)
+        j = (k + 1) // 2
+        if k % 2:
+            # server A ends round j; server B runs its half
+            step = f"step-{4 * j - 2}"
+            xs, zs, self.data = self.server_a.teleport_on(j, self.data, step)
+            self._outcome_msg(step, SERVER_A, k, xs, zs, (j,))
+            self._query_to_b(j, f"step-{4 * j - 1}")
+            self.server_b.apply_layers(j, self.data)
+            return
+        step = f"step-{4 * j}"
+        xs, zs, self.data = self.server_b.teleport_on(j, self.data, step)
+        self._outcome_msg(step, SERVER_B, k, xs, zs, (j, j + 1))
+        if j < self.m:
+            self._queries_to_a(j + 1)
+            self.server_a.apply_layers(j + 1, self.data)
+        else:
+            self._read_out()
+
+    def _send(self, msg, *views):
+        self.registry.send(msg)
+        self.steps.append(msg.step)
+        for v in views:
+            v.absorb(msg)
+
+    def _outcome_msg(self, step, sender, k, xs, zs, recipients):
+        msg = StepMessage(
+            step, sender, tuple(user_name(j) for j in recipients),
+            (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
+        )
+        views = []
+        for j in recipients:
+            if j <= self.m:
+                self.users[j].store_outcomes(k, xs, zs)
+                views.append(self.users[j].view)
+            else:
+                self.final_outcomes[k] = (tuple(xs), tuple(zs))
+                views.append(self.final)
+        self._send(msg, *views)
+
+    def _query_to_b(self, j, step):
+        user = self.users[j]
+        t, cz = user.derived_tcz()
+        h = user.fresh_h()
+        self.server_b.store_queries(j, t=t, cz=cz, h=h, h_round=j)
+        parts = (
+            t_family_parts("t-query-rederived", t)
+            + cz_family_parts("cz-query-rederived", cz)
+            + h_family_parts("h-query", h)
+        )
+        self._send(StepMessage(step, user_name(j), (SERVER_B,), parts),
+                   self.server_b.view)
+
+    def _queries_to_a(self, j):
+        """Step 4j-3: user j-1's rederived rotation queries, then user j's
+        fresh phase queries, both to server A."""
+        step = f"step-{4 * j - 3}"
+        h = self.users[j - 1].derived_h()
+        self.server_a.store_queries(j, h=h, h_round=j - 1)
+        self._send(
+            StepMessage(step, user_name(j - 1), (SERVER_A,),
+                        h_family_parts("h-query-rederived", h)),
+            self.server_a.view,
+        )
+        t, cz = self.users[j].fresh_tcz()
+        self.server_a.store_queries(j, t=t, cz=cz)
+        self._send(
+            StepMessage(step, user_name(j), (SERVER_A,),
+                        t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)),
+            self.server_a.view,
+        )
+
+    def _read_out(self):
+        """Steps 4m+1 to 4m+3: the last rotation queries and layer, server
+        A's readout and the final user's X-outcome shift."""
+        m, n_circ, reg, data = self.m, self.n_circ, self.reg, self.data
+        h = self.users[m].derived_h()
+        self.server_a.store_queries(m + 1, h=h, h_round=m)
+        self._send(
+            StepMessage(f"step-{4 * m + 1}", user_name(m), (SERVER_A,),
+                        h_family_parts("h-query-rederived", h)),
+            self.server_a.view,
+        )
+
+        self.server_a.final_h_layer(data)
+        raw = reg.probabilities_on(data[:n_circ])
+        measured = tuple(
+            reg.measure_z(data[s], rng=self.server_a.rng)[0] for s in range(n_circ)
+        )
+        self._send(
+            StepMessage(f"step-{4 * m + 2}", SERVER_A, (user_name(m + 1),),
+                        (ClassicalPart("output-bits", 1, measured),)),
+            self.final,
+        )
+
+        shift = self.final_outcomes[2 * m][0][:n_circ]
+        self.output_bits = tuple(b ^ x for b, x in zip(measured, shift))
+        self.steps.append(f"step-{4 * m + 3}")
+        shift_idx = 0
+        for x in shift:
+            shift_idx = (shift_idx << 1) | x
+        self.output_distribution = raw[np.arange(raw.size) ^ shift_idx]
+        p = 1.0
+        for rec in self.branch_records:
+            p *= rec.probs[(rec.outcome[0] << 1) | rec.outcome[1]]
+        self.branch_probability = p
+
+    # -- resuming ----------------------------------------------------------
+
+    def snapshot(self):
+        """Everything a later hop changes: the lists by their lengths, the
+        small dicts by copy, and the register, executor and rng states."""
+        ledger = self.registry.ledger
+        return (
+            self.reg.snapshot(),
+            self.teleport.snapshot(),
+            [rng.bit_generator.state for rng in self.rngs],
+            self.data,
+            len(self.branch_records),
+            len(self.steps),
+            len(self.registry.transcript.records),
+            ledger.totals(),
+            [(len(v.received), v.received_qubits) for v in self.views],
+            [(u.out_x.copy(), u.out_z.copy(), u.t_fresh, u.cz_fresh, u.h_fresh)
+             for u in self.users.values()],
+            [(s.t_queries.copy(), s.cz_queries.copy(), s.h_queries.copy())
+             for s in (self.server_a, self.server_b)],
+            self.final_outcomes.copy(),
+        )
+
+    def restore(self, snap):
+        (reg, frame, rng_states, self.data, n_records, n_steps, n_messages,
+         totals, views, users, servers, final_outcomes) = snap
+        self.reg.restore(reg)
+        self.teleport.restore(frame)
+        for rng, state in zip(self.rngs, rng_states):
+            rng.bit_generator.state = state
+        del self.branch_records[n_records:]
+        del self.steps[n_steps:]
+        del self.registry.transcript.records[n_messages:]
+        ledger = self.registry.ledger
+        (ledger.upload_bits, ledger.upload_qubits,
+         ledger.download_bits, ledger.download_qubits) = totals
+        for v, (n_received, qubits) in zip(self.views, views):
+            del v.received[n_received:]
+            v.received_qubits = qubits
+        for u, (out_x, out_z, t, cz, h) in zip(self.users.values(), users):
+            u.out_x, u.out_z = out_x.copy(), out_z.copy()
+            u.t_fresh, u.cz_fresh, u.h_fresh = t, cz, h
+        for s, (t, cz, h) in zip((self.server_a, self.server_b), servers):
+            s.t_queries, s.cz_queries, s.h_queries = t.copy(), cz.copy(), h.copy()
+        self.final_outcomes = final_outcomes.copy()
+
+    def result(self):
+        m = self.m
+        views = {user_name(j): u.view for j, u in self.users.items()}
+        views[user_name(m + 1)] = self.final
+        views[SERVER_A] = self.server_a.view
+        views[SERVER_B] = self.server_b.view
+        chronological = tuple(rec.outcome for rec in self.branch_records)
+        return TgdmqcRunResult(
+            n=self.n, m=m, n_circ=self.n_circ,
+            output_bits=self.output_bits,
+            output_distribution=self.output_distribution,
+            transcript=self.registry.transcript,
+            ledger=self.registry.ledger,
+            branch_records=self.branch_records,
+            steps_executed=self.steps,
+            views=views,
+            outcomes={"chronological": chronological},
+            branch_probability=self.branch_probability,
+        )
+
+
 def run_tgdmqc(
     w,
     user_rounds,
@@ -134,201 +377,61 @@ def run_tgdmqc(
     qubits; `eager_bell=True` selects the physical reference executor, which
     holds 4mn + n.
     """
-    n, m = w.n, w.m
-    user_rounds = tuple(user_rounds)
-    if len(user_rounds) != m:
-        raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
-    for r in user_rounds:
-        r.check_shape(n)
-    if not 1 <= n_circ <= n:
-        raise ValueError(f"n_circ must be in [1, {n}]")
+    run = _Run(w, user_rounds, n_circ, seed, eager_bell=eager_bell,
+               branch_plan=branch_plan, max_qubits=max_qubits)
+    run.open()
+    for k in range(1, 2 * w.m + 1):
+        run.hop(k)
+    run.source.check_exhausted()
+    return run.result()
 
-    ss = np.random.SeedSequence(seed)
-    streams = ss.spawn(m + 3)
-    user_rngs = [np.random.default_rng(s) for s in streams[: m + 1]]
-    rng_a = np.random.default_rng(streams[m + 1])
-    rng_b = np.random.default_rng(streams[m + 2])
 
-    registry = ChannelRegistry()
-    names = [user_name(j) for j in range(1, m + 2)]
-    for nm in names:
-        registry.register(nm, SERVER_A)
-        registry.register(nm, SERVER_B)
+def _leaves(w, user_rounds, n_circ, seed, **kw):
+    """Yield (plan, run) for every Bell branch plan, in `all_branch_plans`
+    order, walking the outcome tree depth-first from one seeded run.
 
-    reg = StateRegister(max_qubits=max_qubits)
-    branch_records = []
-    source = BranchSource(branch_plan)
-    teleport = teleport_executor(reg, m, n, source, branch_records, eager_bell)
-    users = {
-        j: TgdmqcUser(j, n, user_rounds[j - 1], user_rngs[j - 1])
-        for j in range(1, m + 1)
-    }
-    final = PartyView(user_name(m + 1))
-    final_outcomes = {}
-    server_a = ProtocolServer(SERVER_A, "a", w, reg, teleport, rng_a)
-    server_b = ProtocolServer(SERVER_B, "b", w, reg, teleport, rng_b)
-    steps = []
+    Each hop's n outcomes and the steps after them run once per tree node.
+    The yielded run is the same object each time, valid until the next leaf:
+    it carries that plan's `output_distribution` and `branch_probability`.
+    """
+    run = _Run(w, user_rounds, n_circ, seed, **kw)
+    run.open()
+    combos = tuple(all_branch_plans(w.n))
+    last = 2 * w.m
 
-    def send(msg, *recipients):
-        registry.send(msg)
-        steps.append(msg.step)
-        for r in recipients:
-            r.absorb(msg)
-
-    def outcome_msg(step, sender, k, xs, zs, recipients):
-        msg = StepMessage(
-            step, sender, tuple(user_name(j) for j in recipients),
-            (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
-        )
-        views = []
-        for j in recipients:
-            if j <= m:
-                users[j].store_outcomes(k, xs, zs)
-                views.append(users[j].view)
+    def walk(k, prefix):
+        snap = run.snapshot()
+        for i, combo in enumerate(combos):
+            if i:
+                run.restore(snap)
+            run.hop(k, combo)
+            if k == last:
+                yield prefix + combo, run
             else:
-                final_outcomes[k] = (tuple(xs), tuple(zs))
-                views.append(final)
-        send(msg, *views)
+                yield from walk(k + 1, prefix + combo)
 
-    # step 1: user 1's fresh phase queries
-    t1, cz1 = users[1].fresh_tcz()
-    server_a.store_queries(1, t=t1, cz=cz1)
-    send(
-        StepMessage("step-1", user_name(1), (SERVER_A,),
-                    t_family_parts("t-query", t1) + cz_family_parts("cz-query", cz1)),
-        server_a.view,
-    )
-
-    # step 2: server A prepares |0...0> and runs its phase layers
-    data = reg.alloc_zero_qubits(n)
-    xs, zs, data = server_a.unitary_round(1, data, "step-2")
-    outcome_msg("step-2", SERVER_A, 1, xs, zs, (1,))
-
-    def query_to_b(j, step):
-        t, cz = users[j].derived_tcz()
-        h = users[j].fresh_h()
-        server_b.store_queries(j, t=t, cz=cz, h=h, h_round=j)
-        parts = (
-            t_family_parts("t-query-rederived", t)
-            + cz_family_parts("cz-query-rederived", cz)
-            + h_family_parts("h-query", h)
-        )
-        send(StepMessage(step, user_name(j), (SERVER_B,), parts), server_b.view)
-
-    def b_round(j, step):
-        nonlocal data
-        xs, zs, data = server_b.unitary_round(j, data, step)
-        outcome_msg(step, SERVER_B, 2 * j, xs, zs, (j, j + 1))
-
-    query_to_b(1, "step-3")
-    b_round(1, "step-4")
-
-    for j in range(2, m + 1):
-        # step 4j-3: user j-1's rederived rotation queries and user j's
-        # fresh phase queries both go to server A
-        h = users[j - 1].derived_h()
-        server_a.store_queries(j, h=h, h_round=j - 1)
-        send(
-            StepMessage(f"step-{4 * j - 3}", user_name(j - 1), (SERVER_A,),
-                        h_family_parts("h-query-rederived", h)),
-            server_a.view,
-        )
-        t, cz = users[j].fresh_tcz()
-        server_a.store_queries(j, t=t, cz=cz)
-        send(
-            StepMessage(f"step-{4 * j - 3}", user_name(j), (SERVER_A,),
-                        t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)),
-            server_a.view,
-        )
-
-        xs, zs, data = server_a.unitary_round(j, data, f"step-{4 * j - 2}")
-        outcome_msg(f"step-{4 * j - 2}", SERVER_A, 2 * j - 1, xs, zs, (j,))
-
-        query_to_b(j, f"step-{4 * j - 1}")
-        b_round(j, f"step-{4 * j}")
-
-    # step 4m+1: user m's last rederived rotation queries
-    h = users[m].derived_h()
-    server_a.store_queries(m + 1, h=h, h_round=m)
-    send(
-        StepMessage(f"step-{4 * m + 1}", user_name(m), (SERVER_A,),
-                    h_family_parts("h-query-rederived", h)),
-        server_a.view,
-    )
-
-    # step 4m+2: final rotation layer, then server A reads out n_circ bits
-    server_a.final_h_layer(data)
-    raw = reg.probabilities_on(data[:n_circ])
-    measured = []
-    for s in range(n_circ):
-        b, _ = reg.measure_z(data[s], rng=server_a.rng)
-        measured.append(b)
-    msg = StepMessage(
-        f"step-{4 * m + 2}", SERVER_A, (user_name(m + 1),),
-        (ClassicalPart("output-bits", 1, tuple(measured)),),
-    )
-    send(msg, final)
-
-    # step 4m+3: the final user adds the last teleport's X outcomes back
-    last_x = final_outcomes[2 * m][0]
-    shift = tuple(last_x[s] % 2 for s in range(n_circ))
-    output_bits = tuple((measured[s] + shift[s]) % 2 for s in range(n_circ))
-    steps.append(f"step-{4 * m + 3}")
-    shift_idx = 0
-    for b in shift:
-        shift_idx = (shift_idx << 1) | b
-    dist = np.empty_like(raw)
-    for i in range(raw.size):
-        dist[i ^ shift_idx] = raw[i]
-
-    branch_probability = 1.0
-    for rec in branch_records:
-        branch_probability *= rec.probs[(rec.outcome[0] << 1) | rec.outcome[1]]
-
-    if source.forced:
-        try:
-            source.next_force()
-        except ValueError:
-            pass
-        else:
-            raise ValueError("branch plan longer than the number of measurements")
-
-    views = {user_name(j): users[j].view for j in users}
-    views[user_name(m + 1)] = final
-    views[SERVER_A] = server_a.view
-    views[SERVER_B] = server_b.view
-    all_out = {"chronological": tuple(rec.outcome for rec in branch_records)}
-    return TgdmqcRunResult(
-        n=n, m=m, n_circ=n_circ,
-        output_bits=output_bits,
-        output_distribution=dist,
-        transcript=registry.transcript,
-        ledger=registry.ledger,
-        branch_records=branch_records,
-        steps_executed=steps,
-        views=views,
-        outcomes=all_out,
-        branch_probability=branch_probability,
-    )
+    yield from walk(1, ())
 
 
 def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     """Exact output distribution summed over every Bell branch.
 
-    Also returns the joint distribution of all Bell outcomes (what the users
-    collectively receive), keyed by the chronological outcome tuple.
+    Walks the tree of the 4^(2mn) Bell outcome plans depth-first: the state
+    after each hop is snapshotted once, and each of the hop's 4^n outcome
+    combinations continues from it, so a shared prefix runs once. Every plan
+    shares `seed`, so each leaf equals `run_tgdmqc(..., seed=seed,
+    branch_plan=plan)` exactly; `**kw` (`eager_bell`, `max_qubits`) goes to
+    the run. Also returns the joint distribution of all Bell outcomes (what
+    the users collectively receive), keyed by the chronological outcome
+    tuple, and the total probability.
     """
-    num = 2 * w.m * w.n
     acc = np.zeros(1 << n_circ, dtype=float)
     outcome_joint = {}
     total = 0.0
-    for idx, plan in enumerate(all_branch_plans(num)):
-        res = run_tgdmqc(
-            w, user_rounds, n_circ, seed=(seed, idx), branch_plan=plan, **kw
-        )
-        p = res.branch_probability
+    for plan, run in _leaves(w, user_rounds, n_circ, seed, **kw):
+        p = run.branch_probability
         total += p
-        acc += p * res.output_distribution
+        acc += p * run.output_distribution
         outcome_joint[plan] = outcome_joint.get(plan, 0.0) + p
     return acc, outcome_joint, total
 

@@ -174,6 +174,13 @@ class BellStore:
     def half(self, k, s, side):
         return self._pairs[(k, s)][0 if side == "a" else 1]
 
+    def snapshot(self):
+        """None: the pairs are fixed, so the register holds all hop state."""
+        return None
+
+    def restore(self, snap):
+        pass
+
     def hop(self, k, side, data, rng, step):
         """Teleport the data through pair k; returns (outcomes, new data)."""
         outcomes = []
@@ -208,6 +215,13 @@ class PauliFrame:
         self.source = source
         self.records = records
         self._queued = [(0, 0)] * n
+
+    def snapshot(self):
+        """The queued Paulis, for `restore` to return to."""
+        return tuple(self._queued)
+
+    def restore(self, snap):
+        self._queued = list(snap)
 
     def hop(self, k, side, data, rng, step):
         """Apply hop k's frame update; returns (outcomes, the same data)."""
@@ -276,6 +290,11 @@ class ProtocolServer:
 
         Returns (outcome x bits, outcome z bits, new data handles).
         """
+        self.apply_layers(j, data)
+        return self.teleport_on(j, data, step)
+
+    def apply_layers(self, j, data):
+        """The queried layers of round j, on the data qubits."""
         w = self.program
         if self.side == "a" and j >= 2:
             hq = self._require(self.h_queries, j - 1, "h")
@@ -288,6 +307,8 @@ class ProtocolServer:
             hq = self._require(self.h_queries, j, "h")
             apply_masked_h_layer(self.reg, data, hq, w.rounds[j - 1].x)
 
+    def teleport_on(self, j, data, step):
+        """Round j's hop; returns (x bits, z bits, new data handles)."""
         k = 2 * j - 1 if self.side == "a" else 2 * j
         outcomes, new_data = self.teleport.hop(k, self.side, data, self.rng, step)
         return tuple(a for a, _ in outcomes), tuple(b for _, b in outcomes), new_data
@@ -590,14 +611,7 @@ def run_toqc(
         output_bits = None
         output_distribution = None
 
-    if source.forced:
-        try:
-            source.next_force()
-        except ValueError:
-            pass
-        else:
-            raise ValueError("branch plan longer than the number of measurements")
-
+    source.check_exhausted()
     return ToqcRunResult(
         n=n, m=m, n_circ=n_circ, classical_output=classical_output,
         output_density=result_density,

@@ -1,5 +1,7 @@
 """Multiparty protocol: distribution correctness, routing, secrecy, ledger."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from obliq.harness import (
 )
 from obliq.oracle import ideal_outcome_distribution, total_variation
 from obliq.tgdmqc import (
+    _leaves,
+    _Run,
     equation_audits,
     exhaustive_output_distribution,
     program_with_users,
@@ -53,6 +57,89 @@ def test_exhaustive_branches_match_ideal(n, m):
     rounds = random_rounds(n, m, (n, m, 7))
     tv, dist, ideal = verify_against_ideal(w, rounds, 1, seed=3, exhaustive=True)
     assert tv < 1e-9
+
+
+# sha256 over transcript, outcomes and output bits of seeded honest runs, as
+# produced by the schedule before it was made resumable at its hops
+SEEDED_RUNS_DIGEST = "00a42be2bfd7ea66fae20f43f7ec03e0e233a3bd32cb3e2f4023555ca00f89ca"
+
+
+def test_seeded_runs_are_stable():
+    h = hashlib.sha256()
+    for n, m in ((2, 2), (3, 1), (4, 4)):
+        for seed in (0, 1, 2):
+            w = random_program(n, m, np.random.default_rng((n, m, seed, 50)))
+            rounds = random_rounds(n, m, (n, m, seed, 51))
+            res = run_tgdmqc(w, rounds, n, seed=seed)
+            h.update(res.transcript.render().encode())
+            h.update(repr(res.outcomes).encode())
+            h.update(repr(res.output_bits).encode())
+    assert h.hexdigest() == SEEDED_RUNS_DIGEST
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
+def test_enumerator_leaves_equal_single_runs(n, m):
+    # every leaf of the depth-first walk is bit-identical to a fresh run
+    # with the same seed and plan, and the plans come in all_branch_plans order
+    w = random_program(n, m, np.random.default_rng((n, m, 52)))
+    rounds = random_rounds(n, m, (n, m, 53))
+    plans = list(all_branch_plans(2 * n * m))
+    count = 0
+    for (plan, leaf), want in zip(_leaves(w, rounds, n, 54), plans):
+        assert plan == want
+        ref = run_tgdmqc(w, rounds, n, seed=54, branch_plan=plan)
+        got = leaf.result()
+        assert np.array_equal(got.output_distribution, ref.output_distribution)
+        assert got.branch_probability == ref.branch_probability
+        assert got.output_bits == ref.output_bits
+        assert got.transcript.render() == ref.transcript.render()
+        assert got.ledger.totals() == ref.ledger.totals()
+        assert got.steps_executed == ref.steps_executed
+        assert got.outcomes == ref.outcomes
+        assert got.views == ref.views
+        count += 1
+    assert count == len(plans) == 4 ** (2 * n * m)
+
+
+def test_restore_returns_run_to_its_snapshot():
+    w = random_program(1, 2, np.random.default_rng(70))
+    run = _Run(w, random_rounds(1, 2, 71), 1, 72)
+
+    def state():
+        (amps, order, axis, uid), *rest = run.snapshot()
+        return amps.tobytes(), order, axis, uid, rest
+
+    run.open()
+    run.hop(1, ((1, 0),))
+    snap = run.snapshot()
+    before = state()
+    # twice, so a restore that hands out the snapshot's own dicts shows
+    for last in ((0, 0), (1, 1)):
+        for k, combo in ((2, ((0, 1),)), (3, ((1, 1),)), (4, (last,))):
+            run.hop(k, combo)
+        run.restore(snap)
+        assert state() == before
+
+
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
+def test_outcome_joint_has_every_plan_once(n, m):
+    w = random_program(n, m, np.random.default_rng((n, m, 55)))
+    rounds = random_rounds(n, m, (n, m, 56))
+    _, joint, _ = exhaustive_output_distribution(w, rounds, 1, seed=57)
+    k = 2 * n * m
+    assert set(joint) == set(all_branch_plans(k))
+    assert len(joint) == 4 ** k
+    assert all(p == 0.25 ** k for p in joint.values())
+
+
+def test_exhaustive_eager_bell_matches_frame():
+    w = random_program(2, 1, np.random.default_rng(58))
+    rounds = random_rounds(2, 1, 59)
+    frame, _, total = exhaustive_output_distribution(w, rounds, 2, seed=60)
+    phys, _, phys_total = exhaustive_output_distribution(
+        w, rounds, 2, seed=60, eager_bell=True)
+    assert np.abs(frame - phys).max() < 1e-12
+    assert abs(total - phys_total) < 1e-12
 
 
 def test_identity_server_program_runs_user_program():
