@@ -49,9 +49,20 @@ def _load_input_state(spec, n):
         if len(bits) != n:
             raise ValueError(f"--input has {len(bits)} basis bits, the program has n={n}")
         return None, tuple(int(b) for b in bits)
+    amps = []
     with open(spec, "r", encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if line.strip()]
-    vec = np.array([float(r[0]) + 1j * float(r[1]) for r in rows], dtype=np.complex128)
+        for lineno, line in enumerate(fh, 1):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                re_part, im_part = (float(f) for f in fields)
+            except ValueError:
+                raise ValueError(
+                    f"state file line {lineno}: expected 're im', got {line.strip()!r}"
+                ) from None
+            amps.append(re_part + 1j * im_part)
+    vec = np.array(amps, dtype=np.complex128)
     if vec.size != 1 << n:
         raise ValueError(f"state file holds {vec.size} amplitudes, expected {1 << n}")
     nrm = np.linalg.norm(vec)

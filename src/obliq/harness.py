@@ -127,16 +127,31 @@ class ParsedRecord:
     digest: str
 
 
+def _int_field(lineno, name, value):
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"transcript line {lineno}: {name} {value!r} is not an integer"
+        ) from None
+
+
 def parse_transcript(text):
     out = []
-    for line in text.splitlines():
-        if not line.strip():
+    for lineno, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields:
             continue
-        seq, step, sender, receiver, kind, bits, qubits, digest = line.split()
+        if len(fields) != 8:
+            raise ValueError(
+                f"transcript line {lineno}: expected 8 fields, got {len(fields)}"
+            )
+        seq, step, sender, receiver, kind, bits, qubits, digest = fields
         out.append(
             ParsedRecord(
-                int(seq), step, sender, tuple(receiver.split("+")),
-                kind, int(bits), int(qubits), digest,
+                _int_field(lineno, "seq", seq), step, sender,
+                tuple(receiver.split("+")), kind, _int_field(lineno, "bits", bits),
+                _int_field(lineno, "qubits", qubits), digest,
             )
         )
     for i, rec in enumerate(out):
@@ -433,12 +448,12 @@ class QueryEquationAudit:
     setting_b: object
 
 
-def audit_query_uniformity(equation_audits, require_distinct_settings=True):
+def audit_query_uniformity(equation_audits):
     """Enumerate each equation's source; the output marginal must be uniform
-    and identical across the two settings."""
+    and identical across the two settings, which must differ."""
     v = Verdict("query-uniformity", True)
     for eq in equation_audits:
-        if require_distinct_settings and eq.setting_a == eq.setting_b:
+        if eq.setting_a == eq.setting_b:
             v.ok = False
             v.details.append(f"{eq.name}: settings are not distinct")
             continue

@@ -85,3 +85,20 @@ def test_cli_audit_exit_codes(tmp_path, tgdmqc_text, capsys):
     assert "verdict=pass" in capsys.readouterr().out
     assert cli.main(args + [str(tampered)]) == 1
     assert "verdict=fail" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line_edit,named", [
+    (lambda fields: fields[:7], "expected 8 fields, got 7"),
+    (lambda fields: fields[:5] + ["10x"] + fields[6:], "bits '10x' is not an integer"),
+], ids=["seven-fields", "bits-not-an-integer"])
+def test_cli_audit_names_the_malformed_line(tmp_path, tgdmqc_text, capsys,
+                                            line_edit, named):
+    lines = tgdmqc_text.splitlines()
+    lines[2] = " ".join(line_edit(lines[2].split()))
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    args = ["audit", "--protocol", "tgdmqc", "--n", "2", "--m", "1",
+            "--transcript", str(path)]
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error=transcript line 3: {named}" in err

@@ -67,3 +67,22 @@ def test_tgdmqc_shape_mismatch_is_usage_error(tmp_path, capsys):
     assert cli.main(["tgdmqc", "--server-program", str(w), "--user-rounds",
                      str(users), "--seed", "7"]) == 2
     assert "error=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad_line", ["0.5", "0.5 abc"])
+def test_toqc_malformed_state_file_is_usage_error(program_path, tmp_path, capsys,
+                                                  bad_line):
+    state = tmp_path / "state.txt"
+    state.write_text(f"0.5 0\n{bad_line}\n0.5 0\n0.5 0\n")
+    assert cli.main(["toqc", "--program", program_path, "--input", str(state),
+                     "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error=state file line 2" in err and bad_line in err
+
+
+def test_toqc_state_file_input_passes(program_path, tmp_path, capsys):
+    state = tmp_path / "state.txt"
+    state.write_text("0.5 0\n\n0 0.5\n-0.5 0\n0 -0.5\n")
+    assert cli.main(["toqc", "--program", program_path, "--input", str(state),
+                     "--seed", "3"]) == 0
+    assert "verdict=pass" in capsys.readouterr().out

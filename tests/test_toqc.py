@@ -1,5 +1,7 @@
 """Two-server protocol: oracle agreement, wire accounting, secrecy audits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,73 @@ def test_dropped_delta_offset_skips_phase_layers():
     res = run_toqc(w, psi=psi, n_circ=2, seed=42, tcz_delta_coeff={2: 0})
     ideal = ideal_output(stripped, psi, 2)
     assert trace_distance(res.output_density, ideal) < 1e-9
+
+
+# sha256 over transcript, outcomes, output bits, density and distribution of
+# seeded runs, as produced before toqc and tgdmqc shared one schedule
+SEEDED_RUNS_DIGEST = "da048a66150dc528e5177dfd5efcce557787d5666c979abe74bf13f92f8b9a6e"
+
+
+def test_seeded_runs_are_stable():
+    h = hashlib.sha256()
+    for n, m in ((2, 2), (3, 1), (4, 2)):
+        for seed in (0, 1):
+            rng = np.random.default_rng((n, m, seed, 80))
+            w = random_program(n, m, rng)
+            psi = random_state(n, rng)
+            bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+            runs = [
+                run_toqc(w, psi=psi, n_circ=n, seed=seed),
+                run_toqc(w, basis_bits=bits, n_circ=1, seed=seed),
+                run_toqc(w, basis_bits=bits, n_circ=n, seed=seed,
+                         classical_output=True),
+                run_toqc(w, psi=psi, n_circ=1, seed=seed, tcz_delta_coeff={2: 0}),
+            ]
+            # the pre-shared pairs hold 4mn + n qubits: 36 at (4, 2)
+            if 4 * m * n + n <= 18:
+                runs.append(run_toqc(w, psi=psi, n_circ=n, seed=seed, eager_bell=True))
+            for res in runs:
+                h.update(res.transcript.render().encode())
+                h.update(repr(res.outcomes).encode())
+                h.update(repr(res.output_bits).encode())
+                for arr in (res.output_density, res.output_distribution):
+                    if arr is not None:
+                        h.update(arr.tobytes())
+    assert h.hexdigest() == SEEDED_RUNS_DIGEST
+
+
+@pytest.mark.parametrize("classical", [False, True])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (1, 2)])
+def test_enumerated_branches_equal_single_runs(n, m, classical):
+    # every enumerated branch is bit-identical to a fresh run with the same
+    # seed and plan, and the plans come in all_branch_plans order
+    rng = np.random.default_rng((n, m, 81))
+    w = random_program(n, m, rng)
+    if classical:
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        kw = dict(basis_bits=bits, classical_output=True)
+    else:
+        kw = dict(psi=random_state(n, rng))
+    plans = list(all_branch_plans(2 * n * m))
+    got_all = []
+    for (plan, got), want in zip(enumerate_branches(w, n_circ=n, seed=82, **kw), plans):
+        assert plan == want
+        got_all.append(got)
+    assert len(got_all) == len(plans) == 4 ** (2 * n * m)
+    # compared after the walk, so a result changed by a later branch shows
+    for plan, got in zip(plans, got_all):
+        ref = run_toqc(w, n_circ=n, seed=82, branch_plan=plan, **kw)
+        for arr, want in ((got.output_density, ref.output_density),
+                          (got.output_distribution, ref.output_distribution)):
+            assert (arr is None and want is None) or arr.tobytes() == want.tobytes()
+        assert got.output_bits == ref.output_bits
+        assert got.branch_probability == ref.branch_probability
+        assert got.transcript.render() == ref.transcript.render()
+        assert got.ledger.totals() == ref.ledger.totals()
+        assert got.branch_records == ref.branch_records
+        assert got.steps_executed == ref.steps_executed
+        assert got.outcomes == ref.outcomes
+        assert got.views == ref.views
 
 
 # -- classical output mode ------------------------------------------------------
