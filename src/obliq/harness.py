@@ -49,6 +49,13 @@ class ClassicalPart:
         return self.width * len(self.values)
 
 
+def wire_kind(bits, qubits):
+    """A message's kind from what it carries: classical, quantum or mixed."""
+    if qubits and bits:
+        return "mixed"
+    return "quantum" if qubits else "classical"
+
+
 @dataclass(frozen=True)
 class StepMessage:
     step: str
@@ -63,9 +70,7 @@ class StepMessage:
 
     @property
     def kind(self):
-        if self.qubits and self.parts:
-            return "mixed"
-        return "quantum" if self.qubits else "classical"
+        return wire_kind(self.bits, self.qubits)
 
     def digest(self):
         h = hashlib.sha256()
@@ -103,6 +108,14 @@ class Transcript:
 
     def step_labels(self):
         return [r.message.step for r in self.records]
+
+    def views(self, names):
+        """Each named party's view, replayed from the messages it received."""
+        views = {name: PartyView(name) for name in names}
+        for r in self.records:
+            for receiver in r.message.receivers:
+                views[receiver].absorb(r.message)
+        return views
 
     def column_sums(self):
         """(upload bits, upload qubits, download bits, download qubits)."""
@@ -249,30 +262,21 @@ class BranchRecord:
 
 
 BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
-_END = object()
 
 
-class BranchSource:
-    """Hands out forced Bell outcomes, or None to sample honestly."""
-
-    def __init__(self, plan=None):
-        self._iter = iter(plan) if plan is not None else None
-
-    def next_force(self):
-        if self._iter is None:
-            return None
-        try:
-            force = next(self._iter)
-        except StopIteration:
-            raise ValueError("branch plan exhausted before the run finished") from None
-        if tuple(force) not in BELL_OUTCOMES:
-            raise ValueError(f"branch plan entry {force!r} is not a Bell outcome (a, b)")
-        return force
-
-    def check_exhausted(self):
-        """Raise if a forced plan has entries the run did not use."""
-        if self._iter is not None and next(self._iter, _END) is not _END:
-            raise ValueError("branch plan longer than the number of measurements")
+def cut_branch_plan(plan, hops, width):
+    """Check a forced plan of hops * width Bell outcomes, in chronological
+    order, and cut it into one tuple of `width` outcomes per hop."""
+    plan = list(plan)
+    if len(plan) != hops * width:
+        raise ValueError(
+            f"branch plan has {len(plan)} outcomes, the run makes {hops * width}"
+        )
+    for entry in plan:
+        pair = tuple(entry) if isinstance(entry, (tuple, list, np.ndarray)) else entry
+        if pair not in BELL_OUTCOMES:
+            raise ValueError(f"branch plan entry {entry!r} is not a Bell outcome (a, b)")
+    return tuple(tuple(plan[k * width:(k + 1) * width]) for k in range(hops))
 
 
 def all_branch_plans(num_measurements):
@@ -352,6 +356,10 @@ def _check_ledger(name, ledger, expect, transcript=None, step_table=None):
                 if step not in step_table:
                     v.ok = False
                     v.details.append(f"{step}: unexpected transcript step")
+            labels = [step for step in transcript.step_labels() if step in step_table]
+            if labels != sorted(labels, key=list(step_table).index):
+                v.ok = False
+                v.details.append(f"steps out of order: {' '.join(labels)}")
     return v
 
 
@@ -379,9 +387,12 @@ def assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=None):
 
 def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     """Re-check transcript text under the rules of a live run: the ledger
-    is rebuilt with `ComplexityLedger.add`, then the totals and every step
-    are checked against the exact per-step table. A record between two
-    servers or naming an unknown party fails the verdict."""
+    is rebuilt with `ComplexityLedger.add`, then the totals, every step and
+    the order of the steps are checked against the exact per-step table,
+    and each record's kind against its bits and qubits. A record between
+    two servers or naming an unknown party fails the verdict. The digests
+    are not re-checked: that needs the message parts, which the text does
+    not hold."""
     if protocol not in ("toqc", "tgdmqc"):
         raise ValueError(f"unknown protocol {protocol!r}")
     transcript = Transcript()
@@ -393,9 +404,16 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     except ValueError as exc:
         return Verdict(f"{protocol}-complexity", False, [str(exc)])
     if protocol == "toqc":
-        return assert_complexity_toqc(ledger, n, m, n_circ, transcript=transcript,
-                                      classical_output=classical_output)
-    return assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=transcript)
+        v = assert_complexity_toqc(ledger, n, m, n_circ, transcript=transcript,
+                                   classical_output=classical_output)
+    else:
+        v = assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=transcript)
+    for r in transcript.records:
+        want = wire_kind(r.message.bits, r.message.qubits)
+        if r.message.kind != want:
+            v.ok = False
+            v.details.append(f"{r.message.step}: kind {r.message.kind}, expected {want}")
+    return v
 
 
 # -- secrecy audits -----------------------------------------------------------

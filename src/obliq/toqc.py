@@ -36,13 +36,12 @@ import numpy as np
 from .gates import ProgramRound, qubit_pairs
 from .harness import (
     BranchRecord,
-    BranchSource,
     ChannelRegistry,
     ClassicalPart,
-    PartyView,
     QueryEquationAudit,
     StepMessage,
     all_branch_plans,
+    cut_branch_plan,
     expected_toqc_steps,
 )
 from .layers import (
@@ -158,10 +157,9 @@ class BellStore:
     the correction meets the data after the partner's teleport.
     """
 
-    def __init__(self, reg, m, n, source, records):
+    def __init__(self, reg, m, n, records):
         self.reg = reg
         self.m = m
-        self.source = source
         self.records = records
         self._pairs = {
             (k, s): reg.alloc_bell_pair()
@@ -178,20 +176,20 @@ class BellStore:
     def restore(self, snap):
         pass
 
-    def hop(self, k, side, data, rng, step):
-        """Teleport the data through pair k; returns (outcomes, new data)."""
-        outcomes = []
+    def hop(self, k, side, data, rng, step, forced):
+        """Teleport the data through pair k, forcing the outcomes when
+        `forced` gives one per wire; returns the new data handles."""
         for s, q in enumerate(data):
             a, b, probs = self.reg.bell_measure(
-                q, self.half(k, s, side), rng=rng, force=self.source.next_force()
+                q, self.half(k, s, side), rng=rng,
+                force=None if forced is None else forced[s],
             )
             self.records.append(BranchRecord(step, s + 1, probs, (a, b)))
-            outcomes.append((a, b))
         if k < 2 * self.m:
-            for s, (a, b) in enumerate(outcomes):
-                apply_zx(self.reg, self.half(k + 1, s, side), a, b)
+            for s, rec in enumerate(self.records[-len(data):]):
+                apply_zx(self.reg, self.half(k + 1, s, side), *rec.outcome)
         other = "b" if side == "a" else "a"
-        return outcomes, [self.half(k, s, other) for s in range(len(data))]
+        return [self.half(k, s, other) for s in range(len(data))]
 
 
 class PauliFrame:
@@ -206,10 +204,9 @@ class PauliFrame:
     holds exactly the n data qubits.
     """
 
-    def __init__(self, reg, m, n, source, records):
+    def __init__(self, reg, m, n, records):
         self.reg = reg
         self.m = m
-        self.source = source
         self.records = records
         self._queued = [(0, 0)] * n
 
@@ -220,16 +217,15 @@ class PauliFrame:
     def restore(self, snap):
         self._queued = list(snap)
 
-    def hop(self, k, side, data, rng, step):
-        """Apply hop k's frame update; returns (outcomes, the same data)."""
-        outcomes = []
+    def hop(self, k, side, data, rng, step, forced):
+        """Apply hop k's frame update, forcing the outcomes when `forced`
+        gives one per wire; returns the same data handles."""
         for s, q in enumerate(data):
-            force = self.source.next_force()
-            if force is None:
+            if forced is None:
                 idx = _sample_index(BELL_UNIFORM, rng)
                 a, b = idx >> 1, idx & 1
             else:
-                a, b = force
+                a, b = forced[s]
             qa, qb = self._queued[s]
             # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
             # up to a global sign no output can see
@@ -238,8 +234,7 @@ class PauliFrame:
             self.records.append(
                 BranchRecord(step, s + 1, BELL_UNIFORM, (a, b), measured=False)
             )
-            outcomes.append((a, b))
-        return outcomes, data
+        return data
 
 
 class ProtocolServer:
@@ -257,63 +252,37 @@ class ProtocolServer:
         self.reg = reg
         self.teleport = teleport
         self.rng = rng
-        self.t_queries = {}
-        self.cz_queries = {}
-        self.h_queries = {}
-        self.view = PartyView(name)
-
-    def store_queries(self, j, t=None, cz=None, h=None, h_round=None):
-        if t is not None:
-            self.t_queries[j] = t
-        if cz is not None:
-            self.cz_queries[j] = cz
-        if h is not None:
-            self.h_queries[h_round] = h
-
-    def _require(self, table, j, what):
-        try:
-            return table[j]
-        except KeyError:
-            raise RuntimeError(f"{self.name}: missing {what} query for round {j}") from None
 
     # unused by the schedule, which calls the two halves; kept because the
     # benchmark tracer wraps it (ROADMAP item 6)
-    def unitary_round(self, j, data, step):
-        """Apply the queried layers for round j, then teleport the data on.
+    def unitary_round(self, j, data, step, t, cz, h, forced=None):
+        """Apply the queried layers for round j, then teleport the data on;
+        returns the new data handles."""
+        self.apply_layers(j, data, t, cz, h)
+        k = 2 * j - 1 if self.side == "a" else 2 * j
+        return self.teleport.hop(k, self.side, data, self.rng, step, forced)
 
-        Returns (outcome x bits, outcome z bits, new data handles).
-        """
-        self.apply_layers(j, data)
-        return self.teleport_on(j, data, step)
-
-    def apply_layers(self, j, data):
-        """The queried layers of round j, on the data qubits."""
+    def apply_layers(self, j, data, t, cz, h):
+        """The queried layers of round j, on the data qubits: on side A the
+        rotation queries `h` are round j-1's (None at j = 1), on side B
+        round j's."""
         w = self.program
         if self.side == "a" and j >= 2:
-            self.h_layer(j - 1, data)
-        tq = self._require(self.t_queries, j, "t")
-        czq = self._require(self.cz_queries, j, "cz")
-        apply_masked_t_layer(self.reg, data, tq, w.rounds[j - 1].y)
-        apply_masked_cz_layer(self.reg, data, czq, w.rounds[j - 1].z)
+            self.h_layer(j - 1, data, h)
+        apply_masked_t_layer(self.reg, data, t, w.rounds[j - 1].y)
+        apply_masked_cz_layer(self.reg, data, cz, w.rounds[j - 1].z)
         if self.side == "b":
-            self.h_layer(j, data)
+            self.h_layer(j, data, h)
 
-    def teleport_on(self, j, data, step):
-        """Round j's hop; returns (x bits, z bits, new data handles)."""
-        k = 2 * j - 1 if self.side == "a" else 2 * j
-        outcomes, new_data = self.teleport.hop(k, self.side, data, self.rng, step)
-        return tuple(a for a, _ in outcomes), tuple(b for _, b in outcomes), new_data
-
-    def h_layer(self, j, data):
+    def h_layer(self, j, data, h):
         """The queried rotation layer of round j, on the data qubits."""
-        hq = self._require(self.h_queries, j, "h")
-        apply_masked_h_layer(self.reg, data, hq, self.program.rounds[j - 1].x)
+        apply_masked_h_layer(self.reg, data, h, self.program.rounds[j - 1].x)
 
 
 # -- the users' classical side -------------------------------------------------
 
 class ProtocolUser:
-    """One user party: the rounds it holds and the outcomes routed to it.
+    """One user party: the rounds it holds and its latest fresh queries.
 
     `rounds` maps a round j to its offset coefficients (a `ProgramRound`):
     round j of w' for tgdmqc user j. A round it does not list has all
@@ -321,9 +290,9 @@ class ProtocolUser:
     run probes other offsets. A `masked` user also holds
     the input masks, drawn first from its stream; other users' masks are 0.
     The party draws the fresh query families of its rounds and re-derives the
-    queries that continue the other server's layers. It keeps only the
-    latest family of each kind: the schedule uses a round's family before
-    it draws the next round's.
+    queries that continue the other server's layers from the teleport
+    outcomes routed to it. It keeps only the latest family of each kind: the
+    schedule uses a round's family before it draws the next round's.
     """
 
     def __init__(self, name, n, rng, rounds, masked=False):
@@ -334,9 +303,6 @@ class ProtocolUser:
             self.mask_x = tuple(int(v) for v in rng.integers(0, 2, size=n))
             self.mask_z = tuple(int(v) for v in rng.integers(0, 2, size=n))
         self.t_fresh = self.cz_fresh = self.h_fresh = None
-        self.out_x = {0: zero}
-        self.out_z = {0: zero}
-        self.view = PartyView(name)
 
     def fresh_tcz(self):
         self.t_fresh = draw_t_family(self.rng, self.n)
@@ -347,11 +313,10 @@ class ProtocolUser:
         self.h_fresh = draw_h_family(self.rng, self.n)
         return self.h_fresh
 
-    def derived_tcz(self, j):
-        """Queries for server B's round j: shift by the last two X outcomes,
-        offset by the y and z coefficients where u matches mask + latest X
-        outcome."""
-        ax_prev, ax = self.out_x[2 * j - 2], self.out_x[2 * j - 1]
+    def derived_tcz(self, j, ax_prev, ax):
+        """Queries for server B's round j: shift by the X outcome bits of
+        hops 2j-2 and 2j-1, offset by the y and z coefficients where u
+        matches mask + the latest X outcome."""
         shift = tuple((ax[s] + ax_prev[s]) % 2 for s in range(self.n))
         delta = tuple((self.mask_x[s] + ax[s]) % 2 for s in range(self.n))
         coeff = self.rounds.get(j)
@@ -359,12 +324,11 @@ class ProtocolUser:
                 derive_cz_queries(self.cz_fresh, self.n, shift, delta,
                                   coeff=coeff and coeff.z))
 
-    def derived_h(self, j):
-        """Queries for server A's round-j rotation layer: sums of the last two
-        teleports' outcome bits drive the shift, the masks and the latest
-        outcome bits the offset, scaled by the x coefficients."""
-        ox2, oz2 = self.out_x[2 * j], self.out_z[2 * j]
-        ox1, oz1 = self.out_x[2 * j - 1], self.out_z[2 * j - 1]
+    def derived_h(self, j, first, second):
+        """Queries for server A's round-j rotation layer from the (x bits,
+        z bits) of hops 2j-1 and 2j: their sums drive the shift, the masks
+        and hop 2j's bits the offset, scaled by the x coefficients."""
+        (ox1, oz1), (ox2, oz2) = first, second
         shift = tuple((ox2[s] + oz2[s] + ox1[s] + oz1[s]) % 2 for s in range(self.n))
         delta = tuple(
             (self.mask_x[s] + self.mask_z[s] + ox2[s] + oz2[s]) % 2
@@ -389,6 +353,10 @@ class ProtocolRun:
     XOR-shifted when `classical_output`, else the n_circ qubits go to the
     reader, who undoes their residual Paulis.
 
+    The transcript and `branch_records` are the run's whole classical
+    record: each party acts on the message it was just sent or on the
+    outcomes routed to it, which `outcomes(k)` reads off the records.
+
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
     everything up to hop k+1, or through the readout when k = 2m.
     `snapshot()` and `restore()` save and reset everything a run changes, so
@@ -401,6 +369,8 @@ class ProtocolRun:
         n, m = w.n, w.m
         if not 1 <= n_circ <= n:
             raise ValueError(f"n_circ must be in [1, {n}]")
+        self.plan = ((None,) * (2 * m) if branch_plan is None
+                     else cut_branch_plan(branch_plan, 2 * m, n))
         self.n, self.m, self.n_circ = n, m, n_circ
         self.users = tuple(users)
         self.classical_output = classical_output
@@ -412,18 +382,24 @@ class ProtocolRun:
             self.registry.register(p.name, SERVER_B)
         self.reg = StateRegister(max_qubits=max_qubits)
         self.branch_records = []
-        self.source = BranchSource(branch_plan)
         # the physical reference when `eager_bell`, else the Pauli frame
         self.teleport = (BellStore if eager_bell else PauliFrame)(
-            self.reg, m, n, self.source, self.branch_records
+            self.reg, m, n, self.branch_records
         )
         rng_a, rng_b = server_rngs
         self.server_a = ProtocolServer(SERVER_A, "a", w, self.reg, self.teleport, rng_a)
         self.server_b = ProtocolServer(SERVER_B, "b", w, self.reg, self.teleport, rng_b)
-        self.servers = (self.server_a, self.server_b)
         self.rngs = [p.rng for p in self.parties] + [rng_a, rng_b]
-        self.steps = []
         self.data = None
+
+    def outcomes(self, k):
+        """Hop k's (x bits, z bits), read off its n branch records; zeros
+        for k = 0, before the first hop."""
+        if k == 0:
+            zero = (0,) * self.n
+            return zero, zero
+        recs = self.branch_records[(k - 1) * self.n:k * self.n]
+        return tuple(r.outcome[0] for r in recs), tuple(r.outcome[1] for r in recs)
 
     # -- the schedule ------------------------------------------------------
 
@@ -436,112 +412,92 @@ class ProtocolRun:
         """Step 1, then server A's round-1 layers up to its first hop."""
         user = self.users[0]
         t, cz = user.fresh_tcz()
-        self.server_a.store_queries(1, t=t, cz=cz)
         self.data, parts, qubits = self._prepare_input()
         parts += t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)
-        self._send(StepMessage("step-1", user.name, (SERVER_A,), parts, qubits=qubits),
-                   self.server_a)
-        self.server_a.apply_layers(1, self.data)
+        self.registry.send(
+            StepMessage("step-1", user.name, (SERVER_A,), parts, qubits=qubits))
+        self.server_a.apply_layers(1, self.data, t, cz, None)
 
     def hop(self, k, outcomes=None):
         """Hop k and the steps up to the next hop (through the readout at
-        k = 2m). `outcomes` forces this hop's n Bell outcomes; None takes
-        them from the run's branch plan, or samples them without one."""
-        if outcomes is not None:
-            self.teleport.source = BranchSource(outcomes)
+        k = 2m). `outcomes` forces this hop's n Bell outcomes; None samples
+        them."""
         j = (k + 1) // 2
+        # server A ends round j at step 4j-2, server B at step 4j; hop 2j-1
+        # goes to user j, hop 2j to users j and j+1
+        step = f"step-{2 * k}"
+        server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
+                             else (self.server_b, self.users[j - 1:j + 1]))
+        self.data = self.teleport.hop(k, server.side, self.data, server.rng,
+                                      step, outcomes)
+        xs, zs = self.outcomes(k)
+        self.registry.send(StepMessage(
+            step, server.name, tuple(dict.fromkeys(p.name for p in receivers)),
+            (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
+        ))
         if k % 2:
-            # server A ends round j; server B runs its half
-            step = f"step-{4 * j - 2}"
-            xs, zs, self.data = self.server_a.teleport_on(j, self.data, step)
-            self._outcome_msg(step, SERVER_A, k, xs, zs, self.users[j - 1])
-            self._query_to_b(j, f"step-{4 * j - 1}")
-            self.server_b.apply_layers(j, self.data)
-            return
-        step = f"step-{4 * j}"
-        xs, zs, self.data = self.server_b.teleport_on(j, self.data, step)
-        self._outcome_msg(step, SERVER_B, k, xs, zs, self.users[j - 1], self.users[j])
-        if j < self.m:
-            self._queries_to_a(j + 1)
-            self.server_a.apply_layers(j + 1, self.data)
+            self._round_b(j)
+        elif j < self.m:
+            self._round_a(j + 1)
         else:
             self._read_out()
 
     def run_through(self):
         """Open, then every hop with the plan's or sampled outcomes."""
         self.open()
-        for k in range(1, 2 * self.m + 1):
-            self.hop(k)
-        self.source.check_exhausted()
+        for k, outcomes in enumerate(self.plan, 1):
+            self.hop(k, outcomes)
         return self.result()
 
-    def _send(self, msg, *receivers):
-        self.registry.send(msg)
-        self.steps.append(msg.step)
-        for r in receivers:
-            r.view.absorb(msg)
-
-    def _outcome_msg(self, step, sender, k, xs, zs, *parties):
-        parties = tuple(dict.fromkeys(parties))
-        for p in parties:
-            p.out_x[k], p.out_z[k] = xs, zs
-        msg = StepMessage(
-            step, sender, tuple(p.name for p in parties),
-            (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
-        )
-        self._send(msg, *parties)
-
-    def _query_to_b(self, j, step):
+    def _round_b(self, j):
+        """Step 4j-1, then server B's half of round j on the queries sent."""
         user = self.users[j - 1]
-        t, cz = user.derived_tcz(j)
+        t, cz = user.derived_tcz(j, self.outcomes(2 * j - 2)[0],
+                                 self.outcomes(2 * j - 1)[0])
         h = user.fresh_h()
-        self.server_b.store_queries(j, t=t, cz=cz, h=h, h_round=j)
         parts = (
             t_family_parts("t-query-rederived", t)
             + cz_family_parts("cz-query-rederived", cz)
             + h_family_parts("h-query", h)
         )
-        self._send(StepMessage(step, user.name, (SERVER_B,), parts), self.server_b)
+        self.registry.send(StepMessage(f"step-{4 * j - 1}", user.name, (SERVER_B,), parts))
+        self.server_b.apply_layers(j, self.data, t, cz, h)
 
-    def _queries_to_a(self, j):
+    def _round_a(self, j):
         """Step 4j-3: the rederived rotation queries of round j-1, then the
-        fresh phase queries of round j, both to server A."""
+        fresh phase queries of round j, both to server A, which then runs
+        its half of round j on them."""
         step = f"step-{4 * j - 3}"
         prev, user = self.users[j - 2], self.users[j - 1]
-        h = prev.derived_h(j - 1)
+        h = prev.derived_h(j - 1, self.outcomes(2 * j - 3), self.outcomes(2 * j - 2))
         t, cz = user.fresh_tcz()
-        self.server_a.store_queries(j, t=t, cz=cz, h=h, h_round=j - 1)
         halves = [(prev, h_family_parts("h-query-rederived", h)),
                   (user, t_family_parts("t-query", t) + cz_family_parts("cz-query", cz))]
         if prev is user:
             halves = [(user, halves[0][1] + halves[1][1])]
         for sender, parts in halves:
-            self._send(StepMessage(step, sender.name, (SERVER_A,), parts), self.server_a)
+            self.registry.send(StepMessage(step, sender.name, (SERVER_A,), parts))
+        self.server_a.apply_layers(j, self.data, t, cz, h)
 
     def _read_out(self):
         """Steps 4m+1 to 4m+3: the last rotation queries and layer, then the
         output to the reader, corrected by its masks and the last outcomes."""
         m, n_circ, reg, data = self.m, self.n_circ, self.reg, self.data
         user, reader = self.users[m - 1], self.users[m]
-        h = user.derived_h(m)
-        self.server_a.store_queries(m + 1, h=h, h_round=m)
-        self._send(
-            StepMessage(f"step-{4 * m + 1}", user.name, (SERVER_A,),
-                        h_family_parts("h-query-rederived", h)),
-            self.server_a,
-        )
+        h = user.derived_h(m, self.outcomes(2 * m - 1), self.outcomes(2 * m))
+        self.registry.send(StepMessage(f"step-{4 * m + 1}", user.name, (SERVER_A,),
+                                       h_family_parts("h-query-rederived", h)))
 
-        self.server_a.h_layer(m, data)
+        self.server_a.h_layer(m, data, h)
         step = f"step-{4 * m + 2}"
-        ox, oz = reader.out_x[2 * m], reader.out_z[2 * m]
+        ox, oz = self.outcomes(2 * m)
         if self.classical_output:
             raw = reg.probabilities_on(data[:n_circ])
             measured = tuple(
                 reg.measure_z(data[s], rng=self.server_a.rng)[0] for s in range(n_circ)
             )
-            self._send(StepMessage(step, SERVER_A, (reader.name,),
-                                   (ClassicalPart("output-bits", 1, measured),)),
-                       reader)
+            self.registry.send(StepMessage(step, SERVER_A, (reader.name,),
+                                           (ClassicalPart("output-bits", 1, measured),)))
             # step 4m+3: add back the X outcome and input mask bits
             shift = tuple((ox[s] + reader.mask_x[s]) % 2 for s in range(n_circ))
             self.output_bits = tuple(b ^ x for b, x in zip(measured, shift))
@@ -551,14 +507,13 @@ class ProtocolRun:
             self.output_distribution = raw[np.arange(raw.size) ^ shift_idx]
             self.output_density = None
         else:
-            self._send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ), reader)
+            self.registry.send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ))
             # step 4m+3: undo the residual masks on the received qubits
             for s in range(n_circ):
                 apply_xz(reg, data[s], (reader.mask_x[s] + ox[s]) % 2,
                          (reader.mask_z[s] + oz[s]) % 2)
             self.output_density = reg.density_on(data[:n_circ])
             self.output_bits = self.output_distribution = None
-        self.steps.append(f"step-{4 * m + 3}")
         p = 1.0
         for rec in self.branch_records:
             p *= rec.probs[(rec.outcome[0] << 1) | rec.outcome[1]]
@@ -567,48 +522,33 @@ class ProtocolRun:
     # -- resuming ----------------------------------------------------------
 
     def snapshot(self):
-        """Everything a later hop changes: the lists by their lengths, the
-        small dicts by copy, the query families (never changed once drawn)
-        by reference, and the register, executor and rng states."""
-        ledger = self.registry.ledger
+        """Everything a later hop changes: the two logs by their lengths,
+        the users' query families (never changed once drawn) by reference,
+        and the register, executor, rng and ledger states."""
         return (
             self.reg.snapshot(),
             self.teleport.snapshot(),
             [rng.bit_generator.state for rng in self.rngs],
             self.data,
             len(self.branch_records),
-            len(self.steps),
             len(self.registry.transcript.records),
-            ledger.totals(),
-            [(len(p.view.received), p.view.received_qubits)
-             for p in self.parties + self.servers],
-            [(p.out_x.copy(), p.out_z.copy(), p.t_fresh, p.cz_fresh, p.h_fresh)
-             for p in self.parties],
-            [(s.t_queries.copy(), s.cz_queries.copy(), s.h_queries.copy())
-             for s in self.servers],
+            self.registry.ledger.totals(),
+            [(p.t_fresh, p.cz_fresh, p.h_fresh) for p in self.parties],
         )
 
     def restore(self, snap):
-        (reg, frame, rng_states, self.data, n_records, n_steps, n_messages,
-         totals, views, parties, servers) = snap
+        reg, frame, rng_states, self.data, n_records, n_messages, totals, families = snap
         self.reg.restore(reg)
         self.teleport.restore(frame)
         for rng, state in zip(self.rngs, rng_states):
             rng.bit_generator.state = state
         del self.branch_records[n_records:]
-        del self.steps[n_steps:]
         del self.registry.transcript.records[n_messages:]
         ledger = self.registry.ledger
         (ledger.upload_bits, ledger.upload_qubits,
          ledger.download_bits, ledger.download_qubits) = totals
-        for p, (n_received, qubits) in zip(self.parties + self.servers, views):
-            del p.view.received[n_received:]
-            p.view.received_qubits = qubits
-        for p, (out_x, out_z, t, cz, h) in zip(self.parties, parties):
-            p.out_x, p.out_z = out_x.copy(), out_z.copy()
+        for p, (t, cz, h) in zip(self.parties, families):
             p.t_fresh, p.cz_fresh, p.h_fresh = t, cz, h
-        for s, (t, cz, h) in zip(self.servers, servers):
-            s.t_queries, s.cz_queries, s.h_queries = t.copy(), cz.copy(), h.copy()
 
     def leaves(self):
         """Yield (plan, self) for every Bell branch plan, in
@@ -636,16 +576,18 @@ class ProtocolRun:
         yield from walk(1, ())
 
     def result_fields(self):
-        """The fields both protocols' results share."""
+        """The fields both protocols' results share; the views and steps
+        are replayed from the transcript."""
+        transcript = self.registry.transcript
         return dict(
             n=self.n, m=self.m, n_circ=self.n_circ,
             output_bits=self.output_bits,
             output_distribution=self.output_distribution,
-            transcript=self.registry.transcript,
+            transcript=transcript,
             ledger=self.registry.ledger,
             branch_records=self.branch_records,
-            steps_executed=self.steps,
-            views={p.name: p.view for p in self.parties + self.servers},
+            steps_executed=transcript.step_labels() + [f"step-{4 * self.m + 3}"],
+            views=transcript.views([p.name for p in self.parties] + [SERVER_A, SERVER_B]),
             branch_probability=self.branch_probability,
         )
 
@@ -702,10 +644,14 @@ class _ToqcRun(ProtocolRun):
 
         # all ones except for runs probing what a changed re-randomization
         # offset does to a round's phase layers
+        tcz_delta_coeff = tcz_delta_coeff or {}
+        outside = [j for j in tcz_delta_coeff if not 1 <= j <= m]
+        if outside:
+            raise ValueError(f"tcz_delta_coeff rounds {outside} are outside 1..{m}")
         npairs = n * (n - 1) // 2
         rounds = {
             j: ProgramRound((1,) * n, (c % 8,) * n, (c % 2,) * npairs)
-            for j, c in (tcz_delta_coeff or {}).items() if 1 <= j <= m
+            for j, c in tcz_delta_coeff.items()
         }
         streams = streams or make_streams(seed)
         user = ProtocolUser(USER, n, streams.user, rounds, masked=True)
@@ -733,11 +679,12 @@ class _ToqcRun(ProtocolRun):
         return data, (), n
 
     def result(self):
-        user = self.users[0]
+        hops = [self.outcomes(k) for k in range(2 * self.m + 1)]
         return ToqcRunResult(
             classical_output=self.classical_output,
             output_density=self.output_density,
-            outcomes={"x": dict(user.out_x), "z": dict(user.out_z)},
+            outcomes={"x": {k: xs for k, (xs, _) in enumerate(hops)},
+                      "z": {k: zs for k, (_, zs) in enumerate(hops)}},
             **self.result_fields(),
         )
 

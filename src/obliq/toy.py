@@ -14,14 +14,14 @@ import numpy as np
 
 from .harness import (
     BranchRecord,
-    BranchSource,
     ChannelRegistry,
     ClassicalPart,
-    PartyView,
     StepMessage,
+    cut_branch_plan,
 )
 from .layers import apply_masked_t_layer, apply_zx
 from .qsim import StateRegister
+from .toqc import derive_t_queries
 
 
 @dataclass
@@ -40,13 +40,14 @@ class ToyResult:
 def rederive_queries(q, mask_x, outcome_x):
     """The second-round queries from the first, given the Bell X outcome.
 
-    Index arithmetic is mod 2, values mod 8; the derived pair telescopes the
-    two servers' phase exponents to y on the unmasked component.
+    This is the one-wire case of `toqc.derive_t_queries`: shift by the X
+    outcome, offset where u matches mask + outcome. The derived pair
+    telescopes the two servers' phase exponents to y on the unmasked
+    component.
     """
-    qp = [0, 0]
-    qp[(mask_x + outcome_x) % 2] = (1 - q[mask_x % 2]) % 8
-    qp[(mask_x + outcome_x + 1) % 2] = (-q[(mask_x + 1) % 2]) % 8
-    return tuple(qp)
+    qp = derive_t_queries({0: (q[0],), 1: (q[1],)}, (outcome_x,),
+                          ((mask_x + outcome_x) % 2,))
+    return qp[0][0], qp[1][0]
 
 
 def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
@@ -60,15 +61,14 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.size != 2:
         raise ValueError("the toy protocol transfers a single qubit")
+    if force_branch is not None:
+        ((force_branch,),) = cut_branch_plan([force_branch], 1, 1)
     if rng is None:
         rng = np.random.default_rng(seed)
 
     registry = ChannelRegistry()
     registry.register("user", "server-a")
     registry.register("user", "server-b")
-    views = {p: PartyView(p) for p in ("user", "server-a", "server-b")}
-    branch_records = []
-    source = BranchSource([force_branch] if force_branch is not None else None)
 
     reg = StateRegister()
 
@@ -83,38 +83,29 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
     q = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))
     (data,) = reg.alloc_state(psi)
     apply_zx(reg, data, mask_x, mask_z)
-    msg = StepMessage(
+    registry.send(StepMessage(
         "step-1", "user", ("server-a",),
         (ClassicalPart("t-query", 3, q),), qubits=1,
-    )
-    registry.send(msg)
-    views["server-a"].absorb(msg)
+    ))
 
     # step 2: server A applies its queried phases and Bell-measures
     apply_masked_t_layer(reg, [data], {0: (q[0],), 1: (q[1],)}, (y,))
-    a1, b1, probs = reg.bell_measure(data, half_a, rng=rng, force=source.next_force())
-    branch_records.append(BranchRecord("step-2", 1, probs, (a1, b1)))
-    msg = StepMessage(
+    a1, b1, probs = reg.bell_measure(data, half_a, rng=rng, force=force_branch)
+    registry.send(StepMessage(
         "step-2", "server-a", ("user",),
         (ClassicalPart("bell-x", 1, (a1,)), ClassicalPart("bell-z", 1, (b1,))),
-    )
-    registry.send(msg)
-    views["user"].absorb(msg)
+    ))
 
     # step 3: rederived queries go to server B
     qp = rederive_queries(q, mask_x, a1)
-    msg = StepMessage(
+    registry.send(StepMessage(
         "step-3", "user", ("server-b",),
         (ClassicalPart("t-query-rederived", 3, qp),),
-    )
-    registry.send(msg)
-    views["server-b"].absorb(msg)
+    ))
 
     # step 4: server B applies the rederived phases and returns the qubit
     apply_masked_t_layer(reg, [half_b], {0: (qp[0],), 1: (qp[1],)}, (y,))
-    msg = StepMessage("step-4", "server-b", ("user",), qubits=1)
-    registry.send(msg)
-    views["user"].absorb(msg)
+    registry.send(StepMessage("step-4", "server-b", ("user",), qubits=1))
 
     # step 5: undo the masks (local)
     apply_zx(reg, half_b, (mask_x + a1) % 2, (mask_z + b1) % 2)
@@ -124,9 +115,9 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
         output_density=reg.density_on([half_b]),
         transcript=registry.transcript,
         ledger=registry.ledger,
-        branch_records=branch_records,
+        branch_records=[BranchRecord("step-2", 1, probs, (a1, b1))],
         mask_x=mask_x,
         mask_z=mask_z,
         outcome=(a1, b1),
-        views=views,
+        views=registry.transcript.views(("user", "server-a", "server-b")),
     )

@@ -102,3 +102,38 @@ def test_cli_audit_names_the_malformed_line(tmp_path, tgdmqc_text, capsys,
     assert cli.main(args) == 2
     err = capsys.readouterr().err
     assert f"error=transcript line 3: {named}" in err
+
+
+def readout_first(text):
+    """Move the last record (the step-6 readout) to the front, renumbered."""
+    lines = text.splitlines()
+    lines = lines[-1:] + lines[:-1]
+    return "\n".join(f"{i} {line.split(' ', 1)[1]}"
+                     for i, line in enumerate(lines, 1)) + "\n"
+
+
+def relabel_kind(text, step, kind):
+    lines = []
+    for line in text.splitlines():
+        fields = line.split()
+        if fields[1] == step:
+            fields[4] = kind
+        lines.append(" ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (readout_first, "steps out of order: step-6 step-1"),
+    (lambda text: relabel_kind(text, "step-1", "quantum"),
+     "step-1: kind quantum, expected classical"),
+], ids=["reordered", "relabelled-kind"])
+def test_tampered_order_or_kind_fails(tmp_path, capsys, tgdmqc_text, tamper, reason):
+    text = tamper(tgdmqc_text)
+    verdict = audit_transcript_file(text, "tgdmqc", 2, 1, 1)
+    assert not verdict.ok
+    assert [d for d in verdict.details if d.startswith(reason)] == verdict.details
+    path = tmp_path / "tampered.txt"
+    path.write_text(text)
+    assert cli.main(["audit", "--protocol", "tgdmqc", "--n", "2", "--m", "1",
+                     "--transcript", str(path)]) == 1
+    assert "verdict=fail" in capsys.readouterr().out

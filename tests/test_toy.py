@@ -1,5 +1,7 @@
 """Single-qubit protocol: per-branch correctness, view audits, wire sizes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ def test_rederived_queries_equation():
     # spot value: masks 0, outcome 0: first entry is 1 - q0, second is -q1
     qp = rederive_queries((3, 5), 0, 0)
     assert qp == ((1 - 3) % 8, (-5) % 8)
+
+
+# sha256 over rederive_queries on every (q0, q1, mask_x, outcome_x) in
+# Z8 x Z8 x Z2 x Z2, as computed by the toy's own index formula
+REDERIVED_QUERIES_DIGEST = "5f4054a4c6fe05cfd72afe55dd629463c8f54be7b5469e8f8eb6131a8987be3d"
+
+
+def test_rederived_queries_pinned_on_every_input():
+    h = hashlib.sha256()
+    for q0 in range(8):
+        for q1 in range(8):
+            for mask_x in (0, 1):
+                for a1 in (0, 1):
+                    h.update(repr(rederive_queries((q0, q1), mask_x, a1)).encode())
+    assert h.hexdigest() == REDERIVED_QUERIES_DIGEST
 
 
 def test_no_server_to_server_channel():
