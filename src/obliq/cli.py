@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Every subcommand prints one key=value line per reported quantity and exits
-with 0 on pass, 1 on a verification failure, 2 on a usage error. All
-randomness flows from --seed; a missing seed is generated and printed so the
-run can be reproduced.
+Every subcommand prints one key=value line per reported quantity and ends
+in one `verdict=` line, printed with the `verdict_<name>` and
+`detail_<name>` lines of its checks by `_emit`. It exits with 0 on pass, 1
+on a verification failure, 2 on a usage error. All randomness flows from
+--seed; a missing seed is generated and printed so the run can be
+reproduced.
 """
 
 import argparse
@@ -24,16 +26,19 @@ def _seed_or_new(args):
 
 
 def _emit(verdicts):
-    ok = True
+    """Print each verdict, then the overall one; return the exit code."""
     for v in verdicts:
         print(f"verdict_{v.name}={'pass' if v.ok else 'fail'}")
         for d in v.details:
             print(f"detail_{v.name}={d}")
-        for note in v.notes:
-            print(f"note_{v.name}={note}")
-        ok = ok and v.ok
-    print(f"verdict=pass" if ok else "verdict=fail")
+    ok = all(verdicts)
+    print(f"verdict={'pass' if ok else 'fail'}")
     return 0 if ok else 1
+
+
+def _oracle_verdict(name, what, dist, tol=1e-9):
+    """Pass when `dist`, a distance from the oracle's reference, is <= tol."""
+    return harness.Verdict(name, dist <= tol, [f"{what} {dist:.3e}"])
 
 
 def _write_transcript(args, transcript):
@@ -41,6 +46,18 @@ def _write_transcript(args, transcript):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(transcript.render())
         print(f"transcript={args.out}")
+
+
+def _protocol_tail(args, res, verdicts):
+    """What toqc and tgdmqc report after their oracle and ledger verdicts:
+    the Bell-uniformity verdict under --eager-bell, the ledger totals and
+    the --out transcript."""
+    if args.eager_bell:
+        verdicts.append(harness.audit_bell_uniformity(res.branch_records))
+    for key, val in zip(harness.LEDGER_LABELS, res.ledger.totals()):
+        print(f"{key}={val}")
+    _write_transcript(args, res.transcript)
+    return _emit(verdicts)
 
 
 def _load_input_state(spec, n):
@@ -77,7 +94,6 @@ def cmd_toy(args):
     psi = oracle.random_state(1, rng)
     want = gates.matrix_of("T", args.y) @ psi
     worst = 0.0
-    last = None
     for a in (0, 1):
         for b in (0, 1):
             res = toy.run_toy(args.y, psi, rng=np.random.default_rng((seed, a, b)),
@@ -85,57 +101,37 @@ def cmd_toy(args):
             dist = trace_distance(res.output_density, np.outer(want, want.conj()))
             print(f"branch_{a}{b}_trace_distance={dist:.3e}")
             worst = max(worst, dist)
-            last = res
     print(f"max_trace_distance={worst:.3e}")
-    _write_transcript(args, last.transcript)
+    _write_transcript(args, res.transcript)
     print("transcript_begin=1")
-    sys.stdout.write(last.transcript.render())
+    sys.stdout.write(res.transcript.render())
     print("transcript_end=1")
-    ok = worst <= 1e-10
-    print(f"verdict={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    return _emit([_oracle_verdict("oracle-output", "max trace distance", worst, tol=1e-10)])
 
 
 def cmd_toqc(args):
     seed = _seed_or_new(args)
     w = gates.load_program(args.program)
     psi, bits = _load_input_state(args.input, w.n)
-    if args.classical_output and bits is None:
-        raise ValueError("--classical-output needs a basis-bit input")
     res = toqc.run_toqc(
         w, psi=psi, basis_bits=bits, n_circ=args.n_circ, seed=seed,
         classical_output=args.classical_output, eager_bell=args.eager_bell,
     )
-    verdicts = []
+    vec = oracle.basis_state(w.n, bits) if psi is None else psi
     if args.classical_output:
-        product = w
-        vec = oracle.basis_state(w.n, bits)
-        ideal = oracle.outcome_distribution(product, vec, args.n_circ)
-        tv = oracle.total_variation(res.output_distribution, ideal)
+        tv = oracle.total_variation(res.output_distribution,
+                                    oracle.outcome_distribution(w, vec, args.n_circ))
         print(f"output_bits={''.join(str(b) for b in res.output_bits)}")
         print(f"total_variation={tv:.3e}")
-        verdicts.append(harness.Verdict("oracle-distribution", tv <= 1e-9,
-                                        [f"total variation {tv:.3e}"]))
+        verdict = _oracle_verdict("oracle-distribution", "total variation", tv)
     else:
-        vec = oracle.basis_state(w.n, bits) if psi is None else psi
-        ideal = oracle.ideal_output(w, vec, args.n_circ)
-        dist = trace_distance(res.output_density, ideal)
+        dist = trace_distance(res.output_density, oracle.ideal_output(w, vec, args.n_circ))
         print(f"trace_distance={dist:.3e}")
-        verdicts.append(harness.Verdict("oracle-output", dist <= 1e-9,
-                                        [f"trace distance {dist:.3e}"]))
-    verdicts.append(harness.assert_complexity_toqc(
+        verdict = _oracle_verdict("oracle-output", "trace distance", dist)
+    return _protocol_tail(args, res, [verdict, harness.assert_complexity_toqc(
         res.ledger, w.n, w.m, args.n_circ, transcript=res.transcript,
         classical_output=args.classical_output,
-    ))
-    if args.eager_bell:
-        verdicts.append(harness.audit_bell_uniformity(res.branch_records))
-    for label, val in zip(
-        ("upload_bits", "upload_qubits", "download_bits", "download_qubits"),
-        res.ledger.totals(),
-    ):
-        print(f"{label}={val}")
-    _write_transcript(args, res.transcript)
-    return _emit(verdicts)
+    )])
 
 
 def cmd_tgdmqc(args):
@@ -147,31 +143,18 @@ def cmd_tgdmqc(args):
     res = tgdmqc.run_tgdmqc(w, users.rounds, args.n_circ, seed=seed,
                             eager_bell=args.eager_bell)
     print(f"output_bits={''.join(str(b) for b in res.output_bits)}")
-    ideal = oracle.ideal_outcome_distribution(
-        tgdmqc.program_with_users(w, users.rounds), args.n_circ)
-    verdicts = []
     if args.exhaustive_branches:
-        tv, dist, _ = tgdmqc.verify_against_ideal(
-            w, users.rounds, args.n_circ, seed=seed, exhaustive=True)
+        tv = tgdmqc.verify_against_ideal(w, users.rounds, args.n_circ, seed=seed)[0]
         print(f"total_variation={tv:.3e}")
-        verdicts.append(harness.Verdict("oracle-distribution", tv <= 1e-9,
-                                        [f"total variation {tv:.3e}"]))
+        verdict = _oracle_verdict("oracle-distribution", "total variation", tv)
     else:
+        ideal = oracle.ideal_outcome_distribution(
+            tgdmqc.program_with_users(w, users.rounds), args.n_circ)
         tv = oracle.total_variation(res.output_distribution, ideal)
         print(f"run_total_variation={tv:.3e}")
-        verdicts.append(harness.Verdict("oracle-distribution", tv <= 1e-9,
-                                        [f"per-branch total variation {tv:.3e}"]))
-    verdicts.append(harness.assert_complexity_tgdmqc(
-        res.ledger, w.n, w.m, args.n_circ, transcript=res.transcript))
-    if args.eager_bell:
-        verdicts.append(harness.audit_bell_uniformity(res.branch_records))
-    for label, val in zip(
-        ("upload_bits", "upload_qubits", "download_bits", "download_qubits"),
-        res.ledger.totals(),
-    ):
-        print(f"{label}={val}")
-    _write_transcript(args, res.transcript)
-    return _emit(verdicts)
+        verdict = _oracle_verdict("oracle-distribution", "per-branch total variation", tv)
+    return _protocol_tail(args, res, [verdict, harness.assert_complexity_tgdmqc(
+        res.ledger, w.n, w.m, args.n_circ, transcript=res.transcript)])
 
 
 def cmd_demo_parity(args):
@@ -188,9 +171,8 @@ def cmd_demo_parity(args):
     print(f"expected={parity}")
     point_mass = float(res.output_distribution[got])
     print(f"output_probability={point_mass:.12f}")
-    ok = got == parity and abs(point_mass - 1.0) <= 1e-9
-    print(f"verdict={'pass' if ok else 'fail'}")
-    return 0 if ok else 1
+    return _emit([harness.Verdict("parity", got == parity),
+                  _oracle_verdict("output-probability", "|p - 1|", abs(point_mass - 1.0))])
 
 
 def cmd_audit(args):
@@ -204,6 +186,9 @@ def cmd_audit(args):
 
 
 def cmd_report(args):
+    for flag, value in (("--max-n", args.max_n), ("--max-m", args.max_m)):
+        if value < 1:
+            raise ValueError(f"{flag} is {value}, not at least 1")
     seed = _seed_or_new(args)
     rng = np.random.default_rng(seed)
     verdicts = []
@@ -213,13 +198,12 @@ def cmd_report(args):
             psi = oracle.random_state(n, rng)
             res = toqc.run_toqc(w, psi=psi, n_circ=1, seed=(seed, n, m))
             dist = trace_distance(res.output_density, oracle.ideal_output(w, psi, 1))
-            v = harness.assert_complexity_toqc(res.ledger, n, m, 1,
-                                               transcript=res.transcript)
             ub, uq, db, dq = res.ledger.totals()
             print(f"toqc_n{n}_m{m}=up:{ub}b+{uq}q down:{db}b+{dq}q "
                   f"trace_distance:{dist:.2e}")
-            v.ok = v.ok and dist <= 1e-9
-            verdicts.append(v)
+            verdicts += [_oracle_verdict("oracle-output", "trace distance", dist),
+                         harness.assert_complexity_toqc(res.ledger, n, m, 1,
+                                                        transcript=res.transcript)]
     return _emit(verdicts)
 
 

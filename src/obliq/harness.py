@@ -291,7 +291,6 @@ class Verdict:
     name: str
     ok: bool
     details: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
 
     def __bool__(self):
         return self.ok
@@ -324,10 +323,12 @@ def expected_tgdmqc_steps(n, m, n_circ):
     return steps
 
 
+LEDGER_LABELS = ("upload_bits", "upload_qubits", "download_bits", "download_qubits")
+
+
 def _check_ledger(name, ledger, expect, transcript=None, step_table=None):
     v = Verdict(name, True)
-    labels = ("upload_bits", "upload_qubits", "download_bits", "download_qubits")
-    for label, got, want in zip(labels, ledger.totals(), expect):
+    for label, got, want in zip(LEDGER_LABELS, ledger.totals(), expect):
         if got != want:
             v.ok = False
             v.details.append(f"{label}: got {got}, expected {want}")
@@ -371,12 +372,7 @@ def assert_complexity_toqc(ledger, n, m, n_circ, transcript=None, classical_outp
     else:
         expect = (bits, n, 4 * n * m, n_circ)
     table = expected_toqc_steps(n, m, n_circ, classical_output)
-    v = _check_ledger("toqc-complexity", ledger, expect, transcript, table)
-    v.notes.append(
-        "headline bound (2n^2+20n)m bits + 2n qubits differs from the exact "
-        "per-step totals asserted here; it is reported, not asserted"
-    )
-    return v
+    return _check_ledger("toqc-complexity", ledger, expect, transcript, table)
 
 
 def assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=None):
@@ -392,9 +388,15 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     and each record's kind against its bits and qubits. A record between
     two servers or naming an unknown party fails the verdict. The digests
     are not re-checked: that needs the message parts, which the text does
-    not hold."""
+    not hold. A protocol or shape that no run can have raises a
+    ValueError."""
     if protocol not in ("toqc", "tgdmqc"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    for name, value in (("n", n), ("m", m)):
+        if value < 1:
+            raise ValueError(f"{name} is {value}, not at least 1")
+    if not 1 <= n_circ <= n:
+        raise ValueError(f"n_circ is {n_circ}, not in [1, {n}]")
     transcript = Transcript()
     transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
     ledger = ComplexityLedger()

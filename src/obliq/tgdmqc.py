@@ -18,8 +18,6 @@ No qubit ever travels to or from a user; everything on the user side is
 classical.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .gates import Program, program_product
@@ -44,22 +42,6 @@ def user_name(j):
     return f"user-{j}"
 
 
-@dataclass
-class TgdmqcRunResult:
-    n: int
-    m: int
-    n_circ: int
-    output_bits: tuple = None
-    output_distribution: np.ndarray = None
-    transcript: object = None
-    ledger: object = None
-    branch_records: list = field(default_factory=list)
-    steps_executed: list = field(default_factory=list)
-    views: dict = field(default_factory=dict)
-    outcomes: dict = field(default_factory=dict)
-    branch_probability: float = 1.0
-
-
 class _Run(ProtocolRun):
     """The schedule with users 1..m, each holding one round of w', and
     user m+1 as the reader."""
@@ -78,10 +60,9 @@ class _Run(ProtocolRun):
                  for j in range(1, m + 2)]
         super().__init__(w, n_circ, users, rngs[m + 1:], **kw)
 
-    def result(self):
-        chronological = tuple(rec.outcome for rec in self.branch_records)
-        return TgdmqcRunResult(outcomes={"chronological": chronological},
-                               **self.result_fields())
+    def outcome_table(self):
+        """Every hop's outcomes in the order they were measured."""
+        return {"chronological": tuple(rec.outcome for rec in self.branch_records)}
 
 
 def run_tgdmqc(
@@ -96,7 +77,7 @@ def run_tgdmqc(
 ):
     """One full run; `user_rounds` is the list of the m users' w' rounds.
 
-    Returns a TgdmqcRunResult whose `output_distribution` is the exact
+    Returns a `toqc.RunResult` whose `output_distribution` is the exact
     distribution of the reconstructed bits given the run's Bell branch (the
     sampled `output_bits` are one draw from it). The run holds n live
     qubits; `eager_bell=True` selects the physical reference executor, which

@@ -28,7 +28,7 @@ mod 2 throughout.
 """
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -556,8 +556,11 @@ class ProtocolRun:
 
         Each hop's n outcomes and the steps after them run once per tree
         node. The run is the same object each time, valid until the next
-        leaf; it is left at the last leaf.
+        leaf; it is left at the last leaf. A run built with a branch plan
+        is refused: the walk takes every plan.
         """
+        if self.plan[0] is not None:
+            raise ValueError("the branch walk takes every plan, not a branch_plan")
         self.open()
         combos = tuple(all_branch_plans(self.n))
         last = 2 * self.m
@@ -575,12 +578,14 @@ class ProtocolRun:
 
         yield from walk(1, ())
 
-    def result_fields(self):
-        """The fields both protocols' results share; the views and steps
-        are replayed from the transcript."""
+    def result(self):
+        """The run's `RunResult`: the views and steps are replayed from the
+        transcript, and the configuration supplies its `outcome_table()`."""
         transcript = self.registry.transcript
-        return dict(
+        return RunResult(
             n=self.n, m=self.m, n_circ=self.n_circ,
+            classical_output=self.classical_output,
+            output_density=self.output_density,
             output_bits=self.output_bits,
             output_distribution=self.output_distribution,
             transcript=transcript,
@@ -588,29 +593,33 @@ class ProtocolRun:
             branch_records=self.branch_records,
             steps_executed=transcript.step_labels() + [f"step-{4 * self.m + 3}"],
             views=transcript.views([p.name for p in self.parties] + [SERVER_A, SERVER_B]),
+            outcomes=self.outcome_table(),
             branch_probability=self.branch_probability,
         )
 
 
-# -- the two-server configuration ----------------------------------------------
-
 @dataclass
-class ToqcRunResult:
+class RunResult:
+    """A run of either protocol: `output_density` for a quantum output, else
+    the bits and their exact distribution given the run's Bell branch."""
+
     n: int
     m: int
     n_circ: int
     classical_output: bool
-    output_density: np.ndarray = None
-    output_bits: tuple = None
-    output_distribution: np.ndarray = None
-    transcript: object = None
-    ledger: object = None
-    branch_records: list = field(default_factory=list)
-    steps_executed: list = field(default_factory=list)
-    views: dict = field(default_factory=dict)
-    outcomes: dict = field(default_factory=dict)
-    branch_probability: float = 1.0
+    output_density: np.ndarray
+    output_bits: tuple
+    output_distribution: np.ndarray
+    transcript: object
+    ledger: object
+    branch_records: list
+    steps_executed: list
+    views: dict
+    outcomes: dict
+    branch_probability: float
 
+
+# -- the two-server configuration ----------------------------------------------
 
 def expected_step_labels(m, include_local=False):
     """The step labels on the wire in order, plus the user's local last step
@@ -631,7 +640,11 @@ class _ToqcRun(ProtocolRun):
         if classical_output and basis_bits is None:
             raise ValueError("classical output mode needs a computational basis input")
         if basis_bits is not None:
-            basis_bits = tuple(int(b) % 2 for b in basis_bits)
+            basis_bits = tuple(basis_bits)
+            for s, b in enumerate(basis_bits):
+                if b not in (0, 1):
+                    raise ValueError(f"basis_bits[{s}] is {b!r}, not a bit")
+            basis_bits = tuple(int(b) for b in basis_bits)
             if len(basis_bits) != n:
                 raise ValueError(f"expected {n} input bits")
         else:
@@ -678,15 +691,11 @@ class _ToqcRun(ProtocolRun):
             apply_zx(reg, data[s], user.mask_x[s], user.mask_z[s])
         return data, (), n
 
-    def result(self):
+    def outcome_table(self):
+        """The X and Z outcome bits of each hop k, zeros at k = 0."""
         hops = [self.outcomes(k) for k in range(2 * self.m + 1)]
-        return ToqcRunResult(
-            classical_output=self.classical_output,
-            output_density=self.output_density,
-            outcomes={"x": {k: xs for k, (xs, _) in enumerate(hops)},
-                      "z": {k: zs for k, (_, zs) in enumerate(hops)}},
-            **self.result_fields(),
-        )
+        return {"x": {k: xs for k, (xs, _) in enumerate(hops)},
+                "z": {k: zs for k, (_, zs) in enumerate(hops)}}
 
 
 def run_toqc(
@@ -710,7 +719,7 @@ def run_toqc(
     the wire at all. `branch_plan` forces the Bell outcomes in chronological
     order (2mn of them). The run holds n live qubits; `eager_bell=True`
     selects the physical reference executor, which holds 4mn + n.
-    Returns a ToqcRunResult.
+    Returns a RunResult.
     """
     return _ToqcRun(
         w, psi, basis_bits, n_circ, seed=seed, streams=streams,
@@ -725,7 +734,7 @@ def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
     Walks the outcome tree depth-first, so a shared prefix of outcomes runs
     once. Every plan shares `seed`, so each result equals
     `run_toqc(..., seed=seed, branch_plan=plan)` exactly; `**kw` takes
-    `run_toqc`'s other keywords except `branch_plan`.
+    `run_toqc`'s other keywords, and `branch_plan` raises a ValueError.
     """
     run = _ToqcRun(w, psi, basis_bits, n_circ, seed=seed, **kw)
     for plan, leaf in run.leaves():

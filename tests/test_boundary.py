@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from obliq.gates import random_program
+from obliq.gates import random_program, zero_program
 from obliq.harness import ChannelRegistry
 from obliq.oracle import basis_state
-from obliq.tgdmqc import run_tgdmqc
-from obliq.toqc import run_toqc
+from obliq.tgdmqc import exhaustive_output_distribution, run_tgdmqc
+from obliq.toqc import enumerate_branches, run_toqc
 from obliq.toy import run_toy
 
 N, M = 2, 1
@@ -77,3 +77,31 @@ def test_unknown_tcz_delta_coeff_round_rejected(no_messages, coeffs, named):
     with pytest.raises(ValueError,
                        match=fr"tcz_delta_coeff rounds {named} are outside 1\.\.1"):
         run_toqc(w, psi=basis_state(1, (0,)), seed=96, tcz_delta_coeff=coeffs)
+
+
+def _walk_toqc(plan):
+    return list(enumerate_branches(zero_program(1, 1), psi=basis_state(1, (0,)),
+                                   branch_plan=plan))
+
+
+def _walk_tgdmqc(plan):
+    w = zero_program(1, 1)
+    return exhaustive_output_distribution(w, w.rounds, 1, seed=97, branch_plan=plan)
+
+
+@pytest.mark.parametrize("walk", [_walk_toqc, _walk_tgdmqc], ids=["toqc", "tgdmqc"])
+def test_branch_walk_rejects_a_plan(no_messages, walk):
+    # a plan of the right length, so only the walk itself can refuse it
+    with pytest.raises(ValueError, match="takes every plan, not a branch_plan"):
+        walk([(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("bits,named", [
+    ((0, 2), r"basis_bits\[1\] is 2,"),
+    ((1, -1), r"basis_bits\[1\] is -1,"),
+    ((0.5, 1), r"basis_bits\[0\] is 0.5,"),
+], ids=["two", "minus-one", "half"])
+def test_non_bit_basis_bits_rejected(no_messages, bits, named):
+    w = random_program(N, M, np.random.default_rng(98))
+    with pytest.raises(ValueError, match=fr"{named} not a bit"):
+        run_toqc(w, basis_bits=bits, seed=1)
