@@ -199,11 +199,13 @@ def cmd_report(args):
             res = toqc.run_toqc(w, psi=psi, n_circ=1, seed=(seed, n, m))
             dist = trace_distance(res.output_density, oracle.ideal_output(w, psi, 1))
             ub, uq, db, dq = res.ledger.totals()
-            print(f"toqc_n{n}_m{m}=up:{ub}b+{uq}q down:{db}b+{dq}q "
+            shape = f"n{n}_m{m}"
+            print(f"toqc_{shape}=up:{ub}b+{uq}q down:{db}b+{dq}q "
                   f"trace_distance:{dist:.2e}")
-            verdicts += [_oracle_verdict("oracle-output", "trace distance", dist),
+            verdicts += [_oracle_verdict("oracle-output", f"{shape}: trace distance", dist),
                          harness.assert_complexity_toqc(res.ledger, n, m, 1,
                                                         transcript=res.transcript)]
+            verdicts[-1].details = [f"{shape}: {d}" for d in verdicts[-1].details]
     return _emit(verdicts)
 
 

@@ -204,15 +204,15 @@ def parse_program(text):
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("header must be two integers: n m")
-    n, m = int(header[0]), int(header[1])
+    n, m = (_program_int(1, v) for v in header)
     if len(lines) < 1 + 3 * m:
         raise ValueError(f"expected {3 * m} round lines after the header")
     npairs = n * (n - 1) // 2
     rounds = []
     for j in range(m):
-        xs = _parse_residue_line(lines[1 + 3 * j], n, 4, f"round {j + 1} x")
-        ys = _parse_residue_line(lines[2 + 3 * j], n, 8, f"round {j + 1} y")
-        zs = _parse_residue_line(lines[3 + 3 * j], npairs, 2, f"round {j + 1} z")
+        xs = _parse_residue_line(lines, 1 + 3 * j, n, 4, f"round {j + 1} x")
+        ys = _parse_residue_line(lines, 2 + 3 * j, n, 8, f"round {j + 1} y")
+        zs = _parse_residue_line(lines, 3 + 3 * j, npairs, 2, f"round {j + 1} z")
         rounds.append(ProgramRound(xs, ys, zs))
     for extra in lines[1 + 3 * m:]:
         if extra.strip():
@@ -220,13 +220,21 @@ def parse_program(text):
     return Program(n, tuple(rounds))
 
 
-def _parse_residue_line(line, count, mod, what):
-    toks = line.split()
+def _program_int(lineno, token):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"program line {lineno}: {token!r} is not an integer") from None
+
+
+def _parse_residue_line(lines, i, count, mod, what):
+    """Line i (0-based) of the program text: `count` residues mod `mod`."""
+    toks = lines[i].split()
     if len(toks) != count:
         raise ValueError(f"{what}: expected {count} values, got {len(toks)}")
     vals = []
     for t in toks:
-        v = int(t)
+        v = _program_int(i + 1, t)
         if not 0 <= v < mod:
             raise ValueError(f"{what}: value {v} out of range [0, {mod})")
         vals.append(v)

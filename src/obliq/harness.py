@@ -117,12 +117,12 @@ class Transcript:
                 views[receiver].absorb(r.message)
         return views
 
-    def column_sums(self):
-        """(upload bits, upload qubits, download bits, download qubits)."""
+    def ledger(self):
+        """The ledger of the recorded messages, built with `ComplexityLedger.add`."""
         ledger = ComplexityLedger()
         for r in self.records:
             ledger.add(r.message)
-        return ledger.totals()
+        return ledger
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ class ComplexityLedger:
         )
 
     def matches_transcript(self, transcript):
-        return self.totals() == transcript.column_sums()
+        return self.totals() == transcript.ledger().totals()
 
 
 class ChannelRegistry:
@@ -216,22 +216,18 @@ class ChannelRegistry:
     def __init__(self):
         self._edges = set()
         self.transcript = Transcript()
-        self.ledger = ComplexityLedger()
 
     def register(self, a, b):
         if is_server(a) and is_server(b):
             raise ChannelError(f"servers may not communicate: {a} <-> {b}")
         self._edges.add(frozenset((a, b)))
 
-    def has_edge(self, a, b):
-        return frozenset((a, b)) in self._edges
-
     def send(self, message):
+        """Record `message`, or refuse it whole if a receiver has no channel."""
         for r in message.receivers:
-            if not self.has_edge(message.sender, r):
+            if frozenset((message.sender, r)) not in self._edges:
                 raise ChannelError(f"no channel {message.sender} -> {r}")
         self.transcript.record(message)
-        self.ledger.add(message)
 
 
 @dataclass
@@ -388,10 +384,12 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     and each record's kind against its bits and qubits. A record between
     two servers or naming an unknown party fails the verdict. The digests
     are not re-checked: that needs the message parts, which the text does
-    not hold. A protocol or shape that no run can have raises a
+    not hold. A protocol, shape or flag that no run can have raises a
     ValueError."""
     if protocol not in ("toqc", "tgdmqc"):
         raise ValueError(f"unknown protocol {protocol!r}")
+    if classical_output and protocol == "tgdmqc":
+        raise ValueError("--classical-output applies only to toqc transcripts")
     for name, value in (("n", n), ("m", m)):
         if value < 1:
             raise ValueError(f"{name} is {value}, not at least 1")
@@ -399,10 +397,8 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
         raise ValueError(f"n_circ is {n_circ}, not in [1, {n}]")
     transcript = Transcript()
     transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
-    ledger = ComplexityLedger()
     try:
-        for r in transcript.records:
-            ledger.add(r.message)
+        ledger = transcript.ledger()
     except ValueError as exc:
         return Verdict(f"{protocol}-complexity", False, [str(exc)])
     if protocol == "toqc":

@@ -28,7 +28,7 @@ from .toqc import (  # noqa: F401
     _cz_audit,
     _ring_audit,
     # not called here; the benchmark tracer wraps the draw and derive names
-    # in this module (ROADMAP item 6)
+    # in this module (ROADMAP item 2)
     derive_cz_queries,
     derive_h_queries,
     derive_t_queries,
@@ -56,7 +56,7 @@ class _Run(ProtocolRun):
         # streams 0..m are users 1..m+1 (user m+1 draws nothing), then A and B
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m + 3)]
         held = [{j: r} for j, r in enumerate(user_rounds, 1)] + [{}]
-        users = [ProtocolUser(user_name(j), n, rngs[j - 1], held[j - 1])
+        users = [ProtocolUser(user_name(j), rngs[j - 1], held[j - 1], (0,) * n, (0,) * n)
                  for j in range(1, m + 2)]
         super().__init__(w, n_circ, users, rngs[m + 1:], **kw)
 

@@ -14,12 +14,14 @@ holds the masks and every round, with coefficients 1, sends a masked input
 (quantum, or classical bits) and gets back a quantum or measured output.
 `tgdmqc` is the other.
 
-Two teleport executors carry out the hops. The default `PauliFrame` keeps
-only the n data qubits live and turns each hop into a Pauli update on them;
-`eager_bell=True` selects the physical reference `BellStore`, which shares
-all 2mn Bell pairs before the run as in the paper (4mn + n live qubits).
-Both draw each unforced outcome with one `rng.random()` call, so a seed
-gives the same transcript under either.
+The control plane (`ProtocolRun`, `ProtocolUser`, `ProtocolServer`) holds
+only classical state; the data plane owns the register, the qubits and the
+servers' program. The default `PauliFrame` keeps only the n data qubits
+live and turns each hop into a Pauli update on them; `eager_bell=True`
+selects the physical reference `BellStore`, which shares all 2mn Bell pairs
+before the run as in the paper (4mn + n live qubits). Both draw each
+unforced outcome with one `rng.random()` call, so a seed gives the same
+transcript under either.
 
 Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
@@ -109,6 +111,23 @@ def derive_cz_queries(fresh, n, shift, delta, coeff=None):
     return out
 
 
+def tcz_shift_delta(mask_x, ax_prev, ax):
+    """Shift and delta of server B's round-j phase queries: shift by the X
+    outcome bits of hops 2j-2 and 2j-1, offset where u matches mask + the
+    latest X outcome."""
+    return (tuple((a + p) % 2 for a, p in zip(ax, ax_prev)),
+            tuple((mx + a) % 2 for mx, a in zip(mask_x, ax)))
+
+
+def h_shift_delta(mask_x, mask_z, first, second):
+    """Shift and delta of server A's round-j rotation queries from the (x
+    bits, z bits) of hops 2j-1 and 2j: their sums drive the shift, the
+    masks and hop 2j's bits the offset."""
+    (ox1, oz1), (ox2, oz2) = first, second
+    return (tuple((a + b + c + d) % 2 for a, b, c, d in zip(ox2, oz2, ox1, oz1)),
+            tuple((a + b + c + d) % 2 for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)))
+
+
 def ring_family_parts(width, prefix, family):
     return tuple(
         ClassicalPart(f"{prefix}[u={u}]", width, family[u]) for u in (0, 1)
@@ -142,58 +161,14 @@ def draw_cz_family(rng, n):
     }
 
 
-# -- shared quantum-side machinery ---------------------------------------------
+# -- the data plane -------------------------------------------------------------
 
 BELL_UNIFORM = (0.25, 0.25, 0.25, 0.25)
 
 
-class BellStore:
-    """Physical reference executor: the 2m x n Bell pairs the servers share
-    before the run, all allocated up front as in the paper.
-
-    Hop k Bell-measures each data qubit with the measuring server's half of
-    pair (k, s); the partner half becomes the data qubit. The measuring
-    server pre-corrects its half of pair k+1 by the outcome's Z^b X^a, so
-    the correction meets the data after the partner's teleport.
-    """
-
-    def __init__(self, reg, m, n, records):
-        self.reg = reg
-        self.m = m
-        self.records = records
-        self._pairs = {
-            (k, s): reg.alloc_bell_pair()
-            for k in range(1, 2 * m + 1) for s in range(n)
-        }
-
-    def half(self, k, s, side):
-        return self._pairs[(k, s)][0 if side == "a" else 1]
-
-    def snapshot(self):
-        """None: the pairs are fixed, so the register holds all hop state."""
-        return None
-
-    def restore(self, snap):
-        pass
-
-    def hop(self, k, side, data, rng, step, forced):
-        """Teleport the data through pair k, forcing the outcomes when
-        `forced` gives one per wire; returns the new data handles."""
-        for s, q in enumerate(data):
-            a, b, probs = self.reg.bell_measure(
-                q, self.half(k, s, side), rng=rng,
-                force=None if forced is None else forced[s],
-            )
-            self.records.append(BranchRecord(step, s + 1, probs, (a, b)))
-        if k < 2 * self.m:
-            for s, rec in enumerate(self.records[-len(data):]):
-                apply_zx(self.reg, self.half(k + 1, s, side), *rec.outcome)
-        other = "b" if side == "a" else "a"
-        return [self.half(k, s, other) for s in range(len(data))]
-
-
 class PauliFrame:
-    """Default executor: each hop is a Pauli update on the data qubits.
+    """Default data plane: the register, the n data qubits, the servers'
+    program w and the Paulis queued by the hops.
 
     A Bell measurement of a data qubit with a fresh pair's half gives every
     (a, b) with probability exactly 1/4 and leaves the partner half holding
@@ -204,23 +179,40 @@ class PauliFrame:
     holds exactly the n data qubits.
     """
 
-    def __init__(self, reg, m, n, records):
-        self.reg = reg
-        self.m = m
-        self.records = records
-        self._queued = [(0, 0)] * n
+    # a hop draws from the known Bell law; it reads no amplitudes
+    measured = False
 
-    def snapshot(self):
-        """The queued Paulis, for `restore` to return to."""
-        return tuple(self._queued)
+    def __init__(self, w, max_qubits=None):
+        self.reg = StateRegister(max_qubits=max_qubits)
+        self.w = w
+        self.data = None
+        self._queued = [(0, 0)] * w.n
 
-    def restore(self, snap):
-        self._queued = list(snap)
+    def load(self, psi=None):
+        """Allocate the n data qubits in |psi>, or in |0...0> when psi is None."""
+        self.data = (self.reg.alloc_zero_qubits(self.w.n) if psi is None
+                     else self.reg.alloc_state(psi))
 
-    def hop(self, k, side, data, rng, step, forced):
+    def paulis(self, xs, zs):
+        """Z^z X^x on each data qubit."""
+        for q, x, z in zip(self.data, xs, zs):
+            apply_zx(self.reg, q, x, z)
+
+    def phase_layers(self, j, t, cz):
+        """Round j's masked T and CZ layers on the queries `t` and `cz`."""
+        r = self.w.rounds[j - 1]
+        apply_masked_t_layer(self.reg, self.data, t, r.y)
+        apply_masked_cz_layer(self.reg, self.data, cz, r.z)
+
+    def h_layer(self, j, h):
+        """Round j's masked rotation layer on the queries `h`."""
+        apply_masked_h_layer(self.reg, self.data, h, self.w.rounds[j - 1].x)
+
+    def hop(self, k, side, rng, forced):
         """Apply hop k's frame update, forcing the outcomes when `forced`
-        gives one per wire; returns the same data handles."""
-        for s, q in enumerate(data):
+        gives one per wire; returns each wire's (outcome, probs)."""
+        out = []
+        for s, q in enumerate(self.data):
             if forced is None:
                 idx = _sample_index(BELL_UNIFORM, rng)
                 a, b = idx >> 1, idx & 1
@@ -230,112 +222,105 @@ class PauliFrame:
             # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
             # up to a global sign no output can see
             apply_zx(self.reg, q, a ^ qa, b ^ qb)
-            self._queued[s] = (a, b) if k < 2 * self.m else (0, 0)
-            self.records.append(
-                BranchRecord(step, s + 1, BELL_UNIFORM, (a, b), measured=False)
-            )
-        return data
+            self._queued[s] = (a, b) if k < 2 * self.w.m else (0, 0)
+            out.append(((a, b), BELL_UNIFORM))
+        return out
+
+    def measure(self, count, rng):
+        """Z-measure the first `count` data qubits; returns the exact
+        distribution of the bits, then the bits."""
+        dist = self.reg.probabilities_on(self.data[:count])
+        return dist, tuple(self.reg.measure_z(q, rng=rng)[0] for q in self.data[:count])
+
+    def density(self, count, xs, zs):
+        """X^x Z^z on the first `count` data qubits, then their density matrix."""
+        for q, x, z in zip(self.data[:count], xs, zs):
+            apply_xz(self.reg, q, x, z)
+        return self.reg.density_on(self.data[:count])
+
+    def snapshot(self):
+        """The register's snapshot, then the data handles and queued Paulis."""
+        return self.reg.snapshot(), (self.data, tuple(self._queued))
+
+    def restore(self, snap):
+        reg, (self.data, queued) = snap
+        self.reg.restore(reg)
+        self._queued = list(queued)
 
 
-class ProtocolServer:
-    """One server: holds the program, applies queried layers, teleports on.
+class BellStore(PauliFrame):
+    """Physical reference data plane: the 2m x n Bell pairs the servers
+    share before the run, all allocated up front as in the paper.
 
-    The side ("a" or "b") fixes which Bell halves it owns and which pair
-    index it measures during round j (2j-1 for A, 2j for B). `teleport` is
-    the run's executor, shared by both servers.
+    Hop k Bell-measures each data qubit with the measuring server's half of
+    pair (k, s); the partner half becomes the data qubit. The measuring
+    server pre-corrects its half of pair k+1 by the outcome's Z^b X^a, so
+    the correction meets the data after the partner's teleport.
     """
 
-    def __init__(self, name, side, program, reg, teleport, rng):
-        self.name = name
-        self.side = side
-        self.program = program
-        self.reg = reg
-        self.teleport = teleport
-        self.rng = rng
+    measured = True
 
-    # unused by the schedule, which calls the two halves; kept because the
-    # benchmark tracer wraps it (ROADMAP item 6)
-    def unitary_round(self, j, data, step, t, cz, h, forced=None):
-        """Apply the queried layers for round j, then teleport the data on;
-        returns the new data handles."""
-        self.apply_layers(j, data, t, cz, h)
-        k = 2 * j - 1 if self.side == "a" else 2 * j
-        return self.teleport.hop(k, self.side, data, self.rng, step, forced)
+    def __init__(self, w, max_qubits=None):
+        super().__init__(w, max_qubits)
+        self._pairs = {(k, s): self.reg.alloc_bell_pair()
+                       for k in range(1, 2 * w.m + 1) for s in range(w.n)}
 
-    def apply_layers(self, j, data, t, cz, h):
-        """The queried layers of round j, on the data qubits: on side A the
-        rotation queries `h` are round j-1's (None at j = 1), on side B
-        round j's."""
-        w = self.program
+    def hop(self, k, side, rng, forced):
+        """Teleport the data through pair k; the interface of `PauliFrame.hop`."""
+        mine, other = (0, 1) if side == "a" else (1, 0)
+        out = []
+        for s, q in enumerate(self.data):
+            a, b, probs = self.reg.bell_measure(q, self._pairs[(k, s)][mine], rng=rng,
+                                                force=None if forced is None else forced[s])
+            out.append(((a, b), probs))
+        if k < 2 * self.w.m:
+            for s, (outcome, _) in enumerate(out):
+                apply_zx(self.reg, self._pairs[(k + 1, s)][mine], *outcome)
+        self.data = [self._pairs[(k, s)][other] for s in range(len(out))]
+        return out
+
+
+# -- the classical parties -----------------------------------------------------
+
+class ProtocolServer:
+    """One server's classical side. The side ("a" or "b") fixes which Bell
+    halves it owns and which pair index it measures during round j (2j-1
+    for A, 2j for B); its qubits and its program are the data plane's."""
+
+    def __init__(self, name, side, rng):
+        self.name, self.side, self.rng = name, side, rng
+
+    # unused by the schedule, which splits a round at its hop; kept because
+    # the benchmark tracer wraps it (ROADMAP item 2)
+    def unitary_round(self, plane, j, t, cz, h, forced=None):
+        """This server's layers of round j on `plane`, then its hop: on side
+        A the rotation queries `h` are round j-1's (None at j = 1), on side
+        B round j's. Returns each wire's (outcome, probs)."""
         if self.side == "a" and j >= 2:
-            self.h_layer(j - 1, data, h)
-        apply_masked_t_layer(self.reg, data, t, w.rounds[j - 1].y)
-        apply_masked_cz_layer(self.reg, data, cz, w.rounds[j - 1].z)
+            plane.h_layer(j - 1, h)
+        plane.phase_layers(j, t, cz)
         if self.side == "b":
-            self.h_layer(j, data, h)
-
-    def h_layer(self, j, data, h):
-        """The queried rotation layer of round j, on the data qubits."""
-        apply_masked_h_layer(self.reg, data, h, self.program.rounds[j - 1].x)
+            plane.h_layer(j, h)
+        k = 2 * j - 1 if self.side == "a" else 2 * j
+        return plane.hop(k, self.side, self.rng, forced)
 
 
-# -- the users' classical side -------------------------------------------------
-
+@dataclass(frozen=True, eq=False)
 class ProtocolUser:
-    """One user party: the rounds it holds and its latest fresh queries.
+    """One user party: the stream the run draws its fresh queries from,
+    the rounds it holds and its input masks (zero for tgdmqc users).
 
     `rounds` maps a round j to its offset coefficients (a `ProgramRound`):
     round j of w' for tgdmqc user j. A round it does not list has all
     coefficients 1, as every round of the single toqc user has unless a
-    run probes other offsets. A `masked` user also holds
-    the input masks, drawn first from its stream; other users' masks are 0.
-    The party draws the fresh query families of its rounds and re-derives the
-    queries that continue the other server's layers from the teleport
-    outcomes routed to it. It keeps only the latest family of each kind: the
-    schedule uses a round's family before it draws the next round's.
+    run probes other offsets.
     """
 
-    def __init__(self, name, n, rng, rounds, masked=False):
-        self.name, self.n, self.rng, self.rounds = name, n, rng, rounds
-        zero = (0,) * n
-        self.mask_x = self.mask_z = zero
-        if masked:
-            self.mask_x = tuple(int(v) for v in rng.integers(0, 2, size=n))
-            self.mask_z = tuple(int(v) for v in rng.integers(0, 2, size=n))
-        self.t_fresh = self.cz_fresh = self.h_fresh = None
-
-    def fresh_tcz(self):
-        self.t_fresh = draw_t_family(self.rng, self.n)
-        self.cz_fresh = draw_cz_family(self.rng, self.n)
-        return self.t_fresh, self.cz_fresh
-
-    def fresh_h(self):
-        self.h_fresh = draw_h_family(self.rng, self.n)
-        return self.h_fresh
-
-    def derived_tcz(self, j, ax_prev, ax):
-        """Queries for server B's round j: shift by the X outcome bits of
-        hops 2j-2 and 2j-1, offset by the y and z coefficients where u
-        matches mask + the latest X outcome."""
-        shift = tuple((ax[s] + ax_prev[s]) % 2 for s in range(self.n))
-        delta = tuple((self.mask_x[s] + ax[s]) % 2 for s in range(self.n))
-        coeff = self.rounds.get(j)
-        return (derive_t_queries(self.t_fresh, shift, delta, coeff=coeff and coeff.y),
-                derive_cz_queries(self.cz_fresh, self.n, shift, delta,
-                                  coeff=coeff and coeff.z))
-
-    def derived_h(self, j, first, second):
-        """Queries for server A's round-j rotation layer from the (x bits,
-        z bits) of hops 2j-1 and 2j: their sums drive the shift, the masks
-        and hop 2j's bits the offset, scaled by the x coefficients."""
-        (ox1, oz1), (ox2, oz2) = first, second
-        shift = tuple((ox2[s] + oz2[s] + ox1[s] + oz1[s]) % 2 for s in range(self.n))
-        delta = tuple(
-            (self.mask_x[s] + self.mask_z[s] + ox2[s] + oz2[s]) % 2
-            for s in range(self.n)
-        )
-        coeff = self.rounds.get(j)
-        return derive_h_queries(self.h_fresh, shift, delta, coeff=coeff and coeff.x)
+    name: str
+    rng: object
+    rounds: dict
+    mask_x: tuple
+    mask_z: tuple
 
 
 # -- the shared schedule -------------------------------------------------------
@@ -348,12 +333,14 @@ class ProtocolRun:
     queries after it. Hop 2j goes to `users[j-1]` and `users[j]`, so
     `users[m]`, the reader, gets the last outcomes and then the output; a
     message that two halves of a step would send from one party goes as one
-    message. Step 1 carries the input that `_prepare_input` builds (by
-    default server A allocates |0...0>). The readout is measured and
-    XOR-shifted when `classical_output`, else the n_circ qubits go to the
-    reader, who undoes their residual Paulis.
+    message. Step 1 carries the input that `_load_input` loads (by default
+    server A allocates |0...0>). The readout is measured and XOR-shifted
+    when `classical_output`, else the n_circ qubits go to the reader, who
+    undoes their residual Paulis.
 
-    The transcript and `branch_records` are the run's whole classical
+    The run holds no qubits: `plane` does. The transcript, `branch_records`
+    and the one fresh (t, cz, h) family in flight, which a round uses
+    before the next round draws its own, are the run's whole classical
     record: each party acts on the message it was just sent or on the
     outcomes routed to it, which `outcomes(k)` reads off the records.
 
@@ -380,17 +367,14 @@ class ProtocolRun:
         for p in self.parties:
             self.registry.register(p.name, SERVER_A)
             self.registry.register(p.name, SERVER_B)
-        self.reg = StateRegister(max_qubits=max_qubits)
         self.branch_records = []
         # the physical reference when `eager_bell`, else the Pauli frame
-        self.teleport = (BellStore if eager_bell else PauliFrame)(
-            self.reg, m, n, self.branch_records
-        )
+        self.plane = (BellStore if eager_bell else PauliFrame)(w, max_qubits)
         rng_a, rng_b = server_rngs
-        self.server_a = ProtocolServer(SERVER_A, "a", w, self.reg, self.teleport, rng_a)
-        self.server_b = ProtocolServer(SERVER_B, "b", w, self.reg, self.teleport, rng_b)
+        self.server_a = ProtocolServer(SERVER_A, "a", rng_a)
+        self.server_b = ProtocolServer(SERVER_B, "b", rng_b)
         self.rngs = [p.rng for p in self.parties] + [rng_a, rng_b]
-        self.data = None
+        self.fresh = None
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits), read off its n branch records; zeros
@@ -403,20 +387,30 @@ class ProtocolRun:
 
     # -- the schedule ------------------------------------------------------
 
-    def _prepare_input(self):
-        """The data qubits, and the parts and qubits that step 1 adds for
-        the input: none when server A allocates |0...0> itself."""
-        return self.reg.alloc_zero_qubits(self.n), (), 0
+    def _load_input(self):
+        """Load the data qubits; returns the parts and qubits that step 1
+        adds for the input: none when server A allocates |0...0> itself."""
+        self.plane.load()
+        return (), 0
+
+    def _derived_h(self, j):
+        """Server A's rotation queries of round j, re-derived by user j."""
+        user = self.users[j - 1]
+        shift, delta = h_shift_delta(user.mask_x, user.mask_z,
+                                     self.outcomes(2 * j - 1), self.outcomes(2 * j))
+        coeff = user.rounds.get(j)
+        return derive_h_queries(self.fresh[2], shift, delta, coeff=coeff and coeff.x)
 
     def open(self):
         """Step 1, then server A's round-1 layers up to its first hop."""
         user = self.users[0]
-        t, cz = user.fresh_tcz()
-        self.data, parts, qubits = self._prepare_input()
+        t, cz = draw_t_family(user.rng, self.n), draw_cz_family(user.rng, self.n)
+        self.fresh = (t, cz, None)
+        parts, qubits = self._load_input()
         parts += t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)
         self.registry.send(
             StepMessage("step-1", user.name, (SERVER_A,), parts, qubits=qubits))
-        self.server_a.apply_layers(1, self.data, t, cz, None)
+        self.plane.phase_layers(1, t, cz)
 
     def hop(self, k, outcomes=None):
         """Hop k and the steps up to the next hop (through the readout at
@@ -428,8 +422,9 @@ class ProtocolRun:
         step = f"step-{2 * k}"
         server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
                              else (self.server_b, self.users[j - 1:j + 1]))
-        self.data = self.teleport.hop(k, server.side, self.data, server.rng,
-                                      step, outcomes)
+        hopped = self.plane.hop(k, server.side, server.rng, outcomes)
+        for s, (ab, probs) in enumerate(hopped, 1):
+            self.branch_records.append(BranchRecord(step, s, probs, ab, self.plane.measured))
         xs, zs = self.outcomes(k)
         self.registry.send(StepMessage(
             step, server.name, tuple(dict.fromkeys(p.name for p in receivers)),
@@ -450,18 +445,25 @@ class ProtocolRun:
         return self.result()
 
     def _round_b(self, j):
-        """Step 4j-1, then server B's half of round j on the queries sent."""
+        """Step 4j-1, then server B's half of round j on the queries sent:
+        user j re-derives the phase queries and draws the rotation ones."""
         user = self.users[j - 1]
-        t, cz = user.derived_tcz(j, self.outcomes(2 * j - 2)[0],
-                                 self.outcomes(2 * j - 1)[0])
-        h = user.fresh_h()
+        t_fresh, cz_fresh, _ = self.fresh
+        shift, delta = tcz_shift_delta(user.mask_x, self.outcomes(2 * j - 2)[0],
+                                       self.outcomes(2 * j - 1)[0])
+        coeff = user.rounds.get(j)
+        t = derive_t_queries(t_fresh, shift, delta, coeff=coeff and coeff.y)
+        cz = derive_cz_queries(cz_fresh, self.n, shift, delta, coeff=coeff and coeff.z)
+        h = draw_h_family(user.rng, self.n)
+        self.fresh = (t_fresh, cz_fresh, h)
         parts = (
             t_family_parts("t-query-rederived", t)
             + cz_family_parts("cz-query-rederived", cz)
             + h_family_parts("h-query", h)
         )
         self.registry.send(StepMessage(f"step-{4 * j - 1}", user.name, (SERVER_B,), parts))
-        self.server_b.apply_layers(j, self.data, t, cz, h)
+        self.plane.phase_layers(j, t, cz)
+        self.plane.h_layer(j, h)
 
     def _round_a(self, j):
         """Step 4j-3: the rederived rotation queries of round j-1, then the
@@ -469,50 +471,47 @@ class ProtocolRun:
         its half of round j on them."""
         step = f"step-{4 * j - 3}"
         prev, user = self.users[j - 2], self.users[j - 1]
-        h = prev.derived_h(j - 1, self.outcomes(2 * j - 3), self.outcomes(2 * j - 2))
-        t, cz = user.fresh_tcz()
+        h = self._derived_h(j - 1)
+        t, cz = draw_t_family(user.rng, self.n), draw_cz_family(user.rng, self.n)
+        self.fresh = (t, cz, None)
         halves = [(prev, h_family_parts("h-query-rederived", h)),
                   (user, t_family_parts("t-query", t) + cz_family_parts("cz-query", cz))]
         if prev is user:
             halves = [(user, halves[0][1] + halves[1][1])]
         for sender, parts in halves:
             self.registry.send(StepMessage(step, sender.name, (SERVER_A,), parts))
-        self.server_a.apply_layers(j, self.data, t, cz, h)
+        self.plane.h_layer(j - 1, h)
+        self.plane.phase_layers(j, t, cz)
 
     def _read_out(self):
         """Steps 4m+1 to 4m+3: the last rotation queries and layer, then the
         output to the reader, corrected by its masks and the last outcomes."""
-        m, n_circ, reg, data = self.m, self.n_circ, self.reg, self.data
+        m, n_circ = self.m, self.n_circ
         user, reader = self.users[m - 1], self.users[m]
-        h = user.derived_h(m, self.outcomes(2 * m - 1), self.outcomes(2 * m))
+        h = self._derived_h(m)
         self.registry.send(StepMessage(f"step-{4 * m + 1}", user.name, (SERVER_A,),
                                        h_family_parts("h-query-rederived", h)))
 
-        self.server_a.h_layer(m, data, h)
+        self.plane.h_layer(m, h)
         step = f"step-{4 * m + 2}"
         ox, oz = self.outcomes(2 * m)
+        # the residual X of each wire: its input mask and the last X outcome
+        xs = tuple((x + mx) % 2 for x, mx in zip(ox, reader.mask_x))
         if self.classical_output:
-            raw = reg.probabilities_on(data[:n_circ])
-            measured = tuple(
-                reg.measure_z(data[s], rng=self.server_a.rng)[0] for s in range(n_circ)
-            )
+            raw, measured = self.plane.measure(n_circ, self.server_a.rng)
             self.registry.send(StepMessage(step, SERVER_A, (reader.name,),
                                            (ClassicalPart("output-bits", 1, measured),)))
-            # step 4m+3: add back the X outcome and input mask bits
-            shift = tuple((ox[s] + reader.mask_x[s]) % 2 for s in range(n_circ))
+            # step 4m+3: add back the residual X bits
+            shift = xs[:n_circ]
             self.output_bits = tuple(b ^ x for b, x in zip(measured, shift))
-            shift_idx = 0
-            for x in shift:
-                shift_idx = (shift_idx << 1) | x
+            shift_idx = int("".join(map(str, shift)), 2)
             self.output_distribution = raw[np.arange(raw.size) ^ shift_idx]
             self.output_density = None
         else:
             self.registry.send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ))
             # step 4m+3: undo the residual masks on the received qubits
-            for s in range(n_circ):
-                apply_xz(reg, data[s], (reader.mask_x[s] + ox[s]) % 2,
-                         (reader.mask_z[s] + oz[s]) % 2)
-            self.output_density = reg.density_on(data[:n_circ])
+            zs = tuple((z + mz) % 2 for z, mz in zip(oz, reader.mask_z))
+            self.output_density = self.plane.density(n_circ, xs, zs)
             self.output_bits = self.output_distribution = None
         p = 1.0
         for rec in self.branch_records:
@@ -522,33 +521,18 @@ class ProtocolRun:
     # -- resuming ----------------------------------------------------------
 
     def snapshot(self):
-        """Everything a later hop changes: the two logs by their lengths,
-        the users' query families (never changed once drawn) by reference,
-        and the register, executor, rng and ledger states."""
-        return (
-            self.reg.snapshot(),
-            self.teleport.snapshot(),
-            [rng.bit_generator.state for rng in self.rngs],
-            self.data,
-            len(self.branch_records),
-            len(self.registry.transcript.records),
-            self.registry.ledger.totals(),
-            [(p.t_fresh, p.cz_fresh, p.h_fresh) for p in self.parties],
-        )
+        """Everything a later hop changes: the plane's register and frame, the
+        rng states, the two logs by their lengths and the families in flight."""
+        return (*self.plane.snapshot(), [rng.bit_generator.state for rng in self.rngs],
+                len(self.branch_records), len(self.registry.transcript.records), self.fresh)
 
     def restore(self, snap):
-        reg, frame, rng_states, self.data, n_records, n_messages, totals, families = snap
-        self.reg.restore(reg)
-        self.teleport.restore(frame)
+        reg, frame, rng_states, n_records, n_messages, self.fresh = snap
+        self.plane.restore((reg, frame))
         for rng, state in zip(self.rngs, rng_states):
             rng.bit_generator.state = state
         del self.branch_records[n_records:]
         del self.registry.transcript.records[n_messages:]
-        ledger = self.registry.ledger
-        (ledger.upload_bits, ledger.upload_qubits,
-         ledger.download_bits, ledger.download_qubits) = totals
-        for p, (t, cz, h) in zip(self.parties, families):
-            p.t_fresh, p.cz_fresh, p.h_fresh = t, cz, h
 
     def leaves(self):
         """Yield (plan, self) for every Bell branch plan, in
@@ -579,8 +563,9 @@ class ProtocolRun:
         yield from walk(1, ())
 
     def result(self):
-        """The run's `RunResult`: the views and steps are replayed from the
-        transcript, and the configuration supplies its `outcome_table()`."""
+        """The run's `RunResult`: the views, steps and ledger are replayed
+        from the transcript, and the configuration supplies its
+        `outcome_table()`."""
         transcript = self.registry.transcript
         return RunResult(
             n=self.n, m=self.m, n_circ=self.n_circ,
@@ -589,7 +574,7 @@ class ProtocolRun:
             output_bits=self.output_bits,
             output_distribution=self.output_distribution,
             transcript=transcript,
-            ledger=self.registry.ledger,
+            ledger=transcript.ledger(),
             branch_records=self.branch_records,
             steps_executed=transcript.step_labels() + [f"step-{4 * self.m + 3}"],
             views=transcript.views([p.name for p in self.parties] + [SERVER_A, SERVER_B]),
@@ -667,29 +652,30 @@ class _ToqcRun(ProtocolRun):
             for j, c in tcz_delta_coeff.items()
         }
         streams = streams or make_streams(seed)
-        user = ProtocolUser(USER, n, streams.user, rounds, masked=True)
+        # the masks are the first draws from the user's stream
+        mask_x, mask_z = (tuple(int(v) for v in streams.user.integers(0, 2, size=n))
+                          for _ in "xz")
+        user = ProtocolUser(USER, streams.user, rounds, mask_x, mask_z)
         super().__init__(w, n_circ, [user] * (m + 1), (streams.server_a, streams.server_b),
                          classical_output=classical_output, **kw)
 
-    def _prepare_input(self):
-        reg, n, user = self.reg, self.n, self.users[0]
-        if self.psi is not None:
-            data = reg.alloc_state(self.psi)
-        else:
-            # |bits> from |0...0>, so the capacity check precedes any 2^n
-            # array; classical bits go as bits, and server A prepares them
-            # with their X masks
+    def _load_input(self):
+        user = self.users[0]
+        # a basis input starts from |0...0>, so the capacity check precedes
+        # any 2^n array
+        self.plane.load(self.psi)
+        if self.basis_bits is not None:
+            # classical bits go as bits, and server A prepares them with their
+            # X masks. The bits and the masks stay two passes: one X^(b+mx)
+            # pass can flip the sign of a zero amplitude.
             bits = self.basis_bits
             if self.classical_output:
                 bits = tuple((b + a) % 2 for b, a in zip(bits, user.mask_x))
-            data = reg.alloc_zero_qubits(n)
-            for s in range(n):
-                apply_zx(reg, data[s], bits[s], 0)
+            self.plane.paulis(bits, (0,) * self.n)
             if self.classical_output:
-                return data, (ClassicalPart("masked-bits", 1, bits),), 0
-        for s in range(n):
-            apply_zx(reg, data[s], user.mask_x[s], user.mask_z[s])
-        return data, (), n
+                return (ClassicalPart("masked-bits", 1, bits),), 0
+        self.plane.paulis(user.mask_x, user.mask_z)
+        return (), self.n
 
     def outcome_table(self):
         """The X and Z outcome bits of each hop k, zeros at k = 0."""

@@ -114,7 +114,7 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
         y=y,
         output_density=reg.density_on([half_b]),
         transcript=registry.transcript,
-        ledger=registry.ledger,
+        ledger=registry.transcript.ledger(),
         branch_records=[BranchRecord("step-2", 1, probs, (a1, b1))],
         mask_x=mask_x,
         mask_z=mask_z,

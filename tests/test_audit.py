@@ -87,6 +87,20 @@ def test_cli_audit_exit_codes(tmp_path, tgdmqc_text, capsys):
     assert "verdict=fail" in capsys.readouterr().out
 
 
+def test_cli_audit_rejects_classical_output_for_tgdmqc(tmp_path, tgdmqc_text, capsys):
+    # the flag only means something for toqc; a tgdmqc output is always measured
+    path = tmp_path / "honest.txt"
+    path.write_text(tgdmqc_text)
+    args = ["audit", "--protocol", "tgdmqc", "--n", "2", "--m", "1",
+            "--transcript", str(path)]
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    assert cli.main(args + ["--classical-output"]) == 2
+    captured = capsys.readouterr()
+    assert "error=--classical-output applies only to toqc" in captured.err
+    assert "verdict=" not in captured.out
+
+
 @pytest.mark.parametrize("line_edit,named", [
     (lambda fields: fields[:7], "expected 8 fields, got 7"),
     (lambda fields: fields[:5] + ["10x"] + fields[6:], "bits '10x' is not an integer"),

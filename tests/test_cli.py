@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from obliq import cli, gates, oracle
+from obliq import cli, gates, oracle, toqc
 from obliq.gates import random_program, save_program, zero_program
 from obliq.qsim import MAX_QUBITS_ENV
 
@@ -109,6 +109,46 @@ def test_subcommand_passes(capsys, argv, keys):
     for key in keys:
         assert key in out
     assert _verdict_lines(out) == ["verdict=pass"]
+
+
+def test_report_details_name_the_failing_shape(monkeypatch, capsys):
+    # break the oracle reference and the ledger of the m = 2 shape only
+    ideal_output, run_toqc = oracle.ideal_output, toqc.run_toqc
+
+    def broken_ideal(w, psi, n_circ):
+        return np.zeros((2, 2)) if w.m == 2 else ideal_output(w, psi, n_circ)
+
+    def broken_run(w, **kw):
+        res = run_toqc(w, **kw)
+        res.ledger.upload_bits += w.m == 2
+        return res
+
+    monkeypatch.setattr(oracle, "ideal_output", broken_ideal)
+    monkeypatch.setattr(toqc, "run_toqc", broken_run)
+    assert cli.main(["report", "--max-n", "1", "--max-m", "2", "--seed", "1"]) == 1
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith(("verdict_", "detail_"))]
+    m1, m2 = lines[:3], lines[3:]
+    assert m1[0] == "verdict_oracle-output=pass"
+    assert m1[1].startswith("detail_oracle-output=n1_m1: trace distance ")
+    assert m1[2] == "verdict_toqc-complexity=pass"
+    assert m2[0] == "verdict_oracle-output=fail"
+    assert m2[1] == "detail_oracle-output=n1_m2: trace distance 5.000e-01"
+    assert m2[2] == "verdict_toqc-complexity=fail"
+    assert m2[3] == "detail_toqc-complexity=n1_m2: upload_bits: got 41, expected 40"
+    assert all(line.startswith("detail_toqc-complexity=n1_m2: ") for line in m2[3:])
+
+
+@pytest.mark.parametrize("text,named", [
+    ("a 1\n0\n0\n\n", "program line 1: 'a' is not an integer"),
+    ("1 1\n1.5\n0\n\n", "program line 2: '1.5' is not an integer"),
+    ("1 2\n0\n0\n\n3\n7x\n\n", "program line 6: '7x' is not an integer"),
+], ids=["header", "round-x", "round-y"])
+def test_program_bad_integer_names_its_line(tmp_path, capsys, text, named):
+    path = tmp_path / "w.txt"
+    path.write_text(text)
+    assert cli.main(["toqc", "--program", str(path), "--input", "0", "--seed", "1"]) == 2
+    assert f"error={named}" in capsys.readouterr().err
 
 
 def _transcript(tmp_path, program_path):

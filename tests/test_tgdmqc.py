@@ -101,9 +101,10 @@ def test_enumerator_leaves_equal_single_runs(n, m):
     assert count == len(plans) == 4 ** (2 * n * m)
 
 
-def test_restore_returns_run_to_its_snapshot():
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+def test_restore_returns_run_to_its_snapshot(eager_bell):
     w = random_program(1, 2, np.random.default_rng(70))
-    run = _Run(w, random_rounds(1, 2, 71), 1, 72)
+    run = _Run(w, random_rounds(1, 2, 71), 1, 72, eager_bell=eager_bell)
 
     def state():
         (amps, order, axis, uid), *rest = run.snapshot()

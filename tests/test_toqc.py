@@ -431,6 +431,19 @@ def test_unregistered_channel_rejected():
         registry.send(StepMessage("step-1", "user", ("server-b",)))
 
 
+def test_refused_send_records_nothing():
+    from obliq.harness import StepMessage
+
+    registry = ChannelRegistry()
+    registry.register("user", "server-a")
+    registry.send(StepMessage("step-1", "user", ("server-a",)))
+    # one receiver has a channel, the other has none: the whole message is refused
+    with pytest.raises(ChannelError):
+        registry.send(StepMessage("step-2", "user", ("server-a", "server-b")))
+    assert registry.transcript.step_labels() == ["step-1"]
+    assert registry.transcript.ledger().totals() == (0, 0, 0, 0)
+
+
 def test_query_equation_uniformity():
     verdict = audit_query_uniformity(equation_audits())
     assert verdict.ok, verdict.details
