@@ -205,6 +205,9 @@ def parse_program(text):
     if len(header) != 2:
         raise ValueError("header must be two integers: n m")
     n, m = (_program_int(1, v) for v in header)
+    for name, v in (("n", n), ("m", m)):
+        if v < 1:
+            raise ValueError(f"program line 1: {name} is {v}, not at least 1")
     if len(lines) < 1 + 3 * m:
         raise ValueError(f"expected {3 * m} round lines after the header")
     npairs = n * (n - 1) // 2

@@ -3,7 +3,10 @@
 Each layer is a commuting family of factors X^u G(q_u * e) X^u over the mask
 index u (and (u, v) for the pair gates); the factors are multiplied out to a
 single diagonal (or a single H power) per target, which is exactly equal to
-applying them one by one.
+applying them one by one. A CZ layer is a +-1 diagonal, so
+`apply_cz_sign_layer` also multiplies the targets out: one sign pass over the
+register. `apply_masked_cz_layer`, `apply_zx` and `apply_xz` are the
+per-gate references of the fused passes.
 """
 
 import numpy as np
@@ -49,6 +52,37 @@ def apply_masked_cz_layer(reg, qubits, family, z_exps):
                     d[(bs << 1) | bt] = -1.0
         if d != [1.0, 1.0, 1.0, 1.0]:
             reg.apply_pair_diag(qubits[s - 1], qubits[t - 1], *d)
+
+
+def apply_cz_sign_layer(reg, qubits, family, z_exps):
+    """`apply_masked_cz_layer` as one sign pass over the register.
+
+    An active pair (s, t) negates cell (bs, bt) when f(bs, bt) =
+    family[(1-bs, 1-bt)][p] is odd; over Z2 that is f00 + (f00+f10) bs +
+    (f00+f01) bt + (f00+f01+f10+f11) bs bt. Summed over the pairs, the layer
+    negates the cells where a constant, a linear mask and, per wire s, the
+    bs-weighted mask of its partners t add up to odd.
+    """
+    bits = [reg.bit_of(q) for q in qubits]
+    c00, c01, c10, c11 = family[(1, 1)], family[(1, 0)], family[(0, 1)], family[(0, 0)]
+    const, lin, quad = 0, 0, {}
+    for p, (s, t) in enumerate(qubit_pairs(len(qubits))):
+        if z_exps[p] % 2 == 0:
+            continue
+        f00, f01, f10, f11 = c00[p] % 2, c01[p] % 2, c10[p] % 2, c11[p] % 2
+        ms, mt = bits[s - 1], bits[t - 1]
+        const ^= f00
+        lin ^= (ms if f00 ^ f10 else 0) ^ (mt if f00 ^ f01 else 0)
+        if f00 ^ f01 ^ f10 ^ f11:
+            quad[ms] = quad.get(ms, 0) ^ mt
+    if not (const or lin or quad):
+        return
+    odd = reg.parity(lin)
+    for ms, partners in quad.items():
+        odd ^= reg.parity(ms) & reg.parity(partners)
+    if const:
+        np.logical_not(odd, out=odd)
+    reg.apply_sign(odd)
 
 
 def apply_masked_h_layer(reg, qubits, family, x_exps):

@@ -8,6 +8,7 @@ the register normalized at all times.
 """
 
 import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -178,6 +179,37 @@ class StateRegister:
             d[(b2 << 1) | b1] = phase
             kernels.apply_diag2(self._amps, m2, m1, *d)
 
+    def bit_of(self, q):
+        """The amplitude-index bit that holds qubit q."""
+        return 1 << self._bitpos(q)
+
+    def parity(self, mask):
+        """Boolean vector over the amplitude index: popcount(i & mask) is odd."""
+        index, parity = _index_tables(self._amps.size)
+        return parity[index & mask]
+
+    def apply_paulis(self, qubits, xs, zs, sign_first=False):
+        """Z^z X^x on each qubit (X^x Z^z when `sign_first`) as one gather
+        amps[i ^ xmask] and one sign pass on the i with odd popcount(i & zmask).
+
+        The per-qubit X and Z gates move or negate amplitudes exactly, so
+        this gives the same values; only the sign of a zero part can differ,
+        which no read-out sees.
+        """
+        xmask = sum(self.bit_of(q) for q, x in zip(qubits, xs) if x % 2)
+        zmask = sum(self.bit_of(q) for q, z in zip(qubits, zs) if z % 2)
+        if zmask and sign_first:
+            self.apply_sign(self.parity(zmask))
+        if xmask:
+            self._amps = self._amps[_index_tables(self._amps.size)[0] ^ xmask]
+        if zmask and not sign_first:
+            self.apply_sign(self.parity(zmask))
+
+    def apply_sign(self, odd):
+        """Multiply the amplitudes where `odd` is set by -1.0, as the diagonal
+        kernels do (np.negative would also flip a zero imaginary part)."""
+        np.multiply(self._amps, -1.0, out=self._amps, where=odd)
+
     def apply_pair_diag(self, q1, q2, d00, d01, d10, d11):
         """Apply a two-qubit diagonal, entries keyed by (q1 bit, q2 bit)."""
         for d in (d00, d01, d10, d11):
@@ -202,6 +234,8 @@ class StateRegister:
         """
         if q1 is q2 or q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
+        if force is not None and (len(force) != 2 or any(v not in (0, 1) for v in force)):
+            raise ValueError(f"force={force!r} is not a pair of bits")
         m1 = self._bitpos(q1)
         m2 = self._bitpos(q2)
         if m1 > m2:
@@ -239,6 +273,8 @@ class StateRegister:
 
         Returns (bit, probability of that bit).
         """
+        if force is not None and force not in (0, 1):
+            raise ValueError(f"force={force!r} is not a bit")
         m = self._bitpos(q)
         p1 = kernels.prob_bit1(self._amps, m)
         probs = (1.0 - p1, p1)
@@ -257,26 +293,38 @@ class StateRegister:
 
     def density_on(self, subset):
         """Reduced density matrix of `subset`, axes ordered as given."""
-        if not subset:
-            raise ValueError("subset must be non-empty")
-        if len(set(id(q) for q in subset)) != len(subset):
-            raise ValueError("subset entries must be distinct")
-        axes = [self._axis[q] for q in subset]
-        k = len(self._order)
-        t = self._amps.reshape((2,) * k)
-        rest = [a for a in range(k) if a not in axes]
-        t = np.transpose(t, axes + rest)
-        mat = t.reshape(1 << len(axes), -1)
+        mat = self._subset_rows(subset)
         return mat @ mat.conj().T
 
     def probabilities_on(self, subset):
         """Exact computational-basis marginal over `subset` (given order)."""
-        axes = [self._axis[q] for q in subset]
+        mat = self._subset_rows(subset)
+        return np.sum(mat.real**2 + mat.imag**2, axis=1)
+
+    def _subset_rows(self, subset):
+        """The amplitudes as a matrix: rows keyed by the bits of `subset`
+        (given order), columns by the other qubits."""
+        if not subset:
+            raise ValueError("subset must be non-empty")
+        if len(set(id(q) for q in subset)) != len(subset):
+            raise ValueError("subset entries must be distinct")
         k = len(self._order)
-        t = self._amps.reshape((2,) * k)
+        axes = [k - 1 - self._bitpos(q) for q in subset]
         rest = [a for a in range(k) if a not in axes]
-        t = np.transpose(t, axes + rest).reshape(1 << len(axes), -1)
-        return np.sum(t.real**2 + t.imag**2, axis=1)
+        t = np.transpose(self._amps.reshape((2,) * k), axes + rest)
+        return t.reshape(1 << len(axes), -1)
+
+
+@lru_cache(maxsize=4)
+def _index_tables(dim):
+    """The index vector 0..dim-1 and the parity of each index's popcount,
+    kept for the last few register dimensions (read-only: callers share them)."""
+    index = np.arange(dim)
+    parity = np.zeros(dim, dtype=bool)
+    for b in range(dim.bit_length() - 1):
+        parity ^= ((index >> b) & 1).astype(bool)
+    index.flags.writeable = parity.flags.writeable = False
+    return index, parity
 
 
 def checked_1q(gate):

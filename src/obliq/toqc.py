@@ -17,11 +17,13 @@ holds the masks and every round, with coefficients 1, sends a masked input
 The control plane (`ProtocolRun`, `ProtocolUser`, `ProtocolServer`) holds
 only classical state; the data plane owns the register, the qubits and the
 servers' program. The default `PauliFrame` keeps only the n data qubits
-live and turns each hop into a Pauli update on them; `eager_bell=True`
-selects the physical reference `BellStore`, which shares all 2mn Bell pairs
-before the run as in the paper (4mn + n live qubits). Both draw each
-unforced outcome with one `rng.random()` call, so a seed gives the same
-transcript under either.
+live and turns each hop into a Pauli update on them. Each hop and each Pauli
+pass is one gather plus one sign pass over the register, and each CZ layer
+one sign pass; the T and H layers stay per-qubit kernels, since fusing them
+would change the rounding. `eager_bell=True` selects the physical reference
+`BellStore`, which shares all 2mn Bell pairs before the run as in the paper
+(4mn + n live qubits). Both draw each unforced outcome with one
+`rng.random()` call, so a seed gives the same transcript under either.
 
 Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
@@ -46,7 +48,11 @@ from .harness import (
     cut_branch_plan,
     expected_toqc_steps,
 )
-from .layers import (
+# apply_masked_cz_layer, apply_xz and apply_zx are the per-gate references
+# of the fused passes; they stay importable here because the benchmark
+# tracer wraps them (ROADMAP item 2)
+from .layers import (  # noqa: F401
+    apply_cz_sign_layer,
     apply_masked_cz_layer,
     apply_masked_h_layer,
     apply_masked_t_layer,
@@ -177,6 +183,11 @@ class PauliFrame:
     k+1. So the data qubits never move: hop k applies its own Z^b X^a, then
     the Pauli queued by hop k-1, and queues (a, b) for hop k+1. The register
     holds exactly the n data qubits.
+
+    Paulis and CZ layers do not round, so each is one exact whole-register
+    pass: a hop or a Pauli pass is one gather amps[i ^ xmask] plus one sign
+    pass (`StateRegister.apply_paulis`), and a CZ layer is one sign pass
+    (`apply_cz_sign_layer`). The T and H layers stay per qubit.
     """
 
     # a hop draws from the known Bell law; it reads no amplitudes
@@ -195,14 +206,14 @@ class PauliFrame:
 
     def paulis(self, xs, zs):
         """Z^z X^x on each data qubit."""
-        for q, x, z in zip(self.data, xs, zs):
-            apply_zx(self.reg, q, x, z)
+        self.reg.apply_paulis(self.data, xs, zs)
 
     def phase_layers(self, j, t, cz):
-        """Round j's masked T and CZ layers on the queries `t` and `cz`."""
+        """Round j's masked T layer on the queries `t`, per qubit, then its
+        CZ layer on `cz` as one sign pass."""
         r = self.w.rounds[j - 1]
         apply_masked_t_layer(self.reg, self.data, t, r.y)
-        apply_masked_cz_layer(self.reg, self.data, cz, r.z)
+        apply_cz_sign_layer(self.reg, self.data, cz, r.z)
 
     def h_layer(self, j, h):
         """Round j's masked rotation layer on the queries `h`."""
@@ -211,8 +222,8 @@ class PauliFrame:
     def hop(self, k, side, rng, forced):
         """Apply hop k's frame update, forcing the outcomes when `forced`
         gives one per wire; returns each wire's (outcome, probs)."""
-        out = []
-        for s, q in enumerate(self.data):
+        out, xs, zs = [], [], []
+        for s in range(len(self.data)):
             if forced is None:
                 idx = _sample_index(BELL_UNIFORM, rng)
                 a, b = idx >> 1, idx & 1
@@ -221,9 +232,11 @@ class PauliFrame:
             qa, qb = self._queued[s]
             # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
             # up to a global sign no output can see
-            apply_zx(self.reg, q, a ^ qa, b ^ qb)
+            xs.append(a ^ qa)
+            zs.append(b ^ qb)
             self._queued[s] = (a, b) if k < 2 * self.w.m else (0, 0)
             out.append(((a, b), BELL_UNIFORM))
+        self.reg.apply_paulis(self.data, xs, zs)
         return out
 
     def measure(self, count, rng):
@@ -234,8 +247,7 @@ class PauliFrame:
 
     def density(self, count, xs, zs):
         """X^x Z^z on the first `count` data qubits, then their density matrix."""
-        for q, x, z in zip(self.data[:count], xs, zs):
-            apply_xz(self.reg, q, x, z)
+        self.reg.apply_paulis(self.data[:count], xs, zs, sign_first=True)
         return self.reg.density_on(self.data[:count])
 
     def snapshot(self):
@@ -274,8 +286,8 @@ class BellStore(PauliFrame):
                                                 force=None if forced is None else forced[s])
             out.append(((a, b), probs))
         if k < 2 * self.w.m:
-            for s, (outcome, _) in enumerate(out):
-                apply_zx(self.reg, self._pairs[(k + 1, s)][mine], *outcome)
+            halves = [self._pairs[(k + 1, s)][mine] for s in range(len(out))]
+            self.reg.apply_paulis(halves, [a for (a, _), _ in out], [b for (_, b), _ in out])
         self.data = [self._pairs[(k, s)][other] for s in range(len(out))]
         return out
 

@@ -151,6 +151,13 @@ def test_program_bad_integer_names_its_line(tmp_path, capsys, text, named):
     assert f"error={named}" in capsys.readouterr().err
 
 
+def test_program_header_below_1_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "w.txt"
+    path.write_text("1 -1\n")
+    assert cli.main(["toqc", "--program", str(path), "--input", "0", "--seed", "1"]) == 2
+    assert "error=program line 1: m is -1, not at least 1" in capsys.readouterr().err
+
+
 def _transcript(tmp_path, program_path):
     path = tmp_path / "t.txt"
     assert cli.main(["toqc", "--program", program_path, "--input", "01",

@@ -353,6 +353,14 @@ def test_parse_rejects_out_of_range_residues():
         parse_program("2 1\n0\n0 0\n0\n")   # wrong vector length
 
 
+@pytest.mark.parametrize("header,named", [
+    ("-1 1", "n is -1"), ("0 1", "n is 0"), ("1 -1", "m is -1"), ("1 -2", "m is -2"),
+])
+def test_parse_rejects_header_below_1(header, named):
+    with pytest.raises(ValueError, match=f"^program line 1: {named}, not at least 1$"):
+        parse_program(header + "\n0\n0\n\n")
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ValueError, match="trailing"):
         parse_program("1 1\n0\n0\n\n0\n")

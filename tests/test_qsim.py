@@ -4,6 +4,8 @@ Expected states and probabilities here are built with plain numpy kron /
 matmul so they do not share any code path with the register kernels.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,39 @@ def test_density_requires_nonempty_subset():
     reg.alloc_zero_qubits(1)
     with pytest.raises(ValueError):
         reg.density_on([])
+
+
+def test_probabilities_require_nonempty_distinct_live_subset():
+    reg = StateRegister()
+    q = reg.alloc_zero_qubits(2)
+    with pytest.raises(ValueError, match="non-empty"):
+        reg.probabilities_on([])
+    with pytest.raises(ValueError, match="distinct"):
+        reg.probabilities_on([q[0], q[0]])
+    reg.measure_z(q[0], force=0)
+    for read in (reg.probabilities_on, reg.density_on):
+        with pytest.raises(ValueError, match="not live"):
+            read([q[0]])
+
+
+@pytest.mark.parametrize("force", [-1, 2, 0.5])
+def test_measure_z_rejects_a_force_that_is_not_a_bit(force):
+    reg = StateRegister()
+    q = reg.alloc_state(random_qubit(RNG))
+    before = reg.amplitudes()
+    with pytest.raises(ValueError, match=f"force={force!r} is not a bit"):
+        reg.measure_z(q[0], force=force)
+    assert reg.amplitudes().tobytes() == before.tobytes() and reg.num_live == 1
+
+
+@pytest.mark.parametrize("force", [(2, 0), (0, -1), (1, 0.5), (0,), (0, 1, 1)])
+def test_bell_measure_rejects_a_force_that_is_not_bits(force):
+    reg = StateRegister()
+    q1, q2 = reg.alloc_bell_pair()
+    before = reg.amplitudes()
+    with pytest.raises(ValueError, match=re.escape(f"force={force!r} is not a pair of bits")):
+        reg.bell_measure(q1, q2, force=force)
+    assert reg.amplitudes().tobytes() == before.tobytes() and reg.num_live == 2
 
 
 def test_trace_distance_basics():
