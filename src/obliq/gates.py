@@ -9,7 +9,9 @@ Conventions: H = (1/sqrt 2) [[1, 1], [-1, 1]] (a -45 degree rotation, so
 H^2 = Y = ZX and T^4 H is the standard Hadamard); CZ puts phase -1 on |11>.
 """
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,15 +50,38 @@ def h_power(k):
 
 # -- program model -----------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def qubit_pairs(n):
     """Ordered pairs (s, t) with 1 <= s < t <= n, lexicographic."""
     return tuple((s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1))
 
 
+@lru_cache(maxsize=64)
+def pair_table(n):
+    """`qubit_pairs(n)` with 0-based wire indices."""
+    return tuple((s - 1, t - 1) for s, t in qubit_pairs(n))
+
+
+def as_ints(values, what):
+    """`values` as a tuple of Python ints. Ints, bools and numpy integers and
+    bools pass; any other value, such as 1.7, raises a ValueError naming
+    `what` instead of being truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    out = []
+    for v in values:
+        try:
+            out.append(int(v) if isinstance(v, np.bool_) else operator.index(v))
+        except TypeError:
+            raise ValueError(f"{what}: value {v!r} is not an integer") from None
+    return tuple(out)
+
+
 def _check_residues(vals, mod, what):
-    for v in vals:
-        if not isinstance(v, int) or not 0 <= v < mod:
-            raise ValueError(f"{what} entries must be integers in [0, {mod})")
+    if vals and (min(vals) < 0 or max(vals) >= mod):
+        raise ValueError(f"{what} entries must be integers in [0, {mod})")
 
 
 @dataclass(frozen=True)
@@ -71,12 +96,10 @@ class ProgramRound:
     z: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(int(v) for v in self.y))
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
-        _check_residues(self.x, 4, "x")
-        _check_residues(self.y, 8, "y")
-        _check_residues(self.z, 2, "z")
+        for what, mod in (("x", 4), ("y", 8), ("z", 2)):
+            vals = as_ints(getattr(self, what), what)
+            _check_residues(vals, mod, what)
+            object.__setattr__(self, what, vals)
 
     def check_shape(self, n):
         if len(self.x) != n or len(self.y) != n:
@@ -154,9 +177,9 @@ def random_program(n, m, rng):
     for _ in range(m):
         rounds.append(
             ProgramRound(
-                tuple(int(v) for v in rng.integers(0, 4, size=n)),
-                tuple(int(v) for v in rng.integers(0, 8, size=n)),
-                tuple(int(v) for v in rng.integers(0, 2, size=n * (n - 1) // 2)),
+                tuple(rng.integers(0, 4, size=n).tolist()),
+                tuple(rng.integers(0, 8, size=n).tolist()),
+                tuple(rng.integers(0, 2, size=n * (n - 1) // 2).tolist()),
             )
         )
     return Program(n, tuple(rounds))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import matrix_of
+from .gates import as_ints, matrix_of
 from .qsim import trace_distance
 
 
@@ -36,13 +36,14 @@ class ClassicalPart:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        values = as_ints(self.values, self.name)
+        object.__setattr__(self, "values", values)
         if self.width not in (1, 2, 3):
-            raise ValueError("entry width must be 1, 2 or 3 bits")
-        top = 1 << self.width
-        for v in self.values:
-            if not 0 <= v < top:
-                raise ValueError(f"{self.name}: value {v} exceeds width {self.width}")
+            raise ValueError(f"{self.name}: entry width {self.width!r} is not 1, 2 or 3 bits")
+        if values and (min(values) < 0 or max(values) >= 1 << self.width):
+            bad = next(v for v in values if not 0 <= v < 1 << self.width)
+            raise ValueError(f"{self.name}: value {bad} is outside [0, {1 << self.width}) "
+                             f"for width {self.width}")
 
     @property
     def bits(self):
@@ -66,7 +67,7 @@ class StepMessage:
 
     @property
     def bits(self):
-        return sum(p.bits for p in self.parts)
+        return sum([p.width * len(p.values) for p in self.parts])
 
     @property
     def kind(self):

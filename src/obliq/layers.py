@@ -11,16 +11,19 @@ per-gate references of the fused passes.
 
 import numpy as np
 
-from .gates import h_power, matrix_of, qubit_pairs
-from .qsim import checked_1q
-
-# validated once here, so the hot Pauli and rotation updates skip the check
-_X = checked_1q(matrix_of("X"))
-_H_POWERS = tuple(checked_1q(h_power(e)) for e in range(8))
+from .gates import h_power, matrix_of, pair_table, qubit_pairs
+from .qsim import checked_1q, checked_phase
 
 
 def t_phase(k):
     return np.exp(1j * np.pi * (k % 8) / 4)
+
+
+# validated once here, so the hot Pauli, phase and rotation updates skip the
+# check
+_X = checked_1q(matrix_of("X"))
+_H_POWERS = tuple(checked_1q(h_power(e)) for e in range(8))
+_T_PHASES = tuple(checked_phase(t_phase(k)) for k in range(8))
 
 
 def apply_masked_t_layer(reg, qubits, family, y_exps):
@@ -28,11 +31,11 @@ def apply_masked_t_layer(reg, qubits, family, y_exps):
 
     family maps u in {0, 1} to a length-n exponent vector (mod 8).
     """
-    for s, q in enumerate(qubits):
-        d1 = t_phase(family[0][s] * y_exps[s])  # u = 0 phases the |1> component
-        d0 = t_phase(family[1][s] * y_exps[s])  # u = 1 phases the |0> component
-        if d0 != 1 or d1 != 1:
-            reg.apply_diag1(q, d0, d1)
+    for q, f0, f1, y in zip(qubits, family[0], family[1], y_exps):
+        # u = 0 phases the |1> component, u = 1 the |0> component
+        k0, k1 = (f1 * y) % 8, (f0 * y) % 8
+        if k0 or k1:
+            reg.apply_checked_diag1(q, _T_PHASES[k0], _T_PHASES[k1])
 
 
 def apply_masked_cz_layer(reg, qubits, family, z_exps):
@@ -64,22 +67,24 @@ def apply_cz_sign_layer(reg, qubits, family, z_exps):
     bs-weighted mask of its partners t add up to odd.
     """
     bits = [reg.bit_of(q) for q in qubits]
-    c00, c01, c10, c11 = family[(1, 1)], family[(1, 0)], family[(0, 1)], family[(0, 0)]
     const, lin, quad = 0, 0, {}
-    for p, (s, t) in enumerate(qubit_pairs(len(qubits))):
-        if z_exps[p] % 2 == 0:
+    for (s, t), z, f00, f01, f10, f11 in zip(
+            pair_table(len(qubits)), z_exps,
+            family[(1, 1)], family[(1, 0)], family[(0, 1)], family[(0, 0)]):
+        if not z % 2:
             continue
-        f00, f01, f10, f11 = c00[p] % 2, c01[p] % 2, c10[p] % 2, c11[p] % 2
-        ms, mt = bits[s - 1], bits[t - 1]
+        # only the low bits count: const is read mod 2 below
         const ^= f00
-        lin ^= (ms if f00 ^ f10 else 0) ^ (mt if f00 ^ f01 else 0)
-        if f00 ^ f01 ^ f10 ^ f11:
-            quad[ms] = quad.get(ms, 0) ^ mt
+        if (f00 ^ f10) & 1:
+            lin ^= bits[s]
+        if (f00 ^ f01) & 1:
+            lin ^= bits[t]
+        if (f00 ^ f01 ^ f10 ^ f11) & 1:
+            quad[bits[s]] = quad.get(bits[s], 0) ^ bits[t]
+    const &= 1
     if not (const or lin or quad):
         return
-    odd = reg.parity(lin)
-    for ms, partners in quad.items():
-        odd ^= reg.parity(ms) & reg.parity(partners)
+    odd = reg.quadratic_parity(lin, quad)
     if const:
         np.logical_not(odd, out=odd)
     reg.apply_sign(odd)
@@ -87,8 +92,8 @@ def apply_cz_sign_layer(reg, qubits, family, z_exps):
 
 def apply_masked_h_layer(reg, qubits, family, x_exps):
     """prod_u X^u H(family[u][s] * x[s]) X^u = H^((q0 - q1) x) on every qubit."""
-    for s, q in enumerate(qubits):
-        e = ((family[0][s] - family[1][s]) * x_exps[s]) % 8
+    for q, f0, f1, x in zip(qubits, family[0], family[1], x_exps):
+        e = ((f0 - f1) * x) % 8
         if e:
             reg.apply_checked_1q(q, _H_POWERS[e])
 

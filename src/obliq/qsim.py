@@ -93,13 +93,11 @@ class StateRegister:
             )
 
     def _new_handles(self, count):
-        handles = []
-        for _ in range(count):
-            h = QubitHandle(self._next_uid)
-            self._next_uid += 1
-            self._axis[h] = len(self._order)
-            self._order.append(h)
-            handles.append(h)
+        start, base = self._next_uid, len(self._order)
+        handles = [QubitHandle(uid) for uid in range(start, start + count)]
+        self._next_uid += count
+        self._axis.update(zip(handles, range(base, base + count)))
+        self._order += handles
         return handles
 
     def _drop(self, q):
@@ -117,13 +115,13 @@ class StateRegister:
         self._check_capacity(count)
         zero = np.zeros(1 << count, dtype=np.complex128)
         zero[0] = 1.0
-        self._amps = np.kron(self._amps, zero)
+        self._amps = self._tensor(zero)
         return self._new_handles(count)
 
     def alloc_bell_pair(self):
         """Append two fresh qubits jointly in (|00> + |11>)/sqrt(2)."""
         self._check_capacity(2)
-        self._amps = np.kron(self._amps, _BELL)
+        self._amps = self._tensor(_BELL)
         h = self._new_handles(2)
         return h[0], h[1]
 
@@ -136,8 +134,13 @@ class StateRegister:
         if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
             raise ValueError("state vector must be normalized")
         self._check_capacity(k)
-        self._amps = np.kron(self._amps, vec)
+        self._amps = self._tensor(vec)
         return self._new_handles(k)
+
+    def _tensor(self, vec):
+        """The state tensored with `vec` on the low index bits: the products
+        np.kron forms, in one broadcast multiply without its set-up."""
+        return (self._amps[:, None] * vec).reshape(-1)
 
     # -- unitaries ---------------------------------------------------------
 
@@ -152,9 +155,12 @@ class StateRegister:
 
     def apply_diag1(self, q, d0, d1):
         """Apply diag(d0, d1) to one qubit; entries must be unit modulus."""
-        if abs(abs(d0) - 1.0) > 1e-12 or abs(abs(d1) - 1.0) > 1e-12:
-            raise ValueError("diagonal entries must have unit modulus")
-        kernels.apply_diag1(self._amps, self._bitpos(q), complex(d0), complex(d1))
+        self.apply_checked_diag1(q, checked_phase(d0), checked_phase(d1))
+
+    def apply_checked_diag1(self, q, d0, d1):
+        """Apply diag(d0, d1) with entries already validated by
+        `checked_phase`, without checking them again."""
+        kernels.apply_diag1(self._amps, self._bitpos(q), d0, d1)
 
     def apply_cz(self, q1, q2, power=1):
         """Controlled-Z to the given power (phase -1 on |11> when power is odd)."""
@@ -188,6 +194,21 @@ class StateRegister:
         index, parity = _index_tables(self._amps.size)
         return parity[index & mask]
 
+    def quadratic_parity(self, lin, quad):
+        """Boolean vector over the amplitude index i: popcount(i & lin) plus,
+        for each bit b set in i, popcount(i & quad[b]) is odd. By linearity
+        that is popcount(i & M(i)) with M(i) = lin ^ quad[b] over the bits b
+        set in i. M is built by doubling: the indices with top bit h are
+        those below h, XOR quad[h]."""
+        index, parity = _index_tables(self._amps.size)
+        m = np.empty(self._amps.size, dtype=index.dtype)
+        m[0] = lin
+        h = 1
+        while h < m.size:
+            np.bitwise_xor(m[:h], quad.get(h, 0), out=m[h:2 * h])
+            h <<= 1
+        return parity[np.bitwise_and(m, index, out=m)]
+
     def apply_paulis(self, qubits, xs, zs, sign_first=False):
         """Z^z X^x on each qubit (X^x Z^z when `sign_first`) as one gather
         amps[i ^ xmask] and one sign pass on the i with odd popcount(i & zmask).
@@ -196,8 +217,16 @@ class StateRegister:
         this gives the same values; only the sign of a zero part can differ,
         which no read-out sees.
         """
-        xmask = sum(self.bit_of(q) for q, x in zip(qubits, xs) if x % 2)
-        zmask = sum(self.bit_of(q) for q, z in zip(qubits, zs) if z % 2)
+        top, axis = len(self._order) - 1, self._axis
+        xmask = zmask = 0
+        for q, x, z in zip(qubits, xs, zs):
+            if q not in axis:
+                self._bitpos(q)  # raises: q is not live
+            bit = 1 << (top - axis[q])
+            if x % 2:
+                xmask ^= bit
+            if z % 2:
+                zmask ^= bit
         if zmask and sign_first:
             self.apply_sign(self.parity(zmask))
         if xmask:
@@ -213,8 +242,7 @@ class StateRegister:
     def apply_pair_diag(self, q1, q2, d00, d01, d10, d11):
         """Apply a two-qubit diagonal, entries keyed by (q1 bit, q2 bit)."""
         for d in (d00, d01, d10, d11):
-            if abs(abs(d) - 1.0) > 1e-12:
-                raise ValueError("diagonal entries must have unit modulus")
+            checked_phase(d)
         m1 = self._bitpos(q1)
         m2 = self._bitpos(q2)
         if m1 > m2:
@@ -337,6 +365,13 @@ def checked_1q(gate):
     if err > 1e-12:
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
     return g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+
+
+def checked_phase(d):
+    """`d` as a Python complex; raises ValueError unless |d| = 1."""
+    if abs(abs(d) - 1.0) > 1e-12:
+        raise ValueError("diagonal entries must have unit modulus")
+    return complex(d)
 
 
 def _sample_index(probs, rng):

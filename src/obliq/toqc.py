@@ -29,6 +29,15 @@ Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
 server B and re-derived to server A. Index arithmetic on the mask index u is
 mod 2 throughout.
+
+The per-run classical work reads small tables built once per shape instead
+of re-deriving per value: `gates.qubit_pairs(n)` and its 0-based
+`gates.pair_table(n)` per n, which the pair derivation indexes by XOR of
+the shift bits and the CZ sign layer walks; `qsim._index_tables` per
+register dimension (the index vector and its popcount parities) for the
+gathers and sign passes; and the 8 T phases and 8 H powers in `layers`,
+validated at import so the per-qubit kernels skip the check. A draw turns
+each `rng.integers` row into a tuple with one `tolist()`.
 """
 
 import copy
@@ -37,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .gates import ProgramRound, qubit_pairs
+from .gates import ProgramRound, as_ints, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -59,7 +68,7 @@ from .layers import (  # noqa: F401
     apply_xz,
     apply_zx,
 )
-from .qsim import StateRegister, _sample_index
+from .qsim import StateRegister
 
 USER = "user"
 SERVER_A = "server-a"
@@ -87,15 +96,18 @@ def derive_ring_queries(ring, fresh, shift, delta, coeff=None):
     """Re-randomized single-wire queries in Z_ring:
     out[u][s] = -fresh[u - shift[s]][s] (+ coeff[s], default 1, when u hits
     delta[s]). The phase queries live mod 8, the rotation queries mod 4."""
-    out = {}
-    for u in (0, 1):
-        row = []
-        for s in range(len(shift)):
-            src = fresh[(u - shift[s]) % 2][s]
-            hit = coeff[s] if coeff is not None else 1
-            row.append((-src + (hit if u == delta[s] % 2 else 0)) % ring)
-        out[u] = tuple(row)
-    return out
+    hits = (1,) * len(shift) if coeff is None else coeff
+    row0, row1 = [], []
+    for f0, f1, sh, d, hit in zip(fresh[0], fresh[1], shift, delta, hits):
+        if sh & 1:
+            f0, f1 = f1, f0
+        if d & 1:
+            f1 -= hit
+        else:
+            f0 -= hit
+        row0.append(-f0 % ring)
+        row1.append(-f1 % ring)
+    return {0: tuple(row0), 1: tuple(row1)}
 
 
 derive_t_queries = partial(derive_ring_queries, 8)
@@ -103,18 +115,22 @@ derive_h_queries = partial(derive_ring_queries, 4)
 
 
 def derive_cz_queries(fresh, n, shift, delta, coeff=None):
-    """Same re-randomization for the pair gates, one mask index per wire."""
-    pairs = qubit_pairs(n)
-    out = {}
-    for u, v in UV_PAIRS:
-        row = []
-        for p, (s, t) in enumerate(pairs):
-            src = fresh[((u - shift[s - 1]) % 2, (v - shift[t - 1]) % 2)][p]
-            hit = coeff[p] if coeff is not None else 1
-            on = u == delta[s - 1] % 2 and v == delta[t - 1] % 2
-            row.append((-src + (hit if on else 0)) % 2)
-        out[(u, v)] = tuple(row)
-    return out
+    """Same re-randomization for the pair gates, one mask index per wire.
+
+    Mod 2 the sign drops out. Number (u, v) as row r = 2u + v: pair p =
+    (s, t) then reads fresh row r ^ (2 shift[s] + shift[t]) and adds its
+    coefficient in row 2 delta[s] + delta[t].
+    """
+    sh = [b & 1 for b in shift]
+    dl = [b & 1 for b in delta]
+    hits = (1,) * (n * (n - 1) // 2) if coeff is None else coeff
+    cols = []
+    for (s, t), col, hit in zip(pair_table(n), zip(*[fresh[uv] for uv in UV_PAIRS]), hits):
+        c = (sh[s] << 1) | sh[t]
+        out = [col[c] & 1, col[c ^ 1] & 1, col[c ^ 2] & 1, col[c ^ 3] & 1]
+        out[(dl[s] << 1) | dl[t]] ^= hit & 1
+        cols.append(out)
+    return dict(zip(UV_PAIRS, tuple(zip(*cols)) or ((),) * 4))
 
 
 def tcz_shift_delta(mask_x, ax_prev, ax):
@@ -135,9 +151,8 @@ def h_shift_delta(mask_x, mask_z, first, second):
 
 
 def ring_family_parts(width, prefix, family):
-    return tuple(
-        ClassicalPart(f"{prefix}[u={u}]", width, family[u]) for u in (0, 1)
-    )
+    return (ClassicalPart(f"{prefix}[u=0]", width, family[0]),
+            ClassicalPart(f"{prefix}[u=1]", width, family[1]))
 
 
 t_family_parts = partial(ring_family_parts, 3)
@@ -145,14 +160,14 @@ h_family_parts = partial(ring_family_parts, 2)
 
 
 def cz_family_parts(prefix, family):
-    return tuple(
-        ClassicalPart(f"{prefix}[u={u},v={v}]", 1, family[(u, v)])
-        for u, v in UV_PAIRS
-    )
+    return tuple([ClassicalPart(f"{prefix}[u={u},v={v}]", 1, family[(u, v)])
+                  for u, v in UV_PAIRS])
 
 
+# One `rng.integers` call per family row, in this order: a seed's transcript
+# pins every drawn value and where it goes.
 def draw_ring_family(ring, rng, n):
-    return {u: tuple(int(v) for v in rng.integers(0, ring, size=n)) for u in (0, 1)}
+    return {u: tuple(rng.integers(0, ring, size=n).tolist()) for u in (0, 1)}
 
 
 draw_t_family = partial(draw_ring_family, 8)
@@ -161,10 +176,7 @@ draw_h_family = partial(draw_ring_family, 4)
 
 def draw_cz_family(rng, n):
     npairs = n * (n - 1) // 2
-    return {
-        uv: tuple(int(v) for v in rng.integers(0, 2, size=npairs))
-        for uv in UV_PAIRS
-    }
+    return {uv: tuple(rng.integers(0, 2, size=npairs).tolist()) for uv in UV_PAIRS}
 
 
 # -- the data plane -------------------------------------------------------------
@@ -222,22 +234,18 @@ class PauliFrame:
     def hop(self, k, side, rng, forced):
         """Apply hop k's frame update, forcing the outcomes when `forced`
         gives one per wire; returns each wire's (outcome, probs)."""
-        out, xs, zs = [], [], []
-        for s in range(len(self.data)):
-            if forced is None:
-                idx = _sample_index(BELL_UNIFORM, rng)
-                a, b = idx >> 1, idx & 1
-            else:
-                a, b = forced[s]
-            qa, qb = self._queued[s]
-            # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
-            # up to a global sign no output can see
-            xs.append(a ^ qa)
-            zs.append(b ^ qb)
-            self._queued[s] = (a, b) if k < 2 * self.w.m else (0, 0)
-            out.append(((a, b), BELL_UNIFORM))
-        self.reg.apply_paulis(self.data, xs, zs)
-        return out
+        if forced is None:
+            # one rng.random() per wire, as `_sample_index(BELL_UNIFORM, rng)`
+            # draws: its cumulative sums k/4 are exact, so it picks floor(4r)
+            forced = [divmod(int(rng.random() * 4), 2) for _ in self.data]
+        ab = [(a, b) for a, b in forced]
+        queued = self._queued
+        self._queued = ab if k < 2 * self.w.m else [(0, 0)] * len(ab)
+        # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
+        # up to a global sign no output can see
+        self.reg.apply_paulis(self.data, [a ^ qa for (a, _), (qa, _) in zip(ab, queued)],
+                              [b ^ qb for (_, b), (_, qb) in zip(ab, queued)])
+        return [(o, BELL_UNIFORM) for o in ab]
 
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
@@ -394,8 +402,8 @@ class ProtocolRun:
         if k == 0:
             zero = (0,) * self.n
             return zero, zero
-        recs = self.branch_records[(k - 1) * self.n:k * self.n]
-        return tuple(r.outcome[0] for r in recs), tuple(r.outcome[1] for r in recs)
+        xs, zs = zip(*[r.outcome for r in self.branch_records[(k - 1) * self.n:k * self.n]])
+        return xs, zs
 
     # -- the schedule ------------------------------------------------------
 
@@ -435,9 +443,10 @@ class ProtocolRun:
         server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
                              else (self.server_b, self.users[j - 1:j + 1]))
         hopped = self.plane.hop(k, server.side, server.rng, outcomes)
-        for s, (ab, probs) in enumerate(hopped, 1):
-            self.branch_records.append(BranchRecord(step, s, probs, ab, self.plane.measured))
-        xs, zs = self.outcomes(k)
+        measured = self.plane.measured
+        self.branch_records += [BranchRecord(step, s, probs, ab, measured)
+                                for s, (ab, probs) in enumerate(hopped, 1)]
+        xs, zs = zip(*[ab for ab, _ in hopped])
         self.registry.send(StepMessage(
             step, server.name, tuple(dict.fromkeys(p.name for p in receivers)),
             (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
@@ -659,13 +668,14 @@ class _ToqcRun(ProtocolRun):
         if outside:
             raise ValueError(f"tcz_delta_coeff rounds {outside} are outside 1..{m}")
         npairs = n * (n - 1) // 2
+        coeffs = as_ints(tcz_delta_coeff.values(), "tcz_delta_coeff")
         rounds = {
             j: ProgramRound((1,) * n, (c % 8,) * n, (c % 2,) * npairs)
-            for j, c in tcz_delta_coeff.items()
+            for j, c in zip(tcz_delta_coeff, coeffs)
         }
         streams = streams or make_streams(seed)
         # the masks are the first draws from the user's stream
-        mask_x, mask_z = (tuple(int(v) for v in streams.user.integers(0, 2, size=n))
+        mask_x, mask_z = (tuple(streams.user.integers(0, 2, size=n).tolist())
                           for _ in "xz")
         user = ProtocolUser(USER, streams.user, rounds, mask_x, mask_z)
         super().__init__(w, n_circ, [user] * (m + 1), (streams.server_a, streams.server_b),

@@ -1,0 +1,167 @@
+"""The classical control plane against per-value references.
+
+The query draws, the derivations, the T-phase table and the wire parts are
+written for speed (whole-row `tolist()` draws, XOR-indexed pair tables,
+`min`/`max` range checks). Each must still give exactly what the plain
+per-value code gives: the reference loops below are that code, kept here
+verbatim as the definition.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from obliq.gates import ProgramRound, qubit_pairs, random_program
+from obliq.harness import ClassicalPart
+from obliq.layers import _T_PHASES, t_phase
+from obliq.oracle import random_state
+from obliq.toqc import (
+    UV_PAIRS,
+    derive_cz_queries,
+    derive_h_queries,
+    derive_t_queries,
+    draw_cz_family,
+    draw_h_family,
+    draw_t_family,
+    run_toqc,
+)
+
+# -- per-value references ------------------------------------------------------
+
+
+def ref_derive_ring_queries(ring, fresh, shift, delta, coeff=None):
+    out = {}
+    for u in (0, 1):
+        row = []
+        for s in range(len(shift)):
+            src = fresh[(u - shift[s]) % 2][s]
+            hit = coeff[s] if coeff is not None else 1
+            row.append((-src + (hit if u == delta[s] % 2 else 0)) % ring)
+        out[u] = tuple(row)
+    return out
+
+
+def ref_derive_cz_queries(fresh, n, shift, delta, coeff=None):
+    pairs = qubit_pairs(n)
+    out = {}
+    for u, v in UV_PAIRS:
+        row = []
+        for p, (s, t) in enumerate(pairs):
+            src = fresh[((u - shift[s - 1]) % 2, (v - shift[t - 1]) % 2)][p]
+            hit = coeff[p] if coeff is not None else 1
+            on = u == delta[s - 1] % 2 and v == delta[t - 1] % 2
+            row.append((-src + (hit if on else 0)) % 2)
+        out[(u, v)] = tuple(row)
+    return out
+
+
+def _settings(n, width, ring):
+    """Every (shift, delta) in Z2^n x Z2^n with coeff None and with every
+    coefficient vector of `width` entries in Z_ring."""
+    bits = list(itertools.product((0, 1), repeat=n))
+    coeffs = [None] + list(itertools.product(range(ring), repeat=width))
+    return itertools.product(bits, bits, coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ring,derive", [(8, derive_t_queries), (4, derive_h_queries)],
+                         ids=["t", "h"])
+def test_ring_derivations_equal_the_per_value_loop(n, ring, derive):
+    rng = np.random.default_rng((ring, n))
+    families = [{u: tuple(rng.integers(0, ring, size=n).tolist()) for u in (0, 1)}
+                for _ in range(2)]
+    for shift, delta, coeff in _settings(n, n, ring):
+        for fresh in families:
+            got = derive(fresh, shift, delta, coeff=coeff)
+            assert got == ref_derive_ring_queries(ring, fresh, shift, delta, coeff), \
+                (fresh, shift, delta, coeff)
+            assert list(got) == [0, 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cz_derivation_equals_the_per_value_loop(n):
+    npairs = n * (n - 1) // 2
+    rng = np.random.default_rng((2, n))
+    families = [{uv: tuple(rng.integers(0, 2, size=npairs).tolist()) for uv in UV_PAIRS}
+                for _ in range(4)]
+    for shift, delta, coeff in _settings(n, npairs, 2):
+        for fresh in families:
+            got = derive_cz_queries(fresh, n, shift, delta, coeff=coeff)
+            assert got == ref_derive_cz_queries(fresh, n, shift, delta, coeff), \
+                (fresh, shift, delta, coeff)
+            assert list(got) == list(UV_PAIRS)
+
+
+@pytest.mark.parametrize("n", [3, 4], ids=["odd", "even"])
+def test_draws_equal_the_generator_calls(n):
+    # one integers() call per row, in this order, as Python ints; the
+    # generator is left where the calls leave it
+    rng, clone = np.random.default_rng(31), np.random.default_rng(31)
+    got = [draw_t_family(rng, n), draw_cz_family(rng, n), draw_h_family(rng, n)]
+    want = [
+        {u: tuple(int(v) for v in clone.integers(0, 8, size=n)) for u in (0, 1)},
+        {uv: tuple(int(v) for v in clone.integers(0, 2, size=n * (n - 1) // 2))
+         for uv in UV_PAIRS},
+        {u: tuple(int(v) for v in clone.integers(0, 4, size=n)) for u in (0, 1)},
+    ]
+    assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
+    assert all(type(v) is int for f in got for row in f.values() for v in row)
+    assert rng.bit_generator.state == clone.bit_generator.state
+
+
+def test_t_phase_table_equals_t_phase_bytes():
+    for k in range(8):
+        assert type(_T_PHASES[k]) is complex
+        assert np.complex128(_T_PHASES[k]).tobytes() == np.complex128(t_phase(k)).tobytes()
+
+
+# -- wire parts and program rounds ----------------------------------------------
+
+
+@pytest.mark.parametrize("width,values,shown", [
+    (1, (0, -1), "-1"),
+    (1, (1, 2), "2"),
+    (2, (3, 4, 0), "4"),
+    (3, (7, 8), "8"),
+], ids=["negative", "width-1", "width-2", "width-3"])
+def test_classical_part_rejects_values_outside_its_width(width, values, shown):
+    with pytest.raises(ValueError, match=fr"^q-part: value {shown} is outside"):
+        ClassicalPart("q-part", width, values)
+
+
+@pytest.mark.parametrize("width", [0, 4, -1])
+def test_classical_part_rejects_a_width_outside_one_to_three(width):
+    with pytest.raises(ValueError, match=fr"^q-part: entry width {width} is not 1, 2 or 3"):
+        ClassicalPart("q-part", width, (0,))
+
+
+def _non_integral_round():
+    return ProgramRound((1.7,), (0,))
+
+
+def _non_integral_part():
+    return ClassicalPart("x-part", 1, (0.9,))
+
+
+def _non_integral_coeff():
+    rng = np.random.default_rng(12)
+    return run_toqc(random_program(1, 1, rng), psi=random_state(1, rng), seed=13,
+                    tcz_delta_coeff={1: 2.5})
+
+
+@pytest.mark.parametrize("make,named", [
+    (_non_integral_round, r"x: value 1\.7"),
+    (_non_integral_part, r"x-part: value 0\.9"),
+    (_non_integral_coeff, r"tcz_delta_coeff: value 2\.5"),
+], ids=["program-round", "classical-part", "tcz-delta-coeff"])
+def test_non_integral_values_are_rejected_not_truncated(make, named):
+    with pytest.raises(ValueError, match=fr"^{named} is not an integer"):
+        make()
+
+
+def test_numpy_integers_and_bools_are_accepted():
+    r = ProgramRound((np.int64(3), True), (np.uint8(7), np.bool_(False)), (np.bool_(True),))
+    part = ClassicalPart("b", 1, (np.bool_(True), np.int8(0), False))
+    assert (r.x, r.y, r.z, part.values) == ((3, 1), (7, 0), (1,), (1, 0, 0))
+    assert all(type(v) is int for v in r.x + r.y + r.z + part.values)

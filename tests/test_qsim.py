@@ -47,6 +47,20 @@ def test_alloc_zero_tensors_on_the_right():
     assert np.allclose(reg.amplitudes(), [0, 0, 1, 0])
 
 
+def test_allocations_equal_np_kron_byte_for_byte():
+    # signed zeros included: kron's complex products turn some -0.0 parts
+    # into +0.0, and a seeded run's output bytes depend on matching that
+    vec = np.array([-0.0 - 0.6j, 0.8 - 0.0j, -0.0 + 0.0j, 0.0 - 0.0j])
+    reg, want = StateRegister(), np.ones(1, dtype=complex)
+    for alloc, arg, part in ((reg.alloc_state, vec, vec),
+                             (reg.alloc_zero_qubits, 1, np.array([1, 0], dtype=complex)),
+                             (lambda _: reg.alloc_bell_pair(), None, BELL),
+                             (reg.alloc_state, vec, vec)):
+        alloc(arg)
+        want = np.kron(want, part)
+        assert reg.amplitudes().tobytes() == want.tobytes()
+
+
 def test_alloc_dimension_3n():
     reg = StateRegister()
     reg.alloc_zero_qubits(9)
