@@ -79,6 +79,15 @@ def as_ints(values, what):
     return tuple(out)
 
 
+def check_n_circ(n_circ, n):
+    """`n_circ` as an int in [1, n]; anything else raises a ValueError
+    naming it."""
+    (n_circ,) = as_ints((n_circ,), "n_circ")
+    if not 1 <= n_circ <= n:
+        raise ValueError(f"n_circ is {n_circ}, not in [1, {n}]")
+    return n_circ
+
+
 def _check_residues(vals, mod, what):
     if vals and (min(vals) < 0 or max(vals) >= mod):
         raise ValueError(f"{what} entries must be integers in [0, {mod})")

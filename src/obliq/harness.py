@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_ints, matrix_of
+from .gates import as_ints, check_n_circ, matrix_of
 from .qsim import trace_distance
 
 
@@ -394,8 +394,7 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     for name, value in (("n", n), ("m", m)):
         if value < 1:
             raise ValueError(f"{name} is {value}, not at least 1")
-    if not 1 <= n_circ <= n:
-        raise ValueError(f"n_circ is {n_circ}, not in [1, {n}]")
+    n_circ = check_n_circ(n_circ, n)
     transcript = Transcript()
     transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
     try:

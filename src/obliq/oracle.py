@@ -7,7 +7,7 @@ party or query machinery is involved.
 
 import numpy as np
 
-from .gates import round_unitary_apply
+from .gates import check_n_circ, round_unitary_apply
 from .qsim import StateRegister
 
 
@@ -21,8 +21,7 @@ def apply_program(reg, qubits, program):
 
 def ideal_output(program, psi, n_circ):
     """Density of the first n_circ qubits of the program applied to psi."""
-    if not 1 <= n_circ <= program.n:
-        raise ValueError(f"n_circ must be in [1, {program.n}]")
+    n_circ = check_n_circ(n_circ, program.n)
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.size != 1 << program.n:
         raise ValueError(f"input state must have {1 << program.n} amplitudes")
@@ -38,8 +37,7 @@ def outcome_distribution(program, psi, n_circ):
     The returned vector is indexed by the bits of qubits 1..n_circ with
     qubit 1 as the most significant bit.
     """
-    if not 1 <= n_circ <= program.n:
-        raise ValueError(f"n_circ must be in [1, {program.n}]")
+    n_circ = check_n_circ(n_circ, program.n)
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     reg = StateRegister()
     qubits = reg.alloc_state(psi)

@@ -38,8 +38,15 @@ class QubitHandle:
 
 
 def default_max_qubits():
+    """The live-qubit cap from OBLIQ_MAX_QUBITS, else the default; a value
+    that is not a whole number of at least 1 raises a ValueError naming it."""
     raw = os.environ.get(MAX_QUBITS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_QUBITS
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    cap = int(raw) if raw.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"{MAX_QUBITS_ENV} is {raw!r}, not an integer of at least 1")
+    return cap
 
 
 class StateRegister:

@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, program_product
+from .gates import Program, ProgramRound, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -51,7 +51,10 @@ class _Run(ProtocolRun):
         user_rounds = tuple(user_rounds)
         if len(user_rounds) != m:
             raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
-        for r in user_rounds:
+        for i, r in enumerate(user_rounds):
+            if not isinstance(r, ProgramRound):
+                raise ValueError(f"user_rounds[{i}] is a {type(r).__name__}, "
+                                 "not a ProgramRound")
             r.check_shape(n)
         # streams 0..m are users 1..m+1 (user m+1 draws nothing), then A and B
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m + 3)]
@@ -104,6 +107,7 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     the users collectively receive), keyed by the chronological outcome
     tuple, and the total probability.
     """
+    n_circ = check_n_circ(n_circ, w.n)
     acc = np.zeros(1 << n_circ, dtype=float)
     outcome_joint = {}
     total = 0.0
@@ -117,6 +121,7 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
 
 def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **kw):
     """Empirical output distribution over independent honest runs."""
+    n_circ = check_n_circ(n_circ, w.n)
     counts = np.zeros(1 << n_circ, dtype=float)
     for i in range(runs):
         res = run_tgdmqc(w, user_rounds, n_circ, seed=(seed, i), **kw)

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .gates import ProgramRound, as_ints, pair_table
+from .gates import ProgramRound, as_ints, check_n_circ, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -374,8 +374,7 @@ class ProtocolRun:
                  classical_output=True, eager_bell=False, branch_plan=None,
                  max_qubits=None):
         n, m = w.n, w.m
-        if not 1 <= n_circ <= n:
-            raise ValueError(f"n_circ must be in [1, {n}]")
+        n_circ = check_n_circ(n_circ, n)
         self.plan = ((None,) * (2 * m) if branch_plan is None
                      else cut_branch_plan(branch_plan, 2 * m, n))
         self.n, self.m, self.n_circ = n, m, n_circ

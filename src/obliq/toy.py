@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gates import as_ints
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -50,19 +51,30 @@ def rederive_queries(q, mask_x, outcome_x):
     return qp[0][0], qp[1][0]
 
 
+def _bit(value, what):
+    (b,) = as_ints((value,), what)
+    if b not in (0, 1):
+        raise ValueError(f"{what} is {value!r}, not a bit")
+    return b
+
+
 def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
     """One protocol run; returns the corrected output density and the run record.
 
     `force_masks` fixes (mask_x, mask_z); `force_branch` postselects the Bell
     outcome (a, b). Unforced choices come from `rng` (or a fresh stream
-    seeded with `seed`).
+    seeded with `seed`). `y` is an integer, taken mod 8; each forced mask is
+    a bit.
     """
-    y = int(y) % 8
+    y = as_ints((y,), "y")[0] % 8
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if psi.size != 2:
         raise ValueError("the toy protocol transfers a single qubit")
     if force_branch is not None:
         ((force_branch,),) = cut_branch_plan([force_branch], 1, 1)
+    if force_masks is not None:
+        fx, fz = force_masks
+        force_masks = _bit(fx, "mask_x"), _bit(fz, "mask_z")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -77,7 +89,7 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
 
     # step 1: mask the input, send it to server A with two uniform queries
     if force_masks is not None:
-        mask_x, mask_z = int(force_masks[0]) % 2, int(force_masks[1]) % 2
+        mask_x, mask_z = force_masks
     else:
         mask_x, mask_z = int(rng.integers(0, 2)), int(rng.integers(0, 2))
     q = (int(rng.integers(0, 8)), int(rng.integers(0, 8)))

@@ -3,10 +3,16 @@
 import numpy as np
 import pytest
 
+from obliq import oracle
 from obliq.gates import random_program, zero_program
 from obliq.harness import ChannelRegistry
 from obliq.oracle import basis_state
-from obliq.tgdmqc import exhaustive_output_distribution, run_tgdmqc
+from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, default_max_qubits
+from obliq.tgdmqc import (
+    exhaustive_output_distribution,
+    run_tgdmqc,
+    sampled_output_distribution,
+)
 from obliq.toqc import enumerate_branches, run_toqc
 from obliq.toy import run_toy
 
@@ -105,3 +111,68 @@ def test_non_bit_basis_bits_rejected(no_messages, bits, named):
     w = random_program(N, M, np.random.default_rng(98))
     with pytest.raises(ValueError, match=fr"{named} not a bit"):
         run_toqc(w, basis_bits=bits, seed=1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: run_toqc(w, psi=basis_state(N, (0, 1)), n_circ=1.5, seed=1),
+    lambda w: run_tgdmqc(w, w.rounds, n_circ=1.5, seed=1),
+    lambda w: exhaustive_output_distribution(w, w.rounds, n_circ=1.5),
+    lambda w: sampled_output_distribution(w, w.rounds, n_circ=1.5, runs=1),
+    lambda w: oracle.ideal_output(w, basis_state(N, (0, 1)), 1.5),
+    lambda w: oracle.outcome_distribution(w, basis_state(N, (0, 1)), 1.5),
+], ids=["toqc", "tgdmqc", "exhaustive", "sampled", "ideal-output",
+        "outcome-distribution"])
+def test_non_integral_n_circ_rejected(no_messages, run):
+    w = random_program(N, M, np.random.default_rng(99))
+    with pytest.raises(ValueError, match=r"n_circ: value 1\.5 is not an integer"):
+        run(w)
+
+
+@pytest.mark.parametrize("kw,named", [
+    ({"y": 1.7}, r"y: value 1\.7 is not an integer"),
+    ({"y": "3"}, r"y: value '3' is not an integer"),
+    ({"force_masks": (2, 0)}, r"mask_x is 2, not a bit"),
+    ({"force_masks": (0, -1)}, r"mask_z is -1, not a bit"),
+    ({"force_masks": (0.9, 1)}, r"mask_x: value 0\.9 is not an integer"),
+], ids=["y-float", "y-str", "mask-two", "mask-minus-one", "mask-float"])
+def test_toy_non_integral_input_rejected(no_messages, kw, named):
+    args = {"y": 1, **kw}
+    with pytest.raises(ValueError, match=named):
+        run_toy(args.pop("y"), basis_state(1, (0,)), seed=0, **args)
+
+
+def test_toy_takes_integers_not_their_float_twins():
+    psi = basis_state(1, (1,))
+    got = run_toy(np.int64(11), psi, seed=0, force_masks=(np.True_, 1))
+    want = run_toy(3, psi, seed=0, force_masks=(1, 1))
+    assert got.y == 3 and (got.mask_x, got.mask_z) == (1, 1)
+    assert got.transcript.render() == want.transcript.render()
+    for y, masks in ((11.0, (1, 1)), (11, (1.0, 1))):
+        with pytest.raises(ValueError, match="is not an integer"):
+            run_toy(y, psi, seed=0, force_masks=masks)
+
+
+@pytest.mark.parametrize("bad,kind", [((0, 1), "tuple"), (None, "NoneType")],
+                         ids=["tuple", "none"])
+def test_tgdmqc_user_round_type_named(no_messages, bad, kind):
+    w = random_program(N, M, np.random.default_rng(100))
+    with pytest.raises(ValueError,
+                       match=fr"user_rounds\[0\] is a {kind}, not a ProgramRound"):
+        run_tgdmqc(w, [bad], 1, seed=1)
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3", "2.5"])
+def test_bad_max_qubits_env_named(no_messages, monkeypatch, raw):
+    monkeypatch.setenv(MAX_QUBITS_ENV, raw)
+    with pytest.raises(ValueError, match=fr"{MAX_QUBITS_ENV} is '{raw}', not an integer"):
+        run_toy(1, basis_state(1, (0,)), seed=0)
+
+
+def test_max_qubits_env_takes_every_cap_from_1(monkeypatch):
+    # the benchmark's peak probe sets each cap from 1 to the default
+    for cap in range(1, DEFAULT_MAX_QUBITS + 1):
+        monkeypatch.setenv(MAX_QUBITS_ENV, str(cap))
+        assert default_max_qubits() == cap
+    monkeypatch.setenv(MAX_QUBITS_ENV, "0")
+    with pytest.raises(ValueError, match=f"{MAX_QUBITS_ENV} is '0'"):
+        default_max_qubits()

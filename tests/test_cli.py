@@ -240,3 +240,10 @@ def test_report_max_below_1_is_usage_error(capsys, flags, named):
     captured = capsys.readouterr()
     assert f"error={named}, not at least 1" in captured.err
     assert "verdict=" not in captured.out
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_bad_max_qubits_env_is_usage_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv(MAX_QUBITS_ENV, raw)
+    assert cli.main(["toy", "--y", "5", "--seed", "8"]) == 2
+    assert f"error={MAX_QUBITS_ENV} is '{raw}'" in capsys.readouterr().err

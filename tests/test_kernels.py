@@ -1,14 +1,11 @@
-"""Both kernel backends must agree with each other and with dense matrices."""
+"""The kernels must agree with dense matrices and direct indexing."""
 
 import numpy as np
 import pytest
 
 import obliq.kernels as kernels
-from obliq.kernels import _py
 
-backends = [_py]
-if kernels.backend is not _py:
-    backends.append(kernels.backend)
+backends = [kernels]
 
 
 def random_state(k, seed):
@@ -25,7 +22,7 @@ def embed_1q(u, k, m):
     return out
 
 
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.NAME)
+@pytest.mark.parametrize("backend", backends, ids=lambda b: b.BACKEND)
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_apply_1q_matches_dense(backend, m):
     k = 4
@@ -37,7 +34,7 @@ def test_apply_1q_matches_dense(backend, m):
     assert np.allclose(got, want, atol=1e-14)
 
 
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.NAME)
+@pytest.mark.parametrize("backend", backends, ids=lambda b: b.BACKEND)
 def test_apply_diag1_matches_dense(backend):
     k, m = 3, 1
     d0, d1 = np.exp(0.3j), np.exp(-1.1j)
@@ -48,7 +45,7 @@ def test_apply_diag1_matches_dense(backend):
     assert np.allclose(got, want, atol=1e-14)
 
 
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.NAME)
+@pytest.mark.parametrize("backend", backends, ids=lambda b: b.BACKEND)
 @pytest.mark.parametrize("m1,m2", [(3, 0), (2, 1), (4, 2)])
 def test_apply_diag2_matches_dense(backend, m1, m2):
     k = 5
@@ -64,7 +61,7 @@ def test_apply_diag2_matches_dense(backend, m1, m2):
     assert np.allclose(got, want, atol=1e-14)
 
 
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.NAME)
+@pytest.mark.parametrize("backend", backends, ids=lambda b: b.BACKEND)
 @pytest.mark.parametrize("m1,m2", [(3, 0), (2, 1), (4, 3)])
 def test_gather_pair_matches_indexing(backend, m1, m2):
     k = 5
@@ -81,7 +78,7 @@ def test_gather_pair_matches_indexing(backend, m1, m2):
             assert np.allclose(row, picked, atol=0)
 
 
-@pytest.mark.parametrize("backend", backends, ids=lambda b: b.NAME)
+@pytest.mark.parametrize("backend", backends, ids=lambda b: b.BACKEND)
 def test_gather_bit_and_prob(backend):
     k, m = 4, 2
     state = random_state(k, 5)
@@ -93,18 +90,3 @@ def test_gather_bit_and_prob(backend):
     part = backend.gather_bit(state, m, 1)
     picked = [state[i] for i in range(1 << k) if (i >> m) & 1]
     assert np.allclose(part, picked, atol=0)
-
-
-@pytest.mark.skipif(len(backends) < 2, reason="compiled backend not built")
-def test_backends_agree_on_random_sequences():
-    rng = np.random.default_rng(99)
-    for _ in range(20):
-        k = int(rng.integers(2, 6))
-        s1 = random_state(k, int(rng.integers(0, 1 << 30)))
-        s2 = s1.copy()
-        for _ in range(10):
-            m = int(rng.integers(0, k))
-            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            for s, backend in ((s1, backends[0]), (s2, backends[1])):
-                backend.apply_1q(s, m, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
-        assert np.allclose(s1, s2, atol=1e-14)
