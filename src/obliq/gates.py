@@ -79,6 +79,29 @@ def as_ints(values, what):
     return tuple(out)
 
 
+def as_bits(values, what, count=None):
+    """`values` as a tuple of 0/1 Python ints. Ints, bools and numpy integers
+    and bools pass when they are 0 or 1; anything else, such as 2, -1, 0.5,
+    1.0 or "1", raises a ValueError naming `what` and the entry. With
+    `count`, `values` must hold exactly that many entries."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} is {values!r}, not a sequence of bits") from None
+    if count is not None and len(values) != count:
+        raise ValueError(f"{what} has {len(values)} entries, expected n={count}")
+    for i, v in enumerate(values):
+        if not (isinstance(v, (int, np.integer, np.bool_)) and v in (0, 1)):
+            raise ValueError(f"{what}[{i}] is {v!r}, not a bit")
+    return tuple(map(int, values))
+
+
+def bits_index(bits):
+    """The index of the basis state |bits>: the first bit is the most
+    significant, as in every amplitude vector and distribution here."""
+    return sum(b << k for k, b in enumerate(reversed(bits)))
+
+
 def check_n_circ(n_circ, n):
     """`n_circ` as an int in [1, n]; anything else raises a ValueError
     naming it."""
@@ -374,11 +397,9 @@ def compile_parity(inputs):
     the bit is 1. Measuring qubit 1 of the final state yields the parity with
     probability 1. Returns (program, n_circ) with n_circ = 1.
     """
-    bits = [int(b) for b in inputs]
+    bits = as_bits(inputs, "inputs")
     if len(bits) < 1:
         raise ValueError("need at least one input bit")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("inputs must be bits")
     rounds = [ProgramRound((0, 2), (0, 4), (0,))]
     for b in bits:
         rounds.append(ProgramRound((b, 0), (4 * b, 0), (0,)))

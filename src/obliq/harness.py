@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_ints, check_n_circ, matrix_of
-from .qsim import trace_distance
+from .gates import as_bits, as_ints, check_n_circ, matrix_of
+from .qsim import as_state, trace_distance
 
 
 class ChannelError(RuntimeError):
@@ -44,10 +44,6 @@ class ClassicalPart:
             bad = next(v for v in values if not 0 <= v < 1 << self.width)
             raise ValueError(f"{self.name}: value {bad} is outside [0, {1 << self.width}) "
                              f"for width {self.width}")
-
-    @property
-    def bits(self):
-        return self.width * len(self.values)
 
 
 def wire_kind(bits, qubits):
@@ -263,16 +259,18 @@ BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def cut_branch_plan(plan, hops, width):
     """Check a forced plan of hops * width Bell outcomes, in chronological
-    order, and cut it into one tuple of `width` outcomes per hop."""
+    order, and cut it into one tuple of `width` (a, b) int pairs per hop."""
     plan = list(plan)
     if len(plan) != hops * width:
         raise ValueError(
             f"branch plan has {len(plan)} outcomes, the run makes {hops * width}"
         )
-    for entry in plan:
-        pair = tuple(entry) if isinstance(entry, (tuple, list, np.ndarray)) else entry
-        if pair not in BELL_OUTCOMES:
-            raise ValueError(f"branch plan entry {entry!r} is not a Bell outcome (a, b)")
+    for i, entry in enumerate(plan):
+        try:
+            plan[i] = as_bits(entry, "entry", 2)
+        except ValueError:
+            raise ValueError(
+                f"branch plan entry {entry!r} is not a Bell outcome (a, b)") from None
     return tuple(tuple(plan[k * width:(k + 1) * width]) for k in range(hops))
 
 
@@ -391,6 +389,7 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
         raise ValueError(f"unknown protocol {protocol!r}")
     if classical_output and protocol == "tgdmqc":
         raise ValueError("--classical-output applies only to toqc transcripts")
+    (n,), (m,) = as_ints((n,), "n"), as_ints((m,), "m")
     for name, value in (("n", n), ("m", m)):
         if value < 1:
             raise ValueError(f"{name} is {value}, not at least 1")
@@ -425,10 +424,8 @@ def audit_mask_average(psi, tol=1e-12):
     The average must be the maximally mixed state; that makes the uploaded
     quantum payload independent of the input.
     """
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    n = int(psi.size).bit_length() - 1
-    if psi.size != 1 << n or n < 1:
-        raise ValueError("psi must have 2^n amplitudes")
+    psi = as_state(psi)
+    n = psi.size.bit_length() - 1
     if n > MASK_AVERAGE_MAX_N:
         raise ValueError(f"mask enumeration capped at n <= {MASK_AVERAGE_MAX_N}")
     acc = np.zeros((1 << n, 1 << n), dtype=np.complex128)

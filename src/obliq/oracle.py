@@ -7,7 +7,7 @@ party or query machinery is involved.
 
 import numpy as np
 
-from .gates import check_n_circ, round_unitary_apply
+from .gates import as_bits, bits_index, check_n_circ, round_unitary_apply
 from .qsim import StateRegister
 
 
@@ -22,11 +22,8 @@ def apply_program(reg, qubits, program):
 def ideal_output(program, psi, n_circ):
     """Density of the first n_circ qubits of the program applied to psi."""
     n_circ = check_n_circ(n_circ, program.n)
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.size != 1 << program.n:
-        raise ValueError(f"input state must have {1 << program.n} amplitudes")
     reg = StateRegister()
-    qubits = reg.alloc_state(psi)
+    qubits = reg.alloc_state(psi, program.n)
     apply_program(reg, qubits, program)
     return reg.density_on(qubits[:n_circ])
 
@@ -38,9 +35,8 @@ def outcome_distribution(program, psi, n_circ):
     qubit 1 as the most significant bit.
     """
     n_circ = check_n_circ(n_circ, program.n)
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     reg = StateRegister()
-    qubits = reg.alloc_state(psi)
+    qubits = reg.alloc_state(psi, program.n)
     apply_program(reg, qubits, program)
     probs = reg.probabilities_on(qubits[:n_circ])
     return np.asarray(probs, dtype=float)
@@ -48,18 +44,12 @@ def outcome_distribution(program, psi, n_circ):
 
 def ideal_outcome_distribution(program, n_circ):
     """Outcome distribution for the all-zero input state."""
-    psi = np.zeros(1 << program.n, dtype=np.complex128)
-    psi[0] = 1.0
-    return outcome_distribution(program, psi, n_circ)
+    return outcome_distribution(program, basis_state(program.n, (0,) * program.n), n_circ)
 
 
 def basis_state(n, bits):
     """|bits> as an amplitude vector, first bit most significant."""
-    if len(bits) != n:
-        raise ValueError(f"expected {n} bits")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | (int(b) & 1)
+    idx = bits_index(as_bits(bits, "bits", n))
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[idx] = 1.0
     return psi

@@ -4,7 +4,9 @@ Qubits are identified by opaque handles; handles are never reused within a
 register. Internally each live qubit owns one axis of the amplitude tensor,
 with the earliest-allocated qubit on the most significant index bits. A qubit
 slot is reclaimed only by measuring it (Bell or computational), which keeps
-the register normalized at all times.
+the register normalized at all times. The live-qubit cap has one setting,
+the OBLIQ_MAX_QUBITS environment variable (22 when unset), and an input
+state one check, `as_state`.
 """
 
 import os
@@ -47,6 +49,26 @@ def default_max_qubits():
     if cap < 1:
         raise ValueError(f"{MAX_QUBITS_ENV} is {raw!r}, not an integer of at least 1")
     return cap
+
+
+def as_state(psi, n=None):
+    """`psi` as a flat complex128 vector; raises a ValueError unless it has
+    2^n amplitudes (any power of two >= 2 when n is None) and its norm is
+    within 1e-9 of 1."""
+    vec = np.asarray(psi)
+    if vec.dtype.kind not in "biufc":
+        raise ValueError(f"psi is a {type(psi).__name__}, not a vector of amplitudes")
+    vec = vec.astype(np.complex128, copy=False).reshape(-1)
+    if n is None:
+        k = vec.size.bit_length() - 1
+        if k < 1 or vec.size != 1 << k:
+            raise ValueError(f"psi has {vec.size} amplitudes, not a power of two >= 2")
+    elif vec.size != 1 << n:
+        raise ValueError(f"psi has {vec.size} amplitudes, expected 2^{n} = {1 << n}")
+    norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= 1e-9:
+        raise ValueError(f"psi has norm {norm!r}, not 1")
+    return vec
 
 
 class StateRegister:
@@ -132,14 +154,11 @@ class StateRegister:
         h = self._new_handles(2)
         return h[0], h[1]
 
-    def alloc_state(self, vec):
-        """Append qubits holding the given normalized pure state."""
-        vec = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        k = int(vec.size).bit_length() - 1
-        if vec.size != 1 << k or k < 1:
-            raise ValueError("state length must be a power of two >= 2")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-            raise ValueError("state vector must be normalized")
+    def alloc_state(self, vec, n=None):
+        """Append qubits holding the given normalized pure state, of n qubits
+        when n is given (`as_state` checks it)."""
+        vec = as_state(vec, n)
+        k = vec.size.bit_length() - 1
         self._check_capacity(k)
         self._amps = self._tensor(vec)
         return self._new_handles(k)

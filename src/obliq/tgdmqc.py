@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, ProgramRound, check_n_circ, program_product
+from .gates import Program, ProgramRound, bits_index, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -76,7 +76,6 @@ def run_tgdmqc(
     seed=None,
     eager_bell=False,
     branch_plan=None,
-    max_qubits=None,
 ):
     """One full run; `user_rounds` is the list of the m users' w' rounds.
 
@@ -84,10 +83,10 @@ def run_tgdmqc(
     distribution of the reconstructed bits given the run's Bell branch (the
     sampled `output_bits` are one draw from it). The run holds n live
     qubits; `eager_bell=True` selects the physical reference executor, which
-    holds 4mn + n.
+    holds 4mn + n. Either must fit the OBLIQ_MAX_QUBITS cap (`qsim`).
     """
     return _Run(w, user_rounds, n_circ, seed, eager_bell=eager_bell,
-                branch_plan=branch_plan, max_qubits=max_qubits).run_through()
+                branch_plan=branch_plan).run_through()
 
 
 def _leaves(w, user_rounds, n_circ, seed, **kw):
@@ -102,10 +101,10 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     after each hop is snapshotted once, and each of the hop's 4^n outcome
     combinations continues from it, so a shared prefix runs once. Every plan
     shares `seed`, so each leaf equals `run_tgdmqc(..., seed=seed,
-    branch_plan=plan)` exactly; `**kw` (`eager_bell`, `max_qubits`) goes to
-    the run. Also returns the joint distribution of all Bell outcomes (what
-    the users collectively receive), keyed by the chronological outcome
-    tuple, and the total probability.
+    branch_plan=plan)` exactly; `**kw` (`eager_bell`) goes to the run.
+    Also returns the joint distribution of all Bell outcomes (what the
+    users collectively receive), keyed by the chronological outcome tuple,
+    and the total probability.
     """
     n_circ = check_n_circ(n_circ, w.n)
     acc = np.zeros(1 << n_circ, dtype=float)
@@ -125,10 +124,7 @@ def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **
     counts = np.zeros(1 << n_circ, dtype=float)
     for i in range(runs):
         res = run_tgdmqc(w, user_rounds, n_circ, seed=(seed, i), **kw)
-        idx = 0
-        for b in res.output_bits:
-            idx = (idx << 1) | b
-        counts[idx] += 1.0
+        counts[bits_index(res.output_bits)] += 1.0
     return counts / runs
 
 

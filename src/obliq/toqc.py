@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .gates import ProgramRound, as_ints, check_n_circ, pair_table
+from .gates import ProgramRound, as_bits, as_ints, bits_index, check_n_circ, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -205,8 +205,8 @@ class PauliFrame:
     # a hop draws from the known Bell law; it reads no amplitudes
     measured = False
 
-    def __init__(self, w, max_qubits=None):
-        self.reg = StateRegister(max_qubits=max_qubits)
+    def __init__(self, w):
+        self.reg = StateRegister()
         self.w = w
         self.data = None
         self._queued = [(0, 0)] * w.n
@@ -214,7 +214,7 @@ class PauliFrame:
     def load(self, psi=None):
         """Allocate the n data qubits in |psi>, or in |0...0> when psi is None."""
         self.data = (self.reg.alloc_zero_qubits(self.w.n) if psi is None
-                     else self.reg.alloc_state(psi))
+                     else self.reg.alloc_state(psi, self.w.n))
 
     def paulis(self, xs, zs):
         """Z^z X^x on each data qubit."""
@@ -280,8 +280,8 @@ class BellStore(PauliFrame):
 
     measured = True
 
-    def __init__(self, w, max_qubits=None):
-        super().__init__(w, max_qubits)
+    def __init__(self, w):
+        super().__init__(w)
         self._pairs = {(k, s): self.reg.alloc_bell_pair()
                        for k in range(1, 2 * w.m + 1) for s in range(w.n)}
 
@@ -371,8 +371,7 @@ class ProtocolRun:
     """
 
     def __init__(self, w, n_circ, users, server_rngs, *,
-                 classical_output=True, eager_bell=False, branch_plan=None,
-                 max_qubits=None):
+                 classical_output=True, eager_bell=False, branch_plan=None):
         n, m = w.n, w.m
         n_circ = check_n_circ(n_circ, n)
         self.plan = ((None,) * (2 * m) if branch_plan is None
@@ -388,7 +387,7 @@ class ProtocolRun:
             self.registry.register(p.name, SERVER_B)
         self.branch_records = []
         # the physical reference when `eager_bell`, else the Pauli frame
-        self.plane = (BellStore if eager_bell else PauliFrame)(w, max_qubits)
+        self.plane = (BellStore if eager_bell else PauliFrame)(w)
         rng_a, rng_b = server_rngs
         self.server_a = ProtocolServer(SERVER_A, "a", rng_a)
         self.server_b = ProtocolServer(SERVER_B, "b", rng_b)
@@ -524,8 +523,7 @@ class ProtocolRun:
             # step 4m+3: add back the residual X bits
             shift = xs[:n_circ]
             self.output_bits = tuple(b ^ x for b, x in zip(measured, shift))
-            shift_idx = int("".join(map(str, shift)), 2)
-            self.output_distribution = raw[np.arange(raw.size) ^ shift_idx]
+            self.output_distribution = raw[np.arange(raw.size) ^ bits_index(shift)]
             self.output_density = None
         else:
             self.registry.send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ))
@@ -645,19 +643,8 @@ class _ToqcRun(ProtocolRun):
         if classical_output and basis_bits is None:
             raise ValueError("classical output mode needs a computational basis input")
         if basis_bits is not None:
-            basis_bits = tuple(basis_bits)
-            for s, b in enumerate(basis_bits):
-                if b not in (0, 1):
-                    raise ValueError(f"basis_bits[{s}] is {b!r}, not a bit")
-            basis_bits = tuple(int(b) for b in basis_bits)
-            if len(basis_bits) != n:
-                raise ValueError(f"expected {n} input bits")
-        else:
-            psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-            if psi.size != 1 << n:
-                raise ValueError(
-                    f"psi has {psi.size} amplitudes, expected 2^{n} = {1 << n}"
-                )
+            basis_bits = as_bits(basis_bits, "basis_bits", n)
+        # psi is checked where it is loaded, before step 1 is sent
         self.psi, self.basis_bits = psi, basis_bits
 
         # all ones except for runs probing what a changed re-randomization
@@ -716,7 +703,6 @@ def run_toqc(
     classical_output=False,
     eager_bell=False,
     branch_plan=None,
-    max_qubits=None,
     tcz_delta_coeff=None,
 ):
     """One full protocol run.
@@ -725,13 +711,13 @@ def run_toqc(
     classical output mode requires `basis_bits` and then carries no qubits on
     the wire at all. `branch_plan` forces the Bell outcomes in chronological
     order (2mn of them). The run holds n live qubits; `eager_bell=True`
-    selects the physical reference executor, which holds 4mn + n.
-    Returns a RunResult.
+    selects the physical reference executor, which holds 4mn + n. Either
+    must fit the OBLIQ_MAX_QUBITS cap (`qsim`). Returns a RunResult.
     """
     return _ToqcRun(
         w, psi, basis_bits, n_circ, seed=seed, streams=streams,
         classical_output=classical_output, tcz_delta_coeff=tcz_delta_coeff,
-        eager_bell=eager_bell, branch_plan=branch_plan, max_qubits=max_qubits,
+        eager_bell=eager_bell, branch_plan=branch_plan,
     ).run_through()
 
 

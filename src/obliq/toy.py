@@ -21,7 +21,7 @@ from .harness import (
     cut_branch_plan,
 )
 from .layers import apply_masked_t_layer, apply_zx
-from .qsim import StateRegister
+from .qsim import StateRegister, as_state
 from .toqc import derive_t_queries
 
 
@@ -67,9 +67,7 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
     a bit.
     """
     y = as_ints((y,), "y")[0] % 8
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.size != 2:
-        raise ValueError("the toy protocol transfers a single qubit")
+    psi = as_state(psi, 1)
     if force_branch is not None:
         ((force_branch,),) = cut_branch_plan([force_branch], 1, 1)
     if force_masks is not None:

@@ -1,11 +1,13 @@
 """Bad run input fails at the API boundary, before any message is sent."""
 
+import re
+
 import numpy as np
 import pytest
 
 from obliq import oracle
-from obliq.gates import random_program, zero_program
-from obliq.harness import ChannelRegistry
+from obliq.gates import compile_parity, random_program, zero_program
+from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_file
 from obliq.oracle import basis_state
 from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, default_max_qubits
 from obliq.tgdmqc import (
@@ -176,3 +178,89 @@ def test_max_qubits_env_takes_every_cap_from_1(monkeypatch):
     monkeypatch.setenv(MAX_QUBITS_ENV, "0")
     with pytest.raises(ValueError, match=f"{MAX_QUBITS_ENV} is '0'"):
         default_max_qubits()
+
+
+# -- one bit rule and one state rule for every entry point ---------------------
+
+@pytest.mark.parametrize("bits,named", [
+    ((2, 1.7), r"bits\[0\] is 2,"),
+    ((0, 1.0), r"bits\[1\] is 1\.0,"),
+    ((np.float64(1), 0), r"bits\[0\] is np\.float64\(1\.0\),"),
+], ids=["two", "float-twin", "numpy-float"])
+def test_basis_state_rejects_non_bits(no_messages, bits, named):
+    with pytest.raises(ValueError, match=fr"{named} not a bit"):
+        basis_state(2, bits)
+
+
+@pytest.mark.parametrize("inputs,shown", [([1.7], "1.7"), (["1"], "'1'")],
+                         ids=["float", "str"])
+def test_compile_parity_rejects_non_bits(no_messages, inputs, shown):
+    with pytest.raises(ValueError, match=fr"inputs\[0\] is {re.escape(shown)}, not a bit"):
+        compile_parity(inputs)
+
+
+@pytest.mark.parametrize("entry", [(1.0, 0), (np.float64(1), 0)], ids=["float", "numpy-float"])
+@pytest.mark.parametrize("eager", [False, True], ids=["frame", "physical"])
+@pytest.mark.parametrize("run", [_toqc, _tgdmqc], ids=["toqc", "tgdmqc"])
+def test_float_twin_plan_entry_rejected(no_messages, run, eager, entry):
+    # the twin comes first, so a run that let it through would send step 1
+    plan = [entry] + [(0, 0)] * (OUTCOMES - 1)
+    with pytest.raises(ValueError,
+                       match=fr"entry {re.escape(repr(entry))} is not a Bell outcome"):
+        run(plan, eager)
+
+
+@pytest.mark.parametrize("entry", [(1.0, 0), (np.float64(1), 0)], ids=["float", "numpy-float"])
+def test_toy_float_twin_branch_rejected(no_messages, entry):
+    with pytest.raises(ValueError,
+                       match=fr"entry {re.escape(repr(entry))} is not a Bell outcome"):
+        run_toy(1, basis_state(1, (0,)), seed=0, force_branch=entry)
+
+
+def _toqc_text():
+    w = random_program(1, 1, np.random.default_rng(102))
+    return run_toqc(w, basis_bits=(1,), seed=103).transcript.render()
+
+
+@pytest.mark.parametrize("n,m,named", [
+    (1.5, 1, r"n: value 1\.5"),
+    (1, 1.0, r"m: value 1\.0"),
+    ("1", 1, r"n: value '1'"),
+], ids=["n-half", "m-float-twin", "n-str"])
+def test_audit_transcript_rejects_non_integral_shape(n, m, named):
+    with pytest.raises(ValueError, match=fr"^{named} is not an integer"):
+        audit_transcript_file(_toqc_text(), "toqc", n, m, 1)
+
+
+def test_audit_transcript_takes_bools_and_numpy_ints():
+    text = _toqc_text()
+    want = audit_transcript_file(text, "toqc", 1, 1, 1)
+    assert want.ok, want.details
+    for n, m in ((True, np.int64(1)), (np.uint8(1), np.True_)):
+        got = audit_transcript_file(text, "toqc", n, m, 1)
+        assert (got.ok, got.details) == (want.ok, want.details)
+
+
+@pytest.mark.parametrize("psi,named", [
+    (np.full(8, 1 / np.sqrt(8)), r"psi has 8 amplitudes, expected 2\^2 = 4"),
+    (np.ones(4), r"psi has norm 2\.0, not 1"),
+    ("0110", "psi is a str, not a vector of amplitudes"),
+    (["1", "0", "0", "0"], "psi is a list, not a vector of amplitudes"),
+], ids=["count", "norm", "str", "str-entries"])
+@pytest.mark.parametrize("call", [oracle.ideal_output, oracle.outcome_distribution],
+                         ids=["ideal-output", "outcome-distribution"])
+def test_oracle_state_checked(call, psi, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        call(random_program(N, M, np.random.default_rng(104)), psi, 1)
+
+
+def test_audit_mask_average_rejects_unnormalized_psi():
+    with pytest.raises(ValueError, match=r"^psi has norm 2\.0, not 1$"):
+        audit_mask_average(np.ones(4))
+
+
+@pytest.mark.parametrize("psi", [np.ones(2), [1, 0, 0, 0], "01"],
+                         ids=["norm", "two-qubits", "str"])
+def test_toy_state_checked(no_messages, psi):
+    with pytest.raises(ValueError, match="^psi "):
+        run_toy(1, psi, seed=0)

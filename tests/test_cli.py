@@ -247,3 +247,37 @@ def test_bad_max_qubits_env_is_usage_error(monkeypatch, capsys, raw):
     monkeypatch.setenv(MAX_QUBITS_ENV, raw)
     assert cli.main(["toy", "--y", "5", "--seed", "8"]) == 2
     assert f"error={MAX_QUBITS_ENV} is '{raw}'" in capsys.readouterr().err
+
+
+def test_toqc_classical_output_passes(program_path, capsys):
+    assert cli.main(["toqc", "--program", program_path, "--input", "10",
+                     "--seed", "3", "--classical-output"]) == 0
+    out = capsys.readouterr().out
+    assert "output_bits=" in out and "total_variation=" in out
+    assert _verdict_lines(out) == ["verdict=pass"]
+
+
+def test_tgdmqc_exhaustive_branches_passes(tmp_path, capsys):
+    rng = np.random.default_rng(11)
+    w, users = tmp_path / "w.txt", tmp_path / "users.txt"
+    save_program(random_program(2, 1, rng), w)
+    save_program(random_program(2, 1, rng), users)
+    assert cli.main(["tgdmqc", "--server-program", str(w), "--user-rounds", str(users),
+                     "--seed", "12", "--exhaustive-branches"]) == 0
+    out = capsys.readouterr().out
+    assert "output_bits=" in out and "total_variation=" in out
+    assert _verdict_lines(out) == ["verdict=pass"]
+
+
+@pytest.mark.parametrize("text,named", [
+    ("0.5 0\n0.5 0\n0.5 0\n", "psi has 3 amplitudes, expected 2^2 = 4"),
+    ("1 0\n1 0\n1 0\n1 0\n", "psi has norm 2.0, not 1"),
+], ids=["three-amplitudes", "unnormalized"])
+def test_toqc_bad_state_file_is_usage_error(program_path, tmp_path, capsys, text, named):
+    state = tmp_path / "state.txt"
+    state.write_text(text)
+    assert cli.main(["toqc", "--program", program_path, "--input", str(state),
+                     "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert f"error={named}" in captured.err
+    assert "verdict=" not in captured.out

@@ -1,0 +1,190 @@
+"""The input contract of the public entry points, checked with `hypothesis`.
+
+Each strategy draws one argument as a pair (value, canonical): a valid
+value in some accepted form (ints, bools, numpy integers and bools, a list
+or an array) with the canonical value it stands for, or a near miss (a
+float twin, a value out of range by one, the wrong length, the wrong type)
+with `MISS`. The contract: a call with a near miss raises a ValueError
+before any message is sent; any other call gives exactly what the call on
+the canonical values gives, transcript and output bytes included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from obliq.gates import compile_parity, random_program
+from obliq.harness import BELL_OUTCOMES, ChannelRegistry, Verdict, audit_transcript_file
+from obliq.oracle import basis_state, ideal_output, outcome_distribution, random_state
+from obliq.tgdmqc import run_tgdmqc
+from obliq.toqc import RunResult, run_toqc
+from obliq.toy import ToyResult, run_toy
+
+N, M = 2, 1
+OUTCOMES = 2 * M * N
+W = random_program(N, M, np.random.default_rng(110))
+ROUNDS = random_program(N, M, np.random.default_rng(111)).rounds
+TEXT = run_toqc(W, basis_bits=(0, 1), seed=112).transcript.render()
+
+MISS = object()
+CONTRACT = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+# forms a valid bit may take, and values no bit may take
+BIT_FORMS = (int, bool, np.int64, np.uint8, np.bool_)
+NOT_BITS = (2, -1, 1.0, 0.0, np.float64(1), 0.5, "1", None)
+
+
+@st.composite
+def bit_vectors(draw, n, exact=True):
+    """n bits in mixed forms, or a vector with one non-bit entry, of the
+    wrong length (empty when any other length is right, `exact` False), or
+    of the wrong type."""
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    value = [draw(st.sampled_from(BIT_FORMS))(b) for b in bits]
+    kind = draw(st.sampled_from(("valid", "valid", "entry", "length", "type")))
+    if kind == "entry":
+        value[draw(st.integers(0, n - 1))] = draw(st.sampled_from(NOT_BITS))
+    elif kind == "length":
+        value = [] if not exact else value + [0] if draw(st.booleans()) else value[:-1]
+    elif kind == "type":
+        return draw(st.sampled_from((5, "01", 1.0))), MISS
+    form = draw(st.sampled_from((tuple, list)))
+    return form(value), (bits if kind == "valid" else MISS)
+
+
+@st.composite
+def states(draw, n):
+    """A normalized n-qubit state as an array or a list, or one with the
+    wrong amplitude count, the wrong norm or the wrong entry type."""
+    if draw(st.booleans()):
+        vec = random_state(n, np.random.default_rng(draw(st.integers(0, 2**16))))
+    else:
+        vec = basis_state(n, draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(("valid", "valid", "short", "long", "wider", "norm", "type")))
+    miss = {"short": vec[:-1], "long": np.append(vec, 0.0), "norm": 1.5 * vec,
+            "wider": np.kron(vec, basis_state(1, (0,))), "type": [str(a) for a in vec]}
+    value = miss.get(kind, vec)
+    if draw(st.booleans()):
+        value = list(value)
+    return value, (vec if kind == "valid" else MISS)
+
+
+OUTCOME_FORMS = (tuple, list, np.array, lambda p: (np.int64(p[0]), np.bool_(p[1])))
+NOT_OUTCOMES = ((1.0, 0), (np.float64(1), 0), (2, 0), (0, -1), 3, (0,), (0, 1, 0), "01")
+
+
+@st.composite
+def bell_outcomes(draw):
+    """One Bell outcome (a, b) in some form, or a value that is none."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(NOT_OUTCOMES)), MISS
+    pair = draw(st.sampled_from(BELL_OUTCOMES))
+    return draw(st.sampled_from(OUTCOME_FORMS))(pair), pair
+
+
+@st.composite
+def branch_plans(draw, count):
+    """None, or `count` drawn outcomes, or a plan of the wrong length."""
+    kind = draw(st.sampled_from(("none", "plan", "plan", "length")))
+    if kind == "none":
+        return None, None
+    entries = draw(st.lists(bell_outcomes(), min_size=count, max_size=count))
+    value, canonical = [v for v, _ in entries], [c for _, c in entries]
+    if kind == "length":
+        value = value + [(0, 0)] if draw(st.booleans()) else value[:-1]
+    if kind == "length" or any(c is MISS for c in canonical):
+        return value, MISS
+    return value, canonical
+
+
+@st.composite
+def shape_ints(draw):
+    """A positive int in int, numpy or bool form, or 0, a float or a str."""
+    v = draw(st.integers(1, 3))
+    forms = [int, np.int64, np.int32] + ([bool] if v == 1 else [])
+    kind = draw(st.sampled_from(("valid", "valid", "zero", "float", "half", "str")))
+    if kind == "valid":
+        return draw(st.sampled_from(forms))(v), v
+    return {"zero": 0, "float": float(v), "half": v + 0.5, "str": str(v)}[kind], MISS
+
+
+def _fingerprint(out):
+    """Everything a result shows, as comparable bytes and values."""
+    if isinstance(out, RunResult):
+        arrays = (out.output_density, out.output_distribution)
+        return (out.transcript.render(), out.output_bits,
+                *(None if a is None else a.tobytes() for a in arrays))
+    if isinstance(out, ToyResult):
+        return (out.transcript.render(), out.outcome, out.mask_x, out.mask_z,
+                out.output_density.tobytes())
+    if isinstance(out, Verdict):
+        return out.name, out.ok, out.details
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    return out
+
+
+def _refuse(self, message):
+    raise AssertionError(f"{message.step} was sent before the input was checked")
+
+
+def holds(call, *args):
+    """The contract for `call` on the drawn (value, canonical) arguments."""
+    values = [v for v, _ in args]
+    if any(c is MISS for _, c in args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ChannelRegistry, "send", _refuse)
+            with pytest.raises(ValueError):
+                call(*values)
+    else:
+        want = _fingerprint(call(*[c for _, c in args]))
+        assert _fingerprint(call(*values)) == want
+
+
+@CONTRACT
+@given(bits=bit_vectors(N), psi=states(N), plan=branch_plans(OUTCOMES),
+       use_bits=st.booleans(), eager=st.booleans())
+def test_run_toqc(bits, psi, plan, use_bits, eager):
+    field = "basis_bits" if use_bits else "psi"
+    holds(lambda inp, p: run_toqc(W, **{field: inp}, branch_plan=p, seed=113,
+                                  eager_bell=eager),
+          bits if use_bits else psi, plan)
+
+
+@CONTRACT
+@given(plan=branch_plans(OUTCOMES), eager=st.booleans())
+def test_run_tgdmqc(plan, eager):
+    holds(lambda p: run_tgdmqc(W, ROUNDS, 1, seed=114, branch_plan=p, eager_bell=eager),
+          plan)
+
+
+@CONTRACT
+@given(psi=states(1), branch=st.one_of(st.just((None, None)), bell_outcomes()))
+def test_run_toy(psi, branch):
+    holds(lambda s, b: run_toy(3, s, seed=115, force_branch=b), psi, branch)
+
+
+@CONTRACT
+@given(bits=bit_vectors(N))
+def test_basis_state(bits):
+    holds(lambda b: basis_state(N, b), bits)
+
+
+@CONTRACT
+@given(psi=states(N), distribution=st.booleans())
+def test_oracle_outputs(psi, distribution):
+    call = outcome_distribution if distribution else ideal_output
+    holds(lambda s: call(W, s, 1), psi)
+
+
+@CONTRACT
+@given(bits=st.integers(1, 3).flatmap(lambda n: bit_vectors(n, exact=False)))
+def test_compile_parity(bits):
+    holds(compile_parity, bits)
+
+
+@CONTRACT
+@given(n=shape_ints(), m=shape_ints())
+def test_audit_transcript_file(n, m):
+    holds(lambda a, b: audit_transcript_file(TEXT, "toqc", a, b, 1), n, m)

@@ -20,6 +20,7 @@ from obliq.harness import (
     audit_query_uniformity,
 )
 from obliq.oracle import ideal_outcome_distribution, total_variation
+from obliq.qsim import MAX_QUBITS_ENV
 from obliq.tgdmqc import (
     _leaves,
     _Run,
@@ -336,11 +337,12 @@ def test_frame_matches_physical_on_seeded_runs(n, m):
         assert np.abs(frame.output_distribution - phys.output_distribution).max() < 1e-12
 
 
-def test_frame_run_holds_only_data_qubits():
+def test_frame_run_holds_only_data_qubits(monkeypatch):
     w = random_program(3, 2, np.random.default_rng(45))
     rounds = random_rounds(3, 2, 46)
     ideal = ideal_outcome_distribution(program_with_users(w, rounds), 1)
-    res = run_tgdmqc(w, rounds, 1, seed=47, max_qubits=3)
+    monkeypatch.setenv(MAX_QUBITS_ENV, "3")
+    res = run_tgdmqc(w, rounds, 1, seed=47)
     assert total_variation(res.output_distribution, ideal) < 1e-9
 
 

@@ -306,10 +306,10 @@ def test_lazy_vs_eager_allocation():
     assert lazy.transcript.render() == eager.transcript.render()
 
 
-def test_live_qubits_stay_bounded_lazily():
+def test_live_qubits_stay_bounded_lazily(monkeypatch):
     # the default executor holds only the n data qubits: the run completes
     # under a cap of n and never allocates a Bell pair
-    from obliq.qsim import StateRegister
+    from obliq.qsim import MAX_QUBITS_ENV, StateRegister
 
     seen = []
     orig = StateRegister.alloc_bell_pair
@@ -323,7 +323,8 @@ def test_live_qubits_stay_bounded_lazily():
     try:
         w = random_program(3, 2, np.random.default_rng(17))
         psi = random_state(3, np.random.default_rng(18))
-        res = run_toqc(w, psi=psi, n_circ=1, seed=20, max_qubits=3)
+        monkeypatch.setenv(MAX_QUBITS_ENV, "3")
+        res = run_toqc(w, psi=psi, n_circ=1, seed=20)
     finally:
         StateRegister.alloc_bell_pair = orig
     assert seen == []
