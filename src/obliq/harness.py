@@ -27,7 +27,12 @@ def is_user(name):
     return name.startswith("user")
 
 
-@dataclass(frozen=True)
+# ClassicalPart, StepMessage and BranchRecord are frozen dataclasses whose
+# __init__ fills the instance dict in one update: the generated one pays an
+# object.__setattr__ per field, and a branch walk builds ten such records
+# per leaf at n = 2.
+
+@dataclass(frozen=True, init=False)
 class ClassicalPart:
     """One residue vector on the wire: `width` bits per entry."""
 
@@ -35,15 +40,21 @@ class ClassicalPart:
     width: int
     values: tuple
 
+    def __init__(self, name, width, values):
+        self.__dict__.update(name=name, width=width, values=values)
+        self.__post_init__()
+
     def __post_init__(self):
         values = as_ints(self.values, self.name)
-        object.__setattr__(self, "values", values)
-        if self.width not in (1, 2, 3):
-            raise ValueError(f"{self.name}: entry width {self.width!r} is not 1, 2 or 3 bits")
-        if values and (min(values) < 0 or max(values) >= 1 << self.width):
-            bad = next(v for v in values if not 0 <= v < 1 << self.width)
-            raise ValueError(f"{self.name}: value {bad} is outside [0, {1 << self.width}) "
-                             f"for width {self.width}")
+        self.__dict__["values"] = values
+        width = self.width
+        # an integer: the float twin 2.0 would pass the membership test
+        if not isinstance(width, (int, np.integer)) or width not in (1, 2, 3):
+            raise ValueError(f"{self.name}: entry width {width!r} is not 1, 2 or 3 bits")
+        if values and (min(values) < 0 or max(values) >= 1 << width):
+            bad = next(v for v in values if not 0 <= v < 1 << width)
+            raise ValueError(f"{self.name}: value {bad} is outside [0, {1 << width}) "
+                             f"for width {width}")
 
 
 def wire_kind(bits, qubits):
@@ -53,13 +64,17 @@ def wire_kind(bits, qubits):
     return "quantum" if qubits else "classical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StepMessage:
     step: str
     sender: str
     receivers: tuple
     parts: tuple = ()
     qubits: int = 0
+
+    def __init__(self, step, sender, receivers, parts=(), qubits=0):
+        self.__dict__.update(step=step, sender=sender, receivers=receivers, parts=parts,
+                             qubits=qubits)
 
     @property
     def bits(self):
@@ -208,7 +223,8 @@ class ComplexityLedger:
 
 
 class ChannelRegistry:
-    """Known communication edges; a server-to-server edge cannot be built."""
+    """Known communication edges, each kept as its two ordered (sender,
+    receiver) pairs; a server-to-server edge cannot be built."""
 
     def __init__(self):
         self._edges = set()
@@ -217,13 +233,14 @@ class ChannelRegistry:
     def register(self, a, b):
         if is_server(a) and is_server(b):
             raise ChannelError(f"servers may not communicate: {a} <-> {b}")
-        self._edges.add(frozenset((a, b)))
+        self._edges.update(((a, b), (b, a)))
 
     def send(self, message):
         """Record `message`, or refuse it whole if a receiver has no channel."""
+        sender = message.sender
         for r in message.receivers:
-            if frozenset((message.sender, r)) not in self._edges:
-                raise ChannelError(f"no channel {message.sender} -> {r}")
+            if (sender, r) not in self._edges:
+                raise ChannelError(f"no channel {sender} -> {r}")
         self.transcript.record(message)
 
 
@@ -241,7 +258,7 @@ class PartyView:
         self.received_qubits += message.qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BranchRecord:
     """One teleport hop. `measured` is False for a Pauli-frame hop, whose
     uniform `probs` are the known law of a Bell measurement, not amplitudes
@@ -252,6 +269,10 @@ class BranchRecord:
     probs: tuple
     outcome: tuple
     measured: bool = True
+
+    def __init__(self, step, qubit_slot, probs, outcome, measured=True):
+        self.__dict__.update(step=step, qubit_slot=qubit_slot, probs=probs, outcome=outcome,
+                             measured=measured)
 
 
 BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -14,8 +14,10 @@ def apply_1q(state, m, u00, u01, u10, u11):
     v = state.reshape(-1, 2, 1 << m)
     a = v[:, 0, :].copy()
     b = v[:, 1, :]
-    v[:, 0, :] = u00 * a + u01 * b
-    v[:, 1, :] = u10 * a + u11 * b
+    # each row's sum goes straight into the state: the same products and
+    # the same additions as `v[:, r, :] = ... + ...`, without its temporary
+    np.add(u00 * a, u01 * b, out=v[:, 0, :])
+    np.add(u10 * a, u11 * b, out=b)
 
 
 def apply_diag1(state, m, d0, d1):
@@ -52,10 +54,11 @@ def gather_pair(state, m1, m2):
 def gather_bit(state, m, bit):
     """State restricted to the given value of bit m, that bit removed."""
     v = state.reshape(-1, 2, 1 << m)
-    return v[:, bit, :].reshape(-1).copy()
+    return v[:, bit, :].flatten()
 
 
 def prob_bit1(state, m):
     v = state.reshape(-1, 2, 1 << m)
     sl = v[:, 1, :]
-    return float(np.sum(sl.real * sl.real + sl.imag * sl.imag))
+    # ndarray.sum is np.sum's add.reduce without its Python wrapper
+    return float((sl.real * sl.real + sl.imag * sl.imag).sum())

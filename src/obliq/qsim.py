@@ -9,12 +9,14 @@ the OBLIQ_MAX_QUBITS environment variable (22 when unset), and an input
 state one check, `as_state`.
 """
 
+import math
 import os
 from functools import lru_cache
 
 import numpy as np
 
 from . import kernels
+from .gates import as_bits
 
 DEFAULT_MAX_QUBITS = 22
 MAX_QUBITS_ENV = "OBLIQ_MAX_QUBITS"
@@ -52,13 +54,15 @@ def default_max_qubits():
 
 
 def as_state(psi, n=None):
-    """`psi` as a flat complex128 vector; raises a ValueError unless it has
-    2^n amplitudes (any power of two >= 2 when n is None) and its norm is
-    within 1e-9 of 1."""
+    """`psi` as a complex128 vector; raises a ValueError unless it is one
+    vector (a matrix or a scalar names its shape), has 2^n amplitudes (any
+    power of two >= 2 when n is None) and its norm is within 1e-9 of 1."""
     vec = np.asarray(psi)
     if vec.dtype.kind not in "biufc":
         raise ValueError(f"psi is a {type(psi).__name__}, not a vector of amplitudes")
-    vec = vec.astype(np.complex128, copy=False).reshape(-1)
+    if vec.ndim != 1:
+        raise ValueError(f"psi has shape {vec.shape}, not a vector of amplitudes")
+    vec = vec.astype(np.complex128, copy=False)
     if n is None:
         k = vec.size.bit_length() - 1
         if k < 1 or vec.size != 1 << k:
@@ -288,8 +292,8 @@ class StateRegister:
         """
         if q1 is q2 or q1 == q2:
             raise ValueError("bell_measure needs two distinct qubits")
-        if force is not None and (len(force) != 2 or any(v not in (0, 1) for v in force)):
-            raise ValueError(f"force={force!r} is not a pair of bits")
+        if force is not None:
+            force = _forced(force, pair=True)
         m1 = self._bitpos(q1)
         m2 = self._bitpos(q2)
         if m1 > m2:
@@ -305,17 +309,17 @@ class StateRegister:
             (s10 - s01) * _SQRT_HALF,   # (1, 1)
         )
         probs = tuple(
-            float(np.sum(c.real * c.real + c.imag * c.imag)) for c in branches
+            float((c.real * c.real + c.imag * c.imag).sum()) for c in branches
         )
         if force is not None:
             a, b = force
-            idx = (int(a) << 1) | int(b)
+            idx = (a << 1) | b
             if probs[idx] <= 1e-15:
                 raise ValueError(f"cannot postselect zero-probability branch {force}")
         else:
             idx = _sample_index(probs, rng)
             a, b = idx >> 1, idx & 1
-        self._amps = np.ascontiguousarray(branches[idx] / np.sqrt(probs[idx]))
+        self._amps = np.ascontiguousarray(branches[idx] / math.sqrt(probs[idx]))
         # release the later axis first so the earlier one stays valid
         first, second = (q1, q2) if self._axis[q1] > self._axis[q2] else (q2, q1)
         self._drop(first)
@@ -327,19 +331,19 @@ class StateRegister:
 
         Returns (bit, probability of that bit).
         """
-        if force is not None and force not in (0, 1):
-            raise ValueError(f"force={force!r} is not a bit")
+        if force is not None:
+            force = _forced(force, pair=False)
         m = self._bitpos(q)
         p1 = kernels.prob_bit1(self._amps, m)
         probs = (1.0 - p1, p1)
         if force is not None:
-            bit = int(force)
+            bit = force
             if probs[bit] <= 1e-15:
                 raise ValueError(f"cannot postselect zero-probability outcome {bit}")
         else:
             bit = _sample_index(probs, rng)
         part = kernels.gather_bit(self._amps, m, bit)
-        self._amps = part / np.sqrt(probs[bit])
+        self._amps = part / math.sqrt(probs[bit])
         self._drop(q)
         return bit, probs[bit]
 
@@ -353,19 +357,20 @@ class StateRegister:
     def probabilities_on(self, subset):
         """Exact computational-basis marginal over `subset` (given order)."""
         mat = self._subset_rows(subset)
-        return np.sum(mat.real**2 + mat.imag**2, axis=1)
+        re, im = mat.real, mat.imag
+        return (re * re + im * im).sum(axis=1)
 
     def _subset_rows(self, subset):
         """The amplitudes as a matrix: rows keyed by the bits of `subset`
         (given order), columns by the other qubits."""
         if not subset:
             raise ValueError("subset must be non-empty")
-        if len(set(id(q) for q in subset)) != len(subset):
+        if len({id(q) for q in subset}) != len(subset):
             raise ValueError("subset entries must be distinct")
         k = len(self._order)
         axes = [k - 1 - self._bitpos(q) for q in subset]
         rest = [a for a in range(k) if a not in axes]
-        t = np.transpose(self._amps.reshape((2,) * k), axes + rest)
+        t = self._amps.reshape((2,) * k).transpose(axes + rest)
         return t.reshape(1 << len(axes), -1)
 
 
@@ -398,6 +403,16 @@ def checked_phase(d):
     if abs(abs(d) - 1.0) > 1e-12:
         raise ValueError("diagonal entries must have unit modulus")
     return complex(d)
+
+
+def _forced(force, pair):
+    """`force` by the one bit rule (`gates.as_bits`): a pair of 0/1 ints when
+    `pair`, else one; anything else raises a ValueError naming it."""
+    try:
+        return as_bits(force, "force", 2) if pair else as_bits((force,), "force")[0]
+    except ValueError:
+        what = "a pair of bits" if pair else "a bit"
+        raise ValueError(f"force={force!r} is not {what}") from None
 
 
 def _sample_index(probs, rng):

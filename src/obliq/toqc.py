@@ -36,8 +36,10 @@ of re-deriving per value: `gates.qubit_pairs(n)` and its 0-based
 the shift bits and the CZ sign layer walks; `qsim._index_tables` per
 register dimension (the index vector and its popcount parities) for the
 gathers and sign passes; and the 8 T phases and 8 H powers in `layers`,
-validated at import so the per-qubit kernels skip the check. A draw turns
-each `rng.integers` row into a tuple with one `tolist()`.
+validated at import so the per-qubit kernels skip the check. A family
+draw is one `rng.integers` call for all its rows, turned into tuples with
+one `tolist()`. The run logs the stream each draw takes, so a branch walk's
+`restore` resets only the streams that moved since its snapshot.
 """
 
 import copy
@@ -68,7 +70,7 @@ from .layers import (  # noqa: F401
     apply_xz,
     apply_zx,
 )
-from .qsim import StateRegister
+from .qsim import StateRegister, _index_tables
 
 USER = "user"
 SERVER_A = "server-a"
@@ -136,18 +138,19 @@ def derive_cz_queries(fresh, n, shift, delta, coeff=None):
 def tcz_shift_delta(mask_x, ax_prev, ax):
     """Shift and delta of server B's round-j phase queries: shift by the X
     outcome bits of hops 2j-2 and 2j-1, offset where u matches mask + the
-    latest X outcome."""
-    return (tuple((a + p) % 2 for a, p in zip(ax, ax_prev)),
-            tuple((mx + a) % 2 for mx, a in zip(mask_x, ax)))
+    latest X outcome. Every input is a tuple of 0/1 ints, so a sum mod 2
+    is an XOR."""
+    return (tuple([a ^ p for a, p in zip(ax, ax_prev)]),
+            tuple([mx ^ a for mx, a in zip(mask_x, ax)]))
 
 
 def h_shift_delta(mask_x, mask_z, first, second):
     """Shift and delta of server A's round-j rotation queries from the (x
     bits, z bits) of hops 2j-1 and 2j: their sums drive the shift, the
-    masks and hop 2j's bits the offset."""
+    masks and hop 2j's bits the offset (0/1 ints, summed mod 2 by XOR)."""
     (ox1, oz1), (ox2, oz2) = first, second
-    return (tuple((a + b + c + d) % 2 for a, b, c, d in zip(ox2, oz2, ox1, oz1)),
-            tuple((a + b + c + d) % 2 for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)))
+    return (tuple([a ^ b ^ c ^ d for a, b, c, d in zip(ox2, oz2, ox1, oz1)]),
+            tuple([a ^ b ^ c ^ d for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)]))
 
 
 def ring_family_parts(width, prefix, family):
@@ -164,10 +167,14 @@ def cz_family_parts(prefix, family):
                   for u, v in UV_PAIRS])
 
 
-# One `rng.integers` call per family row, in this order: a seed's transcript
-# pins every drawn value and where it goes.
+# One `rng.integers` call per family, its rows in this order: a seed's
+# transcript pins every drawn value and where it goes. A bounded draw below
+# 2^32 takes 32-bit halves in turn and the generator keeps a spare half in
+# its state, so one call of k x n gives the rows and the final state of k
+# calls of n.
 def draw_ring_family(ring, rng, n):
-    return {u: tuple(rng.integers(0, ring, size=n).tolist()) for u in (0, 1)}
+    row0, row1 = rng.integers(0, ring, size=(2, n)).tolist()
+    return {0: tuple(row0), 1: tuple(row1)}
 
 
 draw_t_family = partial(draw_ring_family, 8)
@@ -175,8 +182,8 @@ draw_h_family = partial(draw_ring_family, 4)
 
 
 def draw_cz_family(rng, n):
-    npairs = n * (n - 1) // 2
-    return {uv: tuple(rng.integers(0, 2, size=npairs).tolist()) for uv in UV_PAIRS}
+    rows = rng.integers(0, 2, size=(4, n * (n - 1) // 2)).tolist()
+    return dict(zip(UV_PAIRS, map(tuple, rows)))
 
 
 # -- the data plane -------------------------------------------------------------
@@ -362,7 +369,9 @@ class ProtocolRun:
     and the one fresh (t, cz, h) family in flight, which a round uses
     before the next round draws its own, are the run's whole classical
     record: each party acts on the message it was just sent or on the
-    outcomes routed to it, which `outcomes(k)` reads off the records.
+    outcomes routed to it, which `outcomes(k)` reads off the records. A
+    third log, `drawn`, holds the stream handed to each draw: a user's
+    family draw, an unforced hop and the readout's measurement.
 
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
     everything up to hop k+1, or through the readout when k = 2m.
@@ -392,7 +401,13 @@ class ProtocolRun:
         self.server_a = ProtocolServer(SERVER_A, "a", rng_a)
         self.server_b = ProtocolServer(SERVER_B, "b", rng_b)
         self.rngs = [p.rng for p in self.parties] + [rng_a, rng_b]
+        self.drawn = []
         self.fresh = None
+
+    def _draw_from(self, rng):
+        """Log `rng` as the stream of the next draw; returns it."""
+        self.drawn.append(rng)
+        return rng
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits), read off its n branch records; zeros
@@ -422,7 +437,8 @@ class ProtocolRun:
     def open(self):
         """Step 1, then server A's round-1 layers up to its first hop."""
         user = self.users[0]
-        t, cz = draw_t_family(user.rng, self.n), draw_cz_family(user.rng, self.n)
+        rng = self._draw_from(user.rng)
+        t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
         self.fresh = (t, cz, None)
         parts, qubits = self._load_input()
         parts += t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)
@@ -440,7 +456,8 @@ class ProtocolRun:
         step = f"step-{2 * k}"
         server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
                              else (self.server_b, self.users[j - 1:j + 1]))
-        hopped = self.plane.hop(k, server.side, server.rng, outcomes)
+        rng = server.rng if outcomes is not None else self._draw_from(server.rng)
+        hopped = self.plane.hop(k, server.side, rng, outcomes)
         measured = self.plane.measured
         self.branch_records += [BranchRecord(step, s, probs, ab, measured)
                                 for s, (ab, probs) in enumerate(hopped, 1)]
@@ -473,7 +490,7 @@ class ProtocolRun:
         coeff = user.rounds.get(j)
         t = derive_t_queries(t_fresh, shift, delta, coeff=coeff and coeff.y)
         cz = derive_cz_queries(cz_fresh, self.n, shift, delta, coeff=coeff and coeff.z)
-        h = draw_h_family(user.rng, self.n)
+        h = draw_h_family(self._draw_from(user.rng), self.n)
         self.fresh = (t_fresh, cz_fresh, h)
         parts = (
             t_family_parts("t-query-rederived", t)
@@ -491,7 +508,8 @@ class ProtocolRun:
         step = f"step-{4 * j - 3}"
         prev, user = self.users[j - 2], self.users[j - 1]
         h = self._derived_h(j - 1)
-        t, cz = draw_t_family(user.rng, self.n), draw_cz_family(user.rng, self.n)
+        rng = self._draw_from(user.rng)
+        t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
         self.fresh = (t, cz, None)
         halves = [(prev, h_family_parts("h-query-rederived", h)),
                   (user, t_family_parts("t-query", t) + cz_family_parts("cz-query", cz))]
@@ -515,15 +533,15 @@ class ProtocolRun:
         step = f"step-{4 * m + 2}"
         ox, oz = self.outcomes(2 * m)
         # the residual X of each wire: its input mask and the last X outcome
-        xs = tuple((x + mx) % 2 for x, mx in zip(ox, reader.mask_x))
+        xs = tuple([x ^ mx for x, mx in zip(ox, reader.mask_x)])
         if self.classical_output:
-            raw, measured = self.plane.measure(n_circ, self.server_a.rng)
+            raw, measured = self.plane.measure(n_circ, self._draw_from(self.server_a.rng))
             self.registry.send(StepMessage(step, SERVER_A, (reader.name,),
                                            (ClassicalPart("output-bits", 1, measured),)))
             # step 4m+3: add back the residual X bits
             shift = xs[:n_circ]
-            self.output_bits = tuple(b ^ x for b, x in zip(measured, shift))
-            self.output_distribution = raw[np.arange(raw.size) ^ bits_index(shift)]
+            self.output_bits = tuple([b ^ x for b, x in zip(measured, shift)])
+            self.output_distribution = raw[_index_tables(raw.size)[0] ^ bits_index(shift)]
             self.output_density = None
         else:
             self.registry.send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ))
@@ -540,15 +558,20 @@ class ProtocolRun:
 
     def snapshot(self):
         """Everything a later hop changes: the plane's register and frame, the
-        rng states, the two logs by their lengths and the families in flight."""
-        return (*self.plane.snapshot(), [rng.bit_generator.state for rng in self.rngs],
-                len(self.branch_records), len(self.registry.transcript.records), self.fresh)
+        rng states, the three logs by their lengths and the families in
+        flight."""
+        return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
+                len(self.branch_records), len(self.registry.transcript.records),
+                len(self.drawn), self.fresh)
 
     def restore(self, snap):
-        reg, frame, rng_states, n_records, n_messages, self.fresh = snap
+        """Return to `snap`. Of the rng streams, only those the draw log
+        names since the snapshot are reset: no other stream has moved."""
+        reg, frame, rng_states, n_records, n_messages, n_drawn, self.fresh = snap
         self.plane.restore((reg, frame))
-        for rng, state in zip(self.rngs, rng_states):
-            rng.bit_generator.state = state
+        for rng in dict.fromkeys(self.drawn[n_drawn:]):
+            rng.bit_generator.state = rng_states[rng]
+        del self.drawn[n_drawn:]
         del self.branch_records[n_records:]
         del self.registry.transcript.records[n_messages:]
 
@@ -660,9 +683,8 @@ class _ToqcRun(ProtocolRun):
             for j, c in zip(tcz_delta_coeff, coeffs)
         }
         streams = streams or make_streams(seed)
-        # the masks are the first draws from the user's stream
-        mask_x, mask_z = (tuple(streams.user.integers(0, 2, size=n).tolist())
-                          for _ in "xz")
+        # the masks are the first draws from the user's stream, x then z
+        mask_x, mask_z = map(tuple, streams.user.integers(0, 2, size=(2, n)).tolist())
         user = ProtocolUser(USER, streams.user, rounds, mask_x, mask_z)
         super().__init__(w, n_circ, [user] * (m + 1), (streams.server_a, streams.server_b),
                          classical_output=classical_output, **kw)

@@ -9,7 +9,7 @@ from obliq import oracle
 from obliq.gates import compile_parity, random_program, zero_program
 from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_file
 from obliq.oracle import basis_state
-from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, default_max_qubits
+from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, StateRegister, default_max_qubits
 from obliq.tgdmqc import (
     exhaustive_output_distribution,
     run_tgdmqc,
@@ -264,3 +264,30 @@ def test_audit_mask_average_rejects_unnormalized_psi():
 def test_toy_state_checked(no_messages, psi):
     with pytest.raises(ValueError, match="^psi "):
         run_toy(1, psi, seed=0)
+
+
+def _toqc_psi(psi):
+    return run_toqc(random_program(N, M, np.random.default_rng(105)), psi=psi, seed=106)
+
+
+def _ideal_output(psi):
+    return oracle.ideal_output(random_program(N, M, np.random.default_rng(107)), psi, 1)
+
+
+def _alloc_state(psi):
+    return StateRegister().alloc_state(psi)
+
+
+@pytest.mark.parametrize("psi,shape", [
+    (np.array([[1, 0], [0, 0]]), r"\(2, 2\)"),
+    (np.array([[1], [0]]), r"\(2, 1\)"),
+    (np.array([[0.6, 0.8]]), r"\(1, 2\)"),
+    (np.array(1.0), r"\(\)"),
+], ids=["density-matrix", "column", "row", "scalar"])
+@pytest.mark.parametrize("call", [_toqc_psi, _ideal_output, _alloc_state],
+                         ids=["run-toqc", "ideal-output", "alloc-state"])
+def test_state_that_is_not_one_vector_named(no_messages, call, psi, shape):
+    # a one-qubit density matrix has the four entries and the norm of a
+    # two-qubit state: it must not be read as one
+    with pytest.raises(ValueError, match=fr"^psi has shape {shape}, not a vector of amplitudes$"):
+        call(psi)

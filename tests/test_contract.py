@@ -15,7 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from obliq.gates import compile_parity, random_program
-from obliq.harness import BELL_OUTCOMES, ChannelRegistry, Verdict, audit_transcript_file
+from obliq.harness import (
+    BELL_OUTCOMES,
+    ChannelRegistry,
+    ClassicalPart,
+    Verdict,
+    audit_transcript_file,
+)
 from obliq.oracle import basis_state, ideal_output, outcome_distribution, random_state
 from obliq.tgdmqc import run_tgdmqc
 from obliq.toqc import RunResult, run_toqc
@@ -188,3 +194,42 @@ def test_compile_parity(bits):
 @given(n=shape_ints(), m=shape_ints())
 def test_audit_transcript_file(n, m):
     holds(lambda a, b: audit_transcript_file(TEXT, "toqc", a, b, 1), n, m)
+
+
+PART_FORMS = (int, np.int64, np.uint8, np.int8)
+
+
+@st.composite
+def wire_parts(draw):
+    """A wire part's (width, values): widths 0-4, values in mixed int,
+    numpy int and numpy bool forms, or with one entry out of range by one
+    or a float twin. The canonical value is the values as Python ints, or
+    MISS when the width or an entry is a near miss."""
+    width = draw(st.sampled_from((0, 1, 2, 3, 4, np.int64(2), 2.0, True)))
+    valid_width = width in (1, 2, 3) and not isinstance(width, float)
+    top = 1 << int(width) if valid_width else 2
+    ints = draw(st.lists(st.integers(0, top - 1), max_size=4))
+    forms = PART_FORMS + ((bool, np.bool_) if top == 2 else ())
+    values = [draw(st.sampled_from(forms))(v) for v in ints]
+    kind = draw(st.sampled_from(("valid", "valid", "low", "high", "float")))
+    if ints and kind != "valid":
+        i = draw(st.integers(0, len(ints) - 1))
+        miss = {"low": -1, "high": top, "float": float(ints[i])}[kind]
+        values[i] = draw(st.sampled_from((int, np.int64)))(miss) if kind != "float" else miss
+    else:
+        kind = "valid"
+    values = draw(st.sampled_from((tuple, list)))(values)
+    return width, values, (tuple(ints) if valid_width and kind == "valid" else MISS)
+
+
+@CONTRACT
+@given(part=wire_parts())
+def test_classical_part(part):
+    width, values, canonical = part
+    if canonical is MISS:
+        with pytest.raises(ValueError, match=r"^q-part: "):
+            ClassicalPart("q-part", width, values)
+    else:
+        got = ClassicalPart("q-part", width, values)
+        assert got.values == canonical
+        assert all(type(v) is int for v in got.values)

@@ -294,6 +294,45 @@ def test_measure_z_rejects_a_force_that_is_not_a_bit(force):
     assert reg.amplitudes().tobytes() == before.tobytes() and reg.num_live == 1
 
 
+@pytest.mark.parametrize("force", [0.0, 1.0, np.float64(1), "1"], ids=repr)
+def test_measure_z_rejects_the_float_twin_of_a_bit(force):
+    reg = StateRegister()
+    q = reg.alloc_state(random_qubit(RNG))
+    before = reg.amplitudes()
+    with pytest.raises(ValueError, match=re.escape(f"force={force!r} is not a bit")):
+        reg.measure_z(q[0], force=force)
+    assert reg.amplitudes().tobytes() == before.tobytes() and reg.num_live == 1
+
+
+@pytest.mark.parametrize("force", [(1.0, 0), (0, np.float64(1)), [0.0, 0.0], "01", 3],
+                         ids=repr)
+def test_bell_measure_rejects_the_float_twins_of_bits(force):
+    reg = StateRegister()
+    q1, q2 = reg.alloc_bell_pair()
+    before = reg.amplitudes()
+    with pytest.raises(ValueError, match=re.escape(f"force={force!r} is not a pair of bits")):
+        reg.bell_measure(q1, q2, force=force)
+    assert reg.amplitudes().tobytes() == before.tobytes() and reg.num_live == 2
+
+
+def test_forced_outcomes_take_numpy_ints_and_bools():
+    psi = np.kron(random_qubit(np.random.default_rng(21)), random_qubit(np.random.default_rng(22)))
+    results = []
+    for bit in (1, np.int64(1), np.bool_(True), True):
+        reg = StateRegister()
+        q = reg.alloc_state(psi)
+        results.append((reg.measure_z(q[0], force=bit), reg.amplitudes().tobytes()))
+    assert all(r == results[0] for r in results) and type(results[0][0][0]) is int
+    results = []
+    for pair in ((1, 0), (np.int64(1), np.bool_(False)), np.array([1, 0]), [True, 0]):
+        reg = StateRegister()
+        q = reg.alloc_state(psi)
+        a, b, probs = reg.bell_measure(q[0], q[1], force=pair)
+        results.append(((a, b), probs, reg.amplitudes().tobytes()))
+    assert all(r == results[0] for r in results) and results[0][0] == (1, 0)
+    assert all(type(v) is int for v in results[0][0])
+
+
 @pytest.mark.parametrize("force", [(2, 0), (0, -1), (1, 0.5), (0,), (0, 1, 1)])
 def test_bell_measure_rejects_a_force_that_is_not_bits(force):
     reg = StateRegister()

@@ -32,7 +32,7 @@ from obliq.tgdmqc import (
     user_name,
     verify_against_ideal,
 )
-from obliq.toqc import derive_t_queries
+from obliq.toqc import ProtocolRun, ProtocolUser, derive_t_queries
 
 
 def random_rounds(n, m, seed):
@@ -121,6 +121,81 @@ def test_restore_returns_run_to_its_snapshot(eager_bell):
             run.hop(k, combo)
         run.restore(snap)
         assert state() == before
+
+
+class _CountedBitGenerator:
+    """A bit generator's `state`, counting the writes to it."""
+
+    def __init__(self, bit_generator):
+        self._bit_generator = bit_generator
+        self.writes = 0
+
+    @property
+    def state(self):
+        return self._bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.writes += 1
+        self._bit_generator.state = value
+
+
+class _CountedStream:
+    """A Generator that counts its draws and its state writes."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = _CountedBitGenerator(self._rng.bit_generator)
+        self.draws = 0
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self):
+        self.draws += 1
+        return self._rng.random()
+
+
+def test_restore_resets_only_the_streams_drawn_since_the_snapshot():
+    # the walk's every restore returns each stream to its snapshot state,
+    # and writes no stream that drew nothing since that snapshot
+    n, m = 1, 2
+    w = random_program(n, m, np.random.default_rng(73))
+    rounds = random_rounds(n, m, 74)
+    # the tgdmqc configuration (`tgdmqc._Run`) on counting streams
+    streams = [_CountedStream(s) for s in range(m + 3)]
+    held = [{j: r} for j, r in enumerate(rounds, 1)] + [{}]
+    users = [ProtocolUser(user_name(j), streams[j - 1], held[j - 1], (0,) * n, (0,) * n)
+             for j in range(1, m + 2)]
+    run = ProtocolRun(w, 1, users, streams[m + 1:])
+    saved = []
+    snapshot, restore = run.snapshot, run.restore
+
+    def snapshot_and_states():
+        snap = snapshot()
+        saved.append((snap, [s.bit_generator.state for s in streams],
+                      [s.draws for s in streams]))
+        return snap
+
+    def restore_and_check(snap):
+        _, states, draws = next(entry for entry in saved if entry[0] is snap)
+        writes = [s.bit_generator.writes for s in streams]
+        restore(snap)
+        assert [s.bit_generator.state for s in streams] == states
+        for s, before, drawn in zip(streams, writes, draws):
+            if s.draws == drawn:
+                assert s.bit_generator.writes == before
+
+    run.snapshot, run.restore = snapshot_and_states, restore_and_check
+    leaves = sum(1 for _ in run.leaves())
+    assert leaves == 4 ** (2 * n * m)
+    # server A measures at every leaf and users 1 and 2 draw after hops 1
+    # to 3; the fully forced walk never draws from server B or user 3
+    server_a, server_b = streams[m + 1:]
+    assert server_a.bit_generator.writes > 0 and users[1].rng.bit_generator.writes > 0
+    assert server_b.draws == server_b.bit_generator.writes == 0
+    assert users[m].rng.draws == users[m].rng.bit_generator.writes == 0
 
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
