@@ -44,10 +44,6 @@ def matrix_of(name, power=1):
     return np.linalg.matrix_power(base, p)
 
 
-def h_power(k):
-    return matrix_of("H", k)
-
-
 # -- program model -----------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -144,10 +140,6 @@ def zero_round(n):
     return ProgramRound((0,) * n, (0,) * n, (0,) * (n * (n - 1) // 2))
 
 
-def ones_round(n):
-    return ProgramRound((1,) * n, (1,) * n, (1,) * (n * (n - 1) // 2))
-
-
 @dataclass(frozen=True)
 class Program:
     n: int
@@ -169,7 +161,8 @@ class Program:
 
 def identity_program(n, m):
     """The program whose every exponent entry is 1 (identity of the product)."""
-    return Program(n, tuple(ones_round(n) for _ in range(m)))
+    one = ProgramRound((1,) * n, (1,) * n, (1,) * (n * (n - 1) // 2))
+    return Program(n, (one,) * m)
 
 
 def zero_program(n, m):
@@ -237,7 +230,7 @@ def round_unitary_apply(reg, qubits, rnd):
     for s in range(n):
         xp = rnd.x[s] % 4
         if xp:
-            reg.apply_1q(qubits[s], h_power(xp))
+            reg.apply_1q(qubits[s], matrix_of("H", xp))
 
 
 # -- program text format ------------------------------------------------------
@@ -307,84 +300,6 @@ def load_program(path):
 def save_program(w, path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_program(w))
-
-
-# -- CNOT from the universal set ----------------------------------------------
-
-@dataclass(frozen=True)
-class GateFactor:
-    """A single factor: gate name, which wire(s) of (s, t), and a power."""
-
-    name: str
-    on: str      # "s", "t" or "st"
-    power: int
-
-
-# Factor lists are written in matrix order (leftmost factor applied last).
-UNSIGNED_CNOT_FACTORS = (
-    GateFactor("T", "t", 4),
-    GateFactor("H", "t", 1),
-    GateFactor("CZ", "st", 1),
-    GateFactor("T", "t", 4),
-    GateFactor("H", "t", 1),
-)
-
-SIGNED_CNOT_FACTORS = (
-    GateFactor("H", "t", 1),
-    GateFactor("CZ", "st", 1),
-    GateFactor("T", "t", 4),
-    GateFactor("H", "t", 1),
-    GateFactor("T", "t", 4),
-)
-
-
-def cnot_via_universal_set(signed=True):
-    """CNOT decompositions over {H, T, CZ} on wires (s, t) = (control, target).
-
-    Returns (factors, sign): the unsigned variant multiplies out to exactly
-    +CNOT. The signed variant is returned with sign -1 as claimed for it; see
-    factors_matrix to multiply a sequence out.
-    """
-    if signed:
-        return SIGNED_CNOT_FACTORS, -1
-    return UNSIGNED_CNOT_FACTORS, +1
-
-
-def factor_matrix(f):
-    """The 4x4 matrix of one factor on wires (s, t), s = first tensor slot."""
-    if f.name == "CZ":
-        return matrix_of("CZ", f.power)
-    g = matrix_of(f.name, f.power)
-    ident = np.eye(2, dtype=np.complex128)
-    if f.on == "s":
-        return np.kron(g, ident)
-    if f.on == "t":
-        return np.kron(ident, g)
-    raise ValueError(f"single-qubit factor cannot act on {f.on!r}")
-
-
-def factors_matrix(factors):
-    """Multiply a factor list (matrix order) into a single 4x4 matrix."""
-    out = np.eye(4, dtype=np.complex128)
-    for f in factors:
-        out = out @ factor_matrix(f)
-    return out
-
-
-def apply_factors(reg, qs, qt, factors):
-    """Apply a factor list to register qubits; rightmost factor first."""
-    for f in reversed(factors):
-        if f.name == "CZ":
-            reg.apply_cz(qs, qt, f.power)
-        else:
-            target = qs if f.on == "s" else qt
-            reg.apply_1q(target, matrix_of(f.name, f.power))
-
-
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    dtype=np.complex128,
-)
 
 
 # -- parity example program ---------------------------------------------------

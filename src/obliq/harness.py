@@ -342,7 +342,7 @@ def expected_tgdmqc_steps(n, m, n_circ):
 LEDGER_LABELS = ("upload_bits", "upload_qubits", "download_bits", "download_qubits")
 
 
-def _check_ledger(name, ledger, expect, transcript=None, step_table=None):
+def _check_ledger(name, ledger, expect, transcript, step_table):
     v = Verdict(name, True)
     for label, got, want in zip(LEDGER_LABELS, ledger.totals(), expect):
         if got != want:
@@ -352,31 +352,30 @@ def _check_ledger(name, ledger, expect, transcript=None, step_table=None):
         if not ledger.matches_transcript(transcript):
             v.ok = False
             v.details.append("ledger does not equal the transcript column sums")
-        if step_table is not None:
-            seen = {}
-            for rec in transcript.records:
-                msg = rec.message
-                b, q = seen.get(msg.step, (0, 0))
-                seen[msg.step] = (b + msg.bits, q + msg.qubits)
-            for step, (_, bits, qubits) in step_table.items():
-                got = seen.get(step)
-                if got is None:
-                    v.ok = False
-                    v.details.append(f"{step}: missing from the transcript")
-                elif got != (bits, qubits):
-                    v.ok = False
-                    v.details.append(
-                        f"{step}: got {got[0]} bits / {got[1]} qubits, "
-                        f"expected {bits} / {qubits}"
-                    )
-            for step in seen:
-                if step not in step_table:
-                    v.ok = False
-                    v.details.append(f"{step}: unexpected transcript step")
-            labels = [step for step in transcript.step_labels() if step in step_table]
-            if labels != sorted(labels, key=list(step_table).index):
+        seen = {}
+        for rec in transcript.records:
+            msg = rec.message
+            b, q = seen.get(msg.step, (0, 0))
+            seen[msg.step] = (b + msg.bits, q + msg.qubits)
+        for step, (_, bits, qubits) in step_table.items():
+            got = seen.get(step)
+            if got is None:
                 v.ok = False
-                v.details.append(f"steps out of order: {' '.join(labels)}")
+                v.details.append(f"{step}: missing from the transcript")
+            elif got != (bits, qubits):
+                v.ok = False
+                v.details.append(
+                    f"{step}: got {got[0]} bits / {got[1]} qubits, "
+                    f"expected {bits} / {qubits}"
+                )
+        for step in seen:
+            if step not in step_table:
+                v.ok = False
+                v.details.append(f"{step}: unexpected transcript step")
+        labels = [step for step in transcript.step_labels() if step in step_table]
+        if labels != sorted(labels, key=list(step_table).index):
+            v.ok = False
+            v.details.append(f"steps out of order: {' '.join(labels)}")
     return v
 
 
@@ -439,7 +438,7 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
 MASK_AVERAGE_MAX_N = 6
 
 
-def audit_mask_average(psi, tol=1e-12):
+def audit_mask_average(psi):
     """Average the masked input over all 4^n per-qubit ZX masks.
 
     The average must be the maximally mixed state; that makes the uploaded
@@ -461,7 +460,7 @@ def audit_mask_average(psi, tol=1e-12):
         acc += np.outer(v, v.conj())
     acc /= 4**n
     dist = trace_distance(acc, np.eye(1 << n) / (1 << n))
-    v = Verdict("mask-average", dist <= tol)
+    v = Verdict("mask-average", dist <= 1e-12)
     v.details.append(f"trace distance to I/2^n: {dist:.3e}")
     return v
 
@@ -503,7 +502,7 @@ def audit_query_uniformity(equation_audits):
     return v
 
 
-def audit_bell_uniformity(branch_records, tol=1e-12):
+def audit_bell_uniformity(branch_records):
     """Every measured Bell branch probability must be exactly 1/4.
 
     Pauli-frame hops measure no amplitudes, so they are counted as not
@@ -517,7 +516,7 @@ def audit_bell_uniformity(branch_records, tol=1e-12):
         if not measured:
             return v
     worst = max((abs(p - 0.25) for rec in measured for p in rec.probs), default=0.0)
-    v.ok = worst <= tol
+    v.ok = worst <= 1e-12
     v.details.append(f"max |prob - 1/4|: {worst:.3e} over {len(measured)} measurements")
     return v
 

@@ -11,7 +11,7 @@ per-gate references of the fused passes.
 
 import numpy as np
 
-from .gates import h_power, matrix_of, pair_table, qubit_pairs
+from .gates import matrix_of, pair_table, qubit_pairs
 from .qsim import checked_1q, checked_phase
 
 
@@ -22,7 +22,7 @@ def t_phase(k):
 # validated once here, so the hot Pauli, phase and rotation updates skip the
 # check
 _X = checked_1q(matrix_of("X"))
-_H_POWERS = tuple(checked_1q(h_power(e)) for e in range(8))
+_H_POWERS = tuple(checked_1q(matrix_of("H", e)) for e in range(8))
 _T_PHASES = tuple(checked_phase(t_phase(k)) for k in range(8))
 
 

@@ -76,8 +76,8 @@ def as_state(psi, n=None):
 
 
 class StateRegister:
-    def __init__(self, max_qubits=None):
-        self.max_qubits = default_max_qubits() if max_qubits is None else max_qubits
+    def __init__(self):
+        self.max_qubits = default_max_qubits()
         self._amps = np.ones(1, dtype=np.complex128)
         self._order = []          # axis -> handle
         self._axis = {}           # handle -> axis
@@ -440,19 +440,19 @@ def trace_distance(rho, sigma):
     return 0.5 * float(np.sum(np.abs(eig)))
 
 
-def check_density(rho, herm_tol=1e-12, trace_tol=1e-12, psd_tol=1e-10):
-    """Raise if rho is not a valid density matrix within the tolerances."""
+def check_density(rho):
+    """Raise if rho is not a valid density matrix."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("density matrix must be square")
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
+    if herm > 1e-12:
         raise ValueError(f"not Hermitian (deviation {herm:.2e})")
     tr = abs(np.trace(rho) - 1.0)
-    if tr > trace_tol:
+    if tr > 1e-12:
         raise ValueError(f"trace differs from 1 by {tr:.2e}")
     lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -psd_tol:
+    if lo < -1e-10:
         raise ValueError(f"negative eigenvalue {lo:.2e}")
     return rho
 

