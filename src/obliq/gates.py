@@ -33,7 +33,7 @@ def matrix_of(name, power=1):
         order = GATE_ORDER[name]
     except KeyError:
         raise ValueError(f"unknown gate name {name!r}") from None
-    p = power % order
+    p = as_ints((power,), "power")[0] % order
     if name == "T":
         return np.array([[1, 0], [0, np.exp(1j * np.pi * p / 4)]], dtype=np.complex128)
     if name == "H":
@@ -60,12 +60,16 @@ def pair_table(n):
 
 def as_ints(values, what):
     """`values` as a tuple of Python ints. Ints, bools and numpy integers and
-    bools pass; any other value, such as 1.7, raises a ValueError naming
-    `what` instead of being truncated."""
+    bools pass; any other value, such as 1.7, or a `values` that is not a
+    sequence raises a ValueError naming `what` instead of being truncated."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
         pass
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} is {values!r}, not a sequence of integers") from None
     out = []
     for v in values:
         try:
@@ -136,6 +140,24 @@ class ProgramRound:
             raise ValueError(f"round z must have {n * (n - 1) // 2} entries")
 
 
+def as_rounds(rounds, n, what):
+    """`rounds` as a tuple of ProgramRounds on n qubits; a non-sequence, an
+    entry that is not a ProgramRound or one of the wrong shape raises a
+    ValueError naming `what` or the entry."""
+    try:
+        rounds = tuple(rounds)
+    except TypeError:
+        raise ValueError(f"{what} is {rounds!r}, not a sequence of rounds") from None
+    for i, r in enumerate(rounds):
+        if not isinstance(r, ProgramRound):
+            raise ValueError(f"{what}[{i}] is a {type(r).__name__}, not a ProgramRound")
+        try:
+            r.check_shape(n)
+        except ValueError as exc:
+            raise ValueError(f"{what}[{i}]: {exc}") from None
+    return rounds
+
+
 def zero_round(n):
     return ProgramRound((0,) * n, (0,) * n, (0,) * (n * (n - 1) // 2))
 
@@ -146,13 +168,14 @@ class Program:
     rounds: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        if self.n < 1:
+        (n,) = as_ints((self.n,), "n")
+        if n < 1:
             raise ValueError("n must be >= 1")
-        if len(self.rounds) < 1:
-            raise ValueError("a program needs at least one round")
-        for r in self.rounds:
-            r.check_shape(self.n)
+        rounds = as_rounds(self.rounds, n, "rounds")
+        if not rounds:
+            raise ValueError("rounds is empty: a program needs at least one round")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rounds", rounds)
 
     @property
     def m(self):
@@ -186,6 +209,7 @@ def program_product(w, w2):
 
 def split_program(w, m1):
     """Split into the first m1 rounds and the rest (both nonempty)."""
+    (m1,) = as_ints((m1,), "m1")
     if not 1 <= m1 < w.m:
         raise ValueError(f"m1 must satisfy 1 <= m1 < {w.m}")
     return Program(w.n, w.rounds[:m1]), Program(w.n, w.rounds[m1:])

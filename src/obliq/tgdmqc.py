@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, ProgramRound, bits_index, check_n_circ, program_product
+from .gates import Program, as_rounds, bits_index, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -48,14 +48,9 @@ class _Run(ProtocolRun):
 
     def __init__(self, w, user_rounds, n_circ, seed, **kw):
         n, m = w.n, w.m
-        user_rounds = tuple(user_rounds)
+        user_rounds = as_rounds(user_rounds, n, "user_rounds")
         if len(user_rounds) != m:
             raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
-        for i, r in enumerate(user_rounds):
-            if not isinstance(r, ProgramRound):
-                raise ValueError(f"user_rounds[{i}] is a {type(r).__name__}, "
-                                 "not a ProgramRound")
-            r.check_shape(n)
         # streams 0..m are users 1..m+1 (user m+1 draws nothing), then A and B
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m + 3)]
         held = [{j: r} for j, r in enumerate(user_rounds, 1)] + [{}]

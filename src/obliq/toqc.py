@@ -664,15 +664,19 @@ class _ToqcRun(ProtocolRun):
 
         # all ones except for runs probing what a changed re-randomization
         # offset does to a round's phase layers
-        tcz_delta_coeff = tcz_delta_coeff or {}
-        outside = [j for j in tcz_delta_coeff if not 1 <= j <= m]
+        tcz_delta_coeff = {} if tcz_delta_coeff is None else tcz_delta_coeff
+        if not isinstance(tcz_delta_coeff, dict):
+            raise ValueError(f"tcz_delta_coeff is {tcz_delta_coeff!r}, "
+                             "not a dict of round: coefficient")
+        js = as_ints(tcz_delta_coeff, "tcz_delta_coeff rounds")
+        outside = [j for j in js if not 1 <= j <= m]
         if outside:
             raise ValueError(f"tcz_delta_coeff rounds {outside} are outside 1..{m}")
         npairs = n * (n - 1) // 2
         coeffs = as_ints(tcz_delta_coeff.values(), "tcz_delta_coeff")
         rounds = {
             j: ProgramRound((1,) * n, (c % 8,) * n, (c % 2,) * npairs)
-            for j, c in zip(tcz_delta_coeff, coeffs)
+            for j, c in zip(js, coeffs)
         }
         streams = streams or make_streams(seed)
         # the masks are the first draws from the user's stream, x then z

@@ -71,7 +71,10 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
     if force_branch is not None:
         ((force_branch,),) = cut_branch_plan([force_branch], 1, 1)
     if force_masks is not None:
-        fx, fz = force_masks
+        try:
+            fx, fz = force_masks
+        except (TypeError, ValueError):
+            raise ValueError(f"force_masks is {force_masks!r}, not a pair of bits") from None
         force_masks = _bit(fx, "mask_x"), _bit(fz, "mask_z")
     if rng is None:
         rng = np.random.default_rng(seed)

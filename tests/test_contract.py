@@ -14,7 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq.gates import compile_parity, random_program
+from obliq.gates import (
+    GATE_ORDER,
+    Program,
+    ProgramRound,
+    compile_parity,
+    matrix_of,
+    random_program,
+    split_program,
+    zero_round,
+)
 from obliq.harness import (
     BELL_OUTCOMES,
     ChannelRegistry,
@@ -135,13 +144,14 @@ def _refuse(self, message):
     raise AssertionError(f"{message.step} was sent before the input was checked")
 
 
-def holds(call, *args):
-    """The contract for `call` on the drawn (value, canonical) arguments."""
+def holds(call, *args, match=None):
+    """The contract for `call` on the drawn (value, canonical) arguments;
+    a near miss's ValueError must match `match` when it is given."""
     values = [v for v, _ in args]
     if any(c is MISS for _, c in args):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ChannelRegistry, "send", _refuse)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=match):
                 call(*values)
     else:
         want = _fingerprint(call(*[c for _, c in args]))
@@ -233,3 +243,130 @@ def test_classical_part(part):
         got = ClassicalPart("q-part", width, values)
         assert got.values == canonical
         assert all(type(v) is int for v in got.values)
+
+
+def int_forms(v):
+    """The forms an int v may take: int and numpy ints, and bools at 0, 1."""
+    return (int, np.int64, np.int32) + ((bool, np.bool_) if v in (0, 1) else ())
+
+
+@st.composite
+def int_values(draw, lo, hi):
+    """An int in [lo, hi] in some form, or a float twin, a half, a str or
+    None."""
+    v = draw(st.integers(lo, hi))
+    kind = draw(st.sampled_from(("valid", "valid", "valid", "float", "half", "str", "none")))
+    if kind == "valid":
+        return draw(st.sampled_from(int_forms(v)))(v), v
+    return {"float": float(v), "half": v + 0.5, "str": str(v), "none": None}[kind], MISS
+
+
+@st.composite
+def residue_vectors(draw, mod):
+    """Up to three residues mod `mod` in mixed forms as a tuple, list or
+    array, or with one entry out of range by one or a float twin, or a
+    value that is not a sequence of integers."""
+    ints = draw(st.lists(st.integers(0, mod - 1), max_size=3))
+    value = [draw(st.sampled_from(int_forms(v)))(v) for v in ints]
+    kind = draw(st.sampled_from(("valid", "valid", "entry", "type")))
+    if kind == "type":
+        return draw(st.sampled_from((5, None, 1.0, "01"))), MISS
+    if kind == "entry" and ints:
+        i = draw(st.integers(0, len(ints) - 1))
+        value[i] = draw(st.sampled_from((-1, mod, float(ints[i]))))
+    else:
+        kind = "valid"
+    value = draw(st.sampled_from((tuple, list, np.array)))(value)
+    return value, (tuple(ints) if kind == "valid" else MISS)
+
+
+@CONTRACT
+@given(x=residue_vectors(4), y=residue_vectors(8), z=residue_vectors(2))
+def test_program_round(x, y, z):
+    holds(lambda *v: repr(ProgramRound(*v)), x, y, z, match=r"^[xyz][ :]")
+
+
+@st.composite
+def programs(draw):
+    """A Program's (n, rounds): n in some form with one or two rounds of
+    width n as a tuple or list, or a near miss: n a float twin, a str or off
+    by one; rounds empty, not a sequence, a bare round, or with an entry
+    that is a plain tuple or of the wrong width."""
+    n = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rounds = list(random_program(n, draw(st.integers(1, 2)), rng).rounds)
+    n_value = draw(st.sampled_from((int, np.int64) + ((bool,) if n == 1 else ())))(n)
+    value = draw(st.sampled_from((tuple, list)))(rounds)
+    kind = draw(st.sampled_from(("valid", "valid", "n-float", "n-str", "n-off", "empty",
+                                 "type", "bare", "entry", "width")))
+    if kind.startswith("n-"):
+        n_value = {"n-float": float(n), "n-str": str(n),
+                   "n-off": n + draw(st.sampled_from((-1, 1)))}[kind]
+        return (n_value, MISS), (value, tuple(rounds))
+    if kind != "valid":
+        r = rounds[-1]
+        value = {"empty": (), "type": 5, "bare": r,
+                 "entry": tuple(rounds[:-1]) + ((r.x, r.y, r.z),),
+                 "width": tuple(rounds[:-1]) + (zero_round(3 - n),)}[kind]
+        return (n_value, n), (value, MISS)
+    return (n_value, n), (value, tuple(rounds))
+
+
+@CONTRACT
+@given(program=programs())
+def test_program(program):
+    holds(lambda n, r: repr(Program(n, r)), *program, match=r"^(n|rounds)\b")
+
+
+@CONTRACT
+@given(m1=shape_ints())
+def test_split_program(m1):
+    w = random_program(1, 4, np.random.default_rng(116))
+    holds(lambda k: repr(split_program(w, k)), m1, match=r"^m1\b")
+
+
+@CONTRACT
+@given(name=st.sampled_from(sorted(GATE_ORDER)), power=int_values(-9, 17))
+def test_matrix_of(name, power):
+    holds(lambda p: matrix_of(name, p), power, match=r"^power\b")
+
+
+@st.composite
+def delta_coeffs(draw, m):
+    """None, or a dict from rounds in 1..m (int or numpy form) to
+    coefficients (`int_values`), or a near miss: a round as a float twin or
+    out of 1..m by one, a bad coefficient, or no dict at all."""
+    kind = draw(st.sampled_from(("none", "dict", "dict", "round", "type")))
+    if kind == "none":
+        return None, None
+    if kind == "type":
+        return draw(st.sampled_from(([1], (1, 2), 5, "1"))), MISS
+    rounds = draw(st.lists(st.integers(1, m), unique=True, max_size=m))
+    keys = [draw(st.sampled_from((int, np.int64)))(j) for j in rounds]
+    coeffs = [draw(int_values(-9, 17)) for _ in rounds]
+    value = dict(zip(keys, (v for v, _ in coeffs)))
+    if kind == "round":
+        if rounds and draw(st.booleans()):
+            key = keys[0]
+            value = {float(key) if k is key else k: v for k, v in value.items()}
+        else:
+            value[draw(st.sampled_from((0, m + 1)))] = 0
+        return value, MISS
+    if any(c is MISS for _, c in coeffs):
+        return value, MISS
+    return value, {j: c for j, (_, c) in zip(rounds, coeffs)}
+
+
+@CONTRACT
+@given(coeff=delta_coeffs(2))
+def test_tcz_delta_coeff(coeff):
+    w = random_program(1, 2, np.random.default_rng(117))
+    holds(lambda c: run_toqc(w, basis_bits=(1,), seed=118, tcz_delta_coeff=c), coeff,
+          match=r"^tcz_delta_coeff\b")
+
+
+@CONTRACT
+@given(y=int_values(-9, 17), masks=st.one_of(st.just((None, None)), bit_vectors(2)))
+def test_run_toy_y_and_masks(y, masks):
+    holds(lambda v, mk: run_toy(v, basis_state(1, (1,)), seed=119, force_masks=mk), y, masks,
+          match=r"^(y|force_masks|mask_[xz])\b")
