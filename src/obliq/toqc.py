@@ -762,7 +762,7 @@ def _ring_audit(name, ring, setting_a, setting_b):
     def derive(q, setting):
         sh, dl, co = setting
         fresh = {u: [0] * len(sh) for u in (0, 1)}
-        fresh[sh[0] % 2][0] = q
+        fresh[sh[0]][0] = q
         return derive_ring_queries(ring, fresh, sh, dl, coeff=co)[0][0]
 
     return QueryEquationAudit(name, ring, derive, setting_a, setting_b)
@@ -772,7 +772,7 @@ def _cz_audit(name, setting_a, setting_b):
     def derive(q, setting):
         sh, dl, co = setting
         fresh = {uv: (0,) for uv in UV_PAIRS}
-        fresh[(sh[0] % 2, sh[1] % 2)] = (q,)
+        fresh[sh] = (q,)
         return derive_cz_queries(fresh, 2, sh, dl, coeff=co)[(0, 0)][0]
 
     return QueryEquationAudit(name, 2, derive, setting_a, setting_b)
