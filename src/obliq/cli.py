@@ -21,6 +21,7 @@ from .qsim import CapacityError, trace_distance
 def _seed_or_new(args):
     if args.seed is None:
         args.seed = secrets.randbits(48)
+    args.seed = gates.as_seed(args.seed)
     print(f"seed={args.seed}")
     return args.seed
 

@@ -96,6 +96,36 @@ def as_bits(values, what, count=None):
     return tuple(map(int, values))
 
 
+def as_count(value, what):
+    """`value` as an int of at least 1 by the integer rule (`as_ints`);
+    anything else raises a ValueError naming `what`."""
+    (count,) = as_ints((value,), what)
+    if count < 1:
+        raise ValueError(f"{what} is {count}, not at least 1")
+    return count
+
+
+def as_seed(seed):
+    """`seed` for numpy's SeedSequence: None, a non-negative integer or a
+    sequence of them, each by the integer rule (`as_ints`), as None, an int
+    or a tuple of ints; anything else raises a ValueError naming seed."""
+    if seed is None:
+        return None
+    try:
+        (value,) = as_ints((seed,), "seed")
+        if value >= 0:
+            return value
+    except ValueError:
+        try:
+            values = as_ints(seed, "seed")
+            if min(values, default=0) >= 0:
+                return values
+        except ValueError:
+            pass
+    raise ValueError(f"seed is {seed!r}, not None, a non-negative integer "
+                     "or a sequence of them")
+
+
 def bits_index(bits):
     """The index of the basis state |bits>: the first bit is the most
     significant, as in every amplitude vector and distribution here."""
@@ -159,6 +189,7 @@ def as_rounds(rounds, n, what):
 
 
 def zero_round(n):
+    n = as_count(n, "n")
     return ProgramRound((0,) * n, (0,) * n, (0,) * (n * (n - 1) // 2))
 
 
@@ -168,9 +199,7 @@ class Program:
     rounds: tuple
 
     def __post_init__(self):
-        (n,) = as_ints((self.n,), "n")
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = as_count(self.n, "n")
         rounds = as_rounds(self.rounds, n, "rounds")
         if not rounds:
             raise ValueError("rounds is empty: a program needs at least one round")
@@ -184,11 +213,13 @@ class Program:
 
 def identity_program(n, m):
     """The program whose every exponent entry is 1 (identity of the product)."""
+    n, m = as_count(n, "n"), as_count(m, "m")
     one = ProgramRound((1,) * n, (1,) * n, (1,) * (n * (n - 1) // 2))
     return Program(n, (one,) * m)
 
 
 def zero_program(n, m):
+    n, m = as_count(n, "n"), as_count(m, "m")
     return Program(n, tuple(zero_round(n) for _ in range(m)))
 
 
@@ -222,6 +253,7 @@ def concat_programs(w1, w2):
 
 
 def random_program(n, m, rng):
+    n, m = as_count(n, "n"), as_count(m, "m")
     rounds = []
     for _ in range(m):
         rounds.append(

@@ -3,29 +3,67 @@
 All kernels address a qubit by its bit position ``m`` counted from the least
 significant bit of the amplitude index, so a length-``2**k`` state reshaped to
 ``(-1, 2, 2**m)`` exposes that qubit on the middle axis.
+
+The per-qubit gate kernels take operands built once per gate, so that a call
+is one numpy pass over the state, not a handful of small ones:
+
+- `apply_1q` takes the gate's two columns as (2, 1) arrays
+  (`columns_1q`); broadcast against the two rows of the state, two
+  multiplies and one add write both rows of the result;
+- `apply_diag1` takes a row slice and a factor (`phase_rows`): a scalar for
+  the one row whose phase is not 1, or a (2, 1) column when neither is.
+
+The results are byte for byte those of the per-row form (a copy of row 0,
+four scalar multiplies and two adds; one scalar multiply per phased row),
+but only because each product keeps its operand order: the gate entry
+first in `apply_1q`, the state first in `apply_diag1`. On numpy builds that
+dispatch complex multiplies to AVX-512 the two orders can differ in the last
+bit, and the one-call column multiply differs from the per-row one on
+2-amplitude states, which `apply_diag1` therefore multiplies per row.
+`tests/test_kernel_bytes.py` compares every bit position of 2 to 4,096
+amplitudes against the per-row form.
 """
 
 import numpy as np
 
 BACKEND = "numpy"
 
+_BOTH_ROWS = slice(0, 2)
 
-def apply_1q(state, m, u00, u01, u10, u11):
+
+def columns_1q(gate):
+    """`apply_1q`'s operand of a 2x2 gate: its two columns, each a
+    contiguous (2, 1) complex128 array."""
+    g = np.asarray(gate, dtype=np.complex128)
+    return np.ascontiguousarray(g[:, :1]), np.ascontiguousarray(g[:, 1:])
+
+
+def phase_rows(d0, d1):
+    """`apply_diag1`'s operand of diag(d0, d1): the rows whose phase is not
+    1, and their factor (a scalar for one row, a (2, 1) column for both)."""
+    if d0 == 1 and d1 == 1:
+        return slice(0, 0), 1.0
+    if d0 == 1:
+        return slice(1, 2), d1
+    if d1 == 1:
+        return slice(0, 1), d0
+    return _BOTH_ROWS, np.array([[d0], [d1]], dtype=np.complex128)
+
+
+def apply_1q(state, m, c0, c1):
     v = state.reshape(-1, 2, 1 << m)
-    a = v[:, 0, :].copy()
-    b = v[:, 1, :]
-    # each row's sum goes straight into the state: the same products and
-    # the same additions as `v[:, r, :] = ... + ...`, without its temporary
-    np.add(u00 * a, u01 * b, out=v[:, 0, :])
-    np.add(u10 * a, u11 * b, out=b)
+    # both products are taken before the add writes v
+    np.add(c0 * v[:, :1], c1 * v[:, 1:], out=v)
 
 
-def apply_diag1(state, m, d0, d1):
-    v = state.reshape(-1, 2, 1 << m)
-    if d0 != 1:
-        v[:, 0, :] *= d0
-    if d1 != 1:
-        v[:, 1, :] *= d1
+def apply_diag1(state, m, rows, d):
+    v = state.reshape(-1, 2, 1 << m)[:, rows]
+    if state.size == 2 and rows == _BOTH_ROWS:
+        # the column multiply would round differently here (module docstring)
+        state[:1] *= d[0, 0]
+        state[1:] *= d[1, 0]
+    else:
+        np.multiply(v, d, out=v)
 
 
 def apply_diag2(state, m1, m2, d00, d01, d10, d11):

@@ -12,18 +12,21 @@ per-gate references of the fused passes.
 import numpy as np
 
 from .gates import matrix_of, pair_table, qubit_pairs
-from .qsim import checked_1q, checked_phase
+from .qsim import checked_1q, checked_diag1, checked_phase
 
 
 def t_phase(k):
     return np.exp(1j * np.pi * (k % 8) / 4)
 
 
-# validated once here, so the hot Pauli, phase and rotation updates skip the
-# check
+# kernel operands built and validated once here, so the hot Pauli, phase
+# and rotation updates skip the check: X, Z, the 8 H powers, and diag(T^k0,
+# T^k1) for the 64 exponent pairs at 8 k0 + k1, from the 8 T phases
 _X = checked_1q(matrix_of("X"))
+_Z = checked_diag1(1.0, -1.0)
 _H_POWERS = tuple(checked_1q(matrix_of("H", e)) for e in range(8))
 _T_PHASES = tuple(checked_phase(t_phase(k)) for k in range(8))
+_T_PAIRS = tuple(checked_diag1(d0, d1) for d0 in _T_PHASES for d1 in _T_PHASES)
 
 
 def apply_masked_t_layer(reg, qubits, family, y_exps):
@@ -33,9 +36,9 @@ def apply_masked_t_layer(reg, qubits, family, y_exps):
     """
     for q, f0, f1, y in zip(qubits, family[0], family[1], y_exps):
         # u = 0 phases the |1> component, u = 1 the |0> component
-        k0, k1 = (f1 * y) % 8, (f0 * y) % 8
-        if k0 or k1:
-            reg.apply_checked_diag1(q, _T_PHASES[k0], _T_PHASES[k1])
+        k = ((f1 * y) % 8) * 8 + (f0 * y) % 8
+        if k:
+            reg.apply_checked_diag1(q, _T_PAIRS[k])
 
 
 def apply_masked_cz_layer(reg, qubits, family, z_exps):
@@ -103,12 +106,12 @@ def apply_zx(reg, qubit, x_bit, z_bit):
     if x_bit % 2:
         reg.apply_checked_1q(qubit, _X)
     if z_bit % 2:
-        reg.apply_diag1(qubit, 1.0, -1.0)
+        reg.apply_checked_diag1(qubit, _Z)
 
 
 def apply_xz(reg, qubit, x_bit, z_bit):
     """X^x Z^z: the Z phase first, then the X flip."""
     if z_bit % 2:
-        reg.apply_diag1(qubit, 1.0, -1.0)
+        reg.apply_checked_diag1(qubit, _Z)
     if x_bit % 2:
         reg.apply_checked_1q(qubit, _X)

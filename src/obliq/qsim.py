@@ -178,19 +178,19 @@ class StateRegister:
         """Apply a 2x2 unitary to one qubit; rejects non-unitary input."""
         self.apply_checked_1q(q, checked_1q(gate))
 
-    def apply_checked_1q(self, q, entries):
-        """Apply a gate already validated by `checked_1q`, without checking
-        it again; for fixed gate tables built once at import."""
-        kernels.apply_1q(self._amps, self._bitpos(q), *entries)
+    def apply_checked_1q(self, q, columns):
+        """Apply a gate operand built and validated by `checked_1q`, without
+        checking it again; for fixed gate tables built once at import."""
+        kernels.apply_1q(self._amps, self._bitpos(q), *columns)
 
     def apply_diag1(self, q, d0, d1):
         """Apply diag(d0, d1) to one qubit; entries must be unit modulus."""
-        self.apply_checked_diag1(q, checked_phase(d0), checked_phase(d1))
+        self.apply_checked_diag1(q, checked_diag1(d0, d1))
 
-    def apply_checked_diag1(self, q, d0, d1):
-        """Apply diag(d0, d1) with entries already validated by
-        `checked_phase`, without checking them again."""
-        kernels.apply_diag1(self._amps, self._bitpos(q), d0, d1)
+    def apply_checked_diag1(self, q, rows):
+        """Apply a diagonal operand built and validated by `checked_diag1`,
+        without checking it again."""
+        kernels.apply_diag1(self._amps, self._bitpos(q), *rows)
 
     def apply_cz(self, q1, q2, power=1):
         """Controlled-Z to the given power (phase -1 on |11> when power is odd)."""
@@ -387,15 +387,15 @@ def _index_tables(dim):
 
 
 def checked_1q(gate):
-    """The entries (u00, u01, u10, u11) of a 2x2 unitary; raises ValueError
-    if `gate` is not one."""
+    """The kernel operand (`kernels.columns_1q`) of a 2x2 unitary; raises
+    ValueError if `gate` is not one."""
     g = np.asarray(gate, dtype=np.complex128)
     if g.shape != (2, 2):
         raise ValueError("gate must be 2x2")
     err = np.abs(g @ g.conj().T - np.eye(2)).max()
     if err > 1e-12:
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
-    return g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    return kernels.columns_1q(g)
 
 
 def checked_phase(d):
@@ -403,6 +403,12 @@ def checked_phase(d):
     if abs(abs(d) - 1.0) > 1e-12:
         raise ValueError("diagonal entries must have unit modulus")
     return complex(d)
+
+
+def checked_diag1(d0, d1):
+    """The kernel operand (`kernels.phase_rows`) of diag(d0, d1); raises
+    ValueError unless both entries have unit modulus."""
+    return kernels.phase_rows(checked_phase(d0), checked_phase(d1))
 
 
 def _forced(force, pair):

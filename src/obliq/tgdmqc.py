@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, as_rounds, bits_index, check_n_circ, program_product
+from .gates import Program, as_count, as_rounds, as_seed, bits_index, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -52,7 +52,8 @@ class _Run(ProtocolRun):
         if len(user_rounds) != m:
             raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
         # streams 0..m are users 1..m+1 (user m+1 draws nothing), then A and B
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(m + 3)]
+        seeds = np.random.SeedSequence(as_seed(seed)).spawn(m + 3)
+        rngs = [np.random.default_rng(s) for s in seeds]
         held = [{j: r} for j, r in enumerate(user_rounds, 1)] + [{}]
         users = [ProtocolUser(user_name(j), rngs[j - 1], held[j - 1], (0,) * n, (0,) * n)
                  for j in range(1, m + 2)]
@@ -114,11 +115,16 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
 
 
 def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **kw):
-    """Empirical output distribution over independent honest runs."""
+    """Empirical output distribution over `runs` (at least 1) independent
+    honest runs; run i takes the seed `seed` followed by i."""
     n_circ = check_n_circ(n_circ, w.n)
+    runs = as_count(runs, "runs")
+    # numpy reads a nested seed (s, i) as the flat (*s, i): the same streams
+    seed = as_seed(seed)
+    base = seed if isinstance(seed, tuple) else (seed,)
     counts = np.zeros(1 << n_circ, dtype=float)
     for i in range(runs):
-        res = run_tgdmqc(w, user_rounds, n_circ, seed=(seed, i), **kw)
+        res = run_tgdmqc(w, user_rounds, n_circ, seed=(*base, i), **kw)
         counts[bits_index(res.output_bits)] += 1.0
     return counts / runs
 

@@ -19,11 +19,15 @@ only classical state; the data plane owns the register, the qubits and the
 servers' program. The default `PauliFrame` keeps only the n data qubits
 live and turns each hop into a Pauli update on them. Each hop and each Pauli
 pass is one gather plus one sign pass over the register, and each CZ layer
-one sign pass; the T and H layers stay per-qubit kernels, since fusing them
-would change the rounding. `eager_bell=True` selects the physical reference
-`BellStore`, which shares all 2mn Bell pairs before the run as in the paper
-(4mn + n live qubits). Both draw each unforced outcome with one
-`rng.random()` call, so a seed gives the same transcript under either.
+one sign pass. The T and H layers stay one kernel call per active qubit,
+since fusing them would change the rounding; each call is one numpy pass
+over a gate operand built at import (`kernels`). `eager_bell=True` selects
+the physical reference `BellStore`, which shares all 2mn Bell pairs before
+the run as in the paper (4mn + n live qubits). Both draw each unforced
+outcome from one uniform double, so a seed gives the same transcript under
+either; the frame takes a hop's n doubles in one `rng.random(n)` call,
+which yields the doubles and the final generator state of n
+`rng.random()` calls.
 
 Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
@@ -35,11 +39,12 @@ of re-deriving per value: `gates.qubit_pairs(n)` and its 0-based
 `gates.pair_table(n)` per n, which the pair derivation indexes by XOR of
 the shift bits and the CZ sign layer walks; `qsim._index_tables` per
 register dimension (the index vector and its popcount parities) for the
-gathers and sign passes; and the 8 T phases and 8 H powers in `layers`,
-validated at import so the per-qubit kernels skip the check. A family
-draw is one `rng.integers` call for all its rows, turned into tuples with
-one `tolist()`. The run logs the stream each draw takes, so a branch walk's
-`restore` resets only the streams that moved since its snapshot.
+gathers and sign passes; and the kernel operands in `layers` (X, Z, the 8
+H powers and the 64 T phase pairs), built and validated at import so the
+per-qubit kernels skip the check. A family draw is one `rng.integers` call
+for all its rows, turned into tuples with one `tolist()`. The run logs the
+stream each draw takes, so a branch walk's `restore` resets only the
+streams that moved since its snapshot.
 """
 
 import copy
@@ -48,7 +53,7 @@ from functools import partial
 
 import numpy as np
 
-from .gates import ProgramRound, as_bits, as_ints, bits_index, check_n_circ, pair_table
+from .gates import ProgramRound, as_bits, as_ints, as_seed, bits_index, check_n_circ, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -86,7 +91,9 @@ class RngStreams:
 
 
 def make_streams(seed):
-    ss = np.random.SeedSequence(seed)
+    """The user's and the two servers' generators, spawned from `seed` (the
+    one seed rule, `gates.as_seed`)."""
+    ss = np.random.SeedSequence(as_seed(seed))
     children = ss.spawn(3)
     return RngStreams(*(np.random.default_rng(c) for c in children))
 
@@ -205,7 +212,8 @@ class PauliFrame:
     Paulis and CZ layers do not round, so each is one exact whole-register
     pass: a hop or a Pauli pass is one gather amps[i ^ xmask] plus one sign
     pass (`StateRegister.apply_paulis`), and a CZ layer is one sign pass
-    (`apply_cz_sign_layer`). The T and H layers stay per qubit.
+    (`apply_cz_sign_layer`). The T and H layers stay per qubit, one kernel
+    pass each over a prebuilt operand.
     """
 
     # a hop draws from the known Bell law; it reads no amplitudes
@@ -241,9 +249,11 @@ class PauliFrame:
         """Apply hop k's frame update, forcing the outcomes when `forced`
         gives one per wire; returns each wire's (outcome, probs)."""
         if forced is None:
-            # one rng.random() per wire, as `_sample_index(BELL_UNIFORM, rng)`
-            # draws: its cumulative sums k/4 are exact, so it picks floor(4r)
-            forced = [divmod(int(rng.random() * 4), 2) for _ in self.data]
+            # one uniform per wire, as `_sample_index(BELL_UNIFORM, rng)`
+            # draws: its cumulative sums k/4 are exact, so it picks floor(4r).
+            # One rng.random(n) call gives the doubles and the final state of
+            # n rng.random() calls, whatever spare half `integers` left.
+            forced = [divmod(int(r * 4), 2) for r in rng.random(len(self.data)).tolist()]
         ab = [(a, b) for a, b in forced]
         queued = self._queued
         self._queued = ab if k < 2 * self.w.m else [(0, 0)] * len(ab)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_ints
+from .gates import as_ints, as_seed
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -63,8 +63,8 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
 
     `force_masks` fixes (mask_x, mask_z); `force_branch` postselects the Bell
     outcome (a, b). Unforced choices come from `rng` (or a fresh stream
-    seeded with `seed`). `y` is an integer, taken mod 8; each forced mask is
-    a bit.
+    seeded with `seed`, by `gates.as_seed`). `y` is an integer, taken mod
+    8; each forced mask is a bit.
     """
     y = as_ints((y,), "y")[0] % 8
     psi = as_state(psi, 1)
@@ -77,7 +77,7 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
             raise ValueError(f"force_masks is {force_masks!r}, not a pair of bits") from None
         force_masks = _bit(fx, "mask_x"), _bit(fz, "mask_z")
     if rng is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(as_seed(seed))
 
     registry = ChannelRegistry()
     registry.register("user", "server-a")

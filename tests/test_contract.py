@@ -9,19 +9,26 @@ before any message is sent; any other call gives exactly what the call on
 the canonical values gives, transcript and output bytes included.
 """
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from obliq import cli
 from obliq.gates import (
     GATE_ORDER,
     Program,
     ProgramRound,
     compile_parity,
+    identity_program,
     matrix_of,
     random_program,
+    save_program,
     split_program,
+    zero_program,
     zero_round,
 )
 from obliq.harness import (
@@ -32,7 +39,7 @@ from obliq.harness import (
     audit_transcript_file,
 )
 from obliq.oracle import basis_state, ideal_output, outcome_distribution, random_state
-from obliq.tgdmqc import run_tgdmqc
+from obliq.tgdmqc import run_tgdmqc, sampled_output_distribution
 from obliq.toqc import RunResult, run_toqc
 from obliq.toy import ToyResult, run_toy
 
@@ -370,3 +377,160 @@ def test_tcz_delta_coeff(coeff):
 def test_run_toy_y_and_masks(y, masks):
     holds(lambda v, mk: run_toy(v, basis_state(1, (1,)), seed=119, force_masks=mk), y, masks,
           match=r"^(y|force_masks|mask_[xz])\b")
+
+
+CONSTRUCTORS = {
+    "zero_program": zero_program,
+    "identity_program": identity_program,
+    "random_program": lambda n, m: random_program(n, m, np.random.default_rng(120)),
+}
+
+
+@CONTRACT
+@given(name=st.sampled_from(sorted(CONSTRUCTORS)), n=shape_ints(), m=shape_ints())
+def test_program_constructors(name, n, m):
+    holds(lambda a, b: repr(CONSTRUCTORS[name](a, b)), n, m, match=r"^[nm]\b")
+
+
+@CONTRACT
+@given(n=shape_ints())
+def test_zero_round(n):
+    holds(lambda a: repr(zero_round(a)), n, match=r"^n\b")
+
+
+@CONTRACT
+@given(runs=shape_ints())
+def test_sampled_output_distribution_runs(runs):
+    holds(lambda r: sampled_output_distribution(W, ROUNDS, 1, seed=121, runs=r), runs,
+          match=r"^runs\b")
+
+
+@st.composite
+def seeds(draw):
+    """A run seed: a non-negative int in some form, or a tuple, list or array
+    of them (the benchmark's (seed, i) among them), or a near miss: a
+    negative entry, a float twin, a half, a str or a nested sequence."""
+    ints = draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3))
+    values = [draw(st.sampled_from(int_forms(v)))(v) for v in ints]
+    kind = draw(st.sampled_from(("int", "int", "seq", "seq", "negative", "float",
+                                 "half", "str", "nested")))
+    if kind == "int":
+        return values[0], ints[0]
+    if kind == "seq":
+        return draw(st.sampled_from((tuple, list, np.array)))(values), tuple(ints)
+    miss = {"negative": -1 - ints[0], "float": float(ints[0]), "half": ints[0] + 0.5,
+            "str": str(ints[0]), "nested": (tuple(ints), 1)}[kind]
+    if draw(st.booleans()):
+        miss = (*ints, miss)
+    return miss, MISS
+
+
+RUNS = {
+    "run_toqc": lambda s: run_toqc(W, basis_bits=(1, 0), seed=s),
+    "run_tgdmqc": lambda s: run_tgdmqc(W, ROUNDS, 1, seed=s),
+    "run_toy": lambda s: run_toy(5, basis_state(1, (1,)), seed=s),
+}
+
+
+@CONTRACT
+@given(seed=seeds(), name=st.sampled_from(sorted(RUNS)))
+def test_run_seeds(seed, name):
+    holds(RUNS[name], seed, match=r"^seed\b")
+
+
+# -- the command line ------------------------------------------------------------
+# Argument vectors from the strategies above, rendered as tokens, with files
+# that are valid, of another shape, malformed or missing, and sometimes one
+# token dropped. Whatever the vector, `cli.main` ends with exit code 0, 1 or
+# 2 (an argparse usage error exits 2) and prints no traceback.
+
+ARGV = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(122)
+    files = {"w": W, "users": Program(N, ROUNDS), "wide": random_program(N + 1, M, rng),
+             "long": random_program(N, M + 1, rng)}
+    for name, program in files.items():
+        save_program(program, root / f"{name}.txt")
+    (root / "state.txt").write_text("0.5 0\n0 0.5\n-0.5 0\n0 -0.5\n")
+    (root / "bad.txt").write_text("1 1\n1.5\n0\n\n")
+    (root / "toqc.log").write_text(TEXT)
+    (root / "tgdmqc.log").write_text(run_tgdmqc(W, ROUNDS, seed=123).transcript.render())
+    return root
+
+
+def _token(value):
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (tuple, list)):
+        return "".join(map(_token, value))
+    return str(value)
+
+
+def _tokens(strategy):
+    return strategy.map(lambda drawn: _token(drawn[0]))
+
+
+SEEDS = _tokens(int_values(-2, 2**20))
+COUNTS = _tokens(shape_ints())
+
+
+@st.composite
+def argv_vectors(draw):
+    """A clean vector (every field valid), or one whose fields may each be a
+    near miss, with one token dropped now and then."""
+    clean = draw(st.booleans())
+
+    def field(valid, miss):
+        return draw(st.sampled_from(valid) if clean
+                    else st.one_of(st.sampled_from(valid), miss))
+
+    def flags(*names):
+        return [f for f in names if draw(st.booleans())]
+
+    command = draw(st.sampled_from(("toqc", "tgdmqc", "toy", "report", "audit")))
+    program = field(("w.txt",), st.sampled_from(("wide.txt", "long.txt", "bad.txt",
+                                                 "missing.txt")))
+    n_circ = field(("1", "2"), COUNTS)
+    if command == "toqc":
+        inp = field(("01", "10", "state.txt"),
+                    st.one_of(_tokens(bit_vectors(N)), st.sampled_from(("bad.txt", "x.txt"))))
+        args = ["--program", program, "--input", inp, "--n-circ", n_circ,
+                *flags("--classical-output", "--eager-bell")]
+    elif command == "tgdmqc":
+        users = field(("users.txt",), st.sampled_from(("long.txt", "missing.txt")))
+        args = ["--server-program", program, "--user-rounds", users, "--n-circ", n_circ,
+                *flags("--exhaustive-branches", "--eager-bell")]
+    elif command == "toy":
+        args = ["--y", field(tuple("01234567"), _tokens(int_values(-9, 17)))]
+    elif command == "report":
+        args = ["--max-n", field(("1", "2"), COUNTS), "--max-m", field(("1", "2"), COUNTS)]
+    else:
+        protocol = draw(st.sampled_from(("toqc", "tgdmqc")))
+        args = ["--transcript", field((f"{protocol}.log",), st.sampled_from(
+                    ("toqc.log", "tgdmqc.log", "bad.txt", "missing.txt"))),
+                "--protocol", field((protocol,), st.just("toq")),
+                "--n", field((str(N),), COUNTS), "--m", field((str(M),), COUNTS),
+                "--n-circ", n_circ]
+    if command != "audit":
+        args += ["--seed", field(tuple(map(str, range(5))), SEEDS)]
+    if not clean and draw(st.integers(0, 4)) == 0:
+        del args[draw(st.integers(0, len(args) - 1))]
+    return [command, *args]
+
+
+@ARGV
+@given(argv=argv_vectors())
+def test_cli_argument_vectors(cli_files, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.chdir(cli_files), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

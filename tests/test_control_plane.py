@@ -1,10 +1,10 @@
 """The classical control plane against per-value references.
 
-The query draws, the derivations, the T-phase table and the wire parts are
-written for speed (whole-row `tolist()` draws, XOR-indexed pair tables,
-`min`/`max` range checks). Each must still give exactly what the plain
-per-value code gives: the reference loops below are that code, kept here
-verbatim as the definition.
+The query draws, the hop draws, the derivations, the T-phase table and the
+wire parts are written for speed (whole-row `tolist()` draws, one uniform
+call per hop, XOR-indexed pair tables, `min`/`max` range checks). Each must
+still give exactly what the plain per-value code gives: the reference loops
+below are that code, kept here verbatim as the definition.
 """
 
 import itertools
@@ -12,12 +12,13 @@ import itertools
 import numpy as np
 import pytest
 
-from obliq.gates import ProgramRound, qubit_pairs, random_program
+from obliq.gates import ProgramRound, qubit_pairs, random_program, zero_program
 from obliq.harness import ClassicalPart
 from obliq.layers import _T_PHASES, t_phase
 from obliq.oracle import random_state
 from obliq.toqc import (
     UV_PAIRS,
+    PauliFrame,
     derive_cz_queries,
     derive_h_queries,
     derive_t_queries,
@@ -108,6 +109,24 @@ def test_draws_equal_the_generator_calls(n):
     assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
     assert all(type(v) is int for f in got for row in f.values() for v in row)
     assert rng.bit_generator.state == clone.bit_generator.state
+
+
+@pytest.mark.parametrize("spare", [0, 1, 3], ids=lambda k: f"{k}-integers-first")
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_hop_draw_equals_one_random_call_per_wire(n, spare):
+    # an odd count of bounded integer draws leaves a spare 32-bit half in
+    # the generator's state; the uniforms must neither use nor drop it
+    for seed in range(20):
+        rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng.integers(0, 8, size=spare)
+        clone.integers(0, 8, size=spare)
+        frame = PauliFrame(zero_program(n, 1))
+        frame.load()
+        got = frame.hop(1, "a", rng, None)
+        want = [divmod(int(clone.random() * 4), 2) for _ in range(n)]
+        assert [ab for ab, _ in got] == want
+        assert rng.bit_generator.state == clone.bit_generator.state
+        assert rng.integers(0, 8, size=3).tolist() == clone.integers(0, 8, size=3).tolist()
 
 
 def test_t_phase_table_equals_t_phase_bytes():

@@ -30,7 +30,7 @@ def test_apply_1q_matches_dense(backend, m):
     state = random_state(k, 1)
     want = embed_1q(u, k, m) @ state
     got = state.copy()
-    backend.apply_1q(got, m, u[0, 0], u[0, 1], u[1, 0], u[1, 1])
+    backend.apply_1q(got, m, *backend.columns_1q(u))
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -41,7 +41,7 @@ def test_apply_diag1_matches_dense(backend):
     state = random_state(k, 2)
     want = embed_1q(np.diag([d0, d1]), k, m) @ state
     got = state.copy()
-    backend.apply_diag1(got, m, d0, d1)
+    backend.apply_diag1(got, m, *backend.phase_rows(d0, d1))
     assert np.allclose(got, want, atol=1e-14)
 
 

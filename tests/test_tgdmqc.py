@@ -246,6 +246,15 @@ def test_sampled_agreement_n3_m3():
     assert total_variation(dist, ideal) < 0.05
 
 
+def test_sampled_runs_take_a_sequence_seed():
+    # run i of a tuple seed s draws the streams numpy gives the nested (s, i)
+    w = random_program(2, 1, np.random.default_rng(1))
+    rounds = random_program(2, 1, np.random.default_rng(2)).rounds
+    assert sampled_output_distribution(w, rounds, seed=(3, 4), runs=5).tolist() == [0.6, 0.4]
+    nested = np.random.SeedSequence(((3, 4), 2)).generate_state(4)
+    assert nested.tolist() == np.random.SeedSequence((3, 4, 2)).generate_state(4).tolist()
+
+
 def test_zero_y_prime_cancels_round_phases():
     # y'_j = 0 zeroes the product program's round-j phase exponents
     w = random_program(1, 1, np.random.default_rng(11))
