@@ -89,8 +89,7 @@ def cmd_toy(args):
     worst = 0.0
     for a in (0, 1):
         for b in (0, 1):
-            res = toy.run_toy(args.y, psi, rng=np.random.default_rng((seed, a, b)),
-                              force_branch=(a, b))
+            res = toy.run_toy(args.y, psi, seed=(seed, a, b), force_branch=(a, b))
             dist = trace_distance(res.output_density, np.outer(want, want.conj()))
             print(f"branch_{a}{b}_trace_distance={dist:.3e}")
             worst = max(worst, dist)
@@ -177,14 +176,12 @@ def cmd_audit(args):
 
 
 def cmd_report(args):
-    for flag, value in (("--max-n", args.max_n), ("--max-m", args.max_m)):
-        if value < 1:
-            raise ValueError(f"{flag} is {value}, not at least 1")
+    max_n, max_m = gates.as_count(args.max_n, "--max-n"), gates.as_count(args.max_m, "--max-m")
     seed = _seed_or_new(args)
     rng = np.random.default_rng(seed)
     verdicts = []
-    for n in range(1, args.max_n + 1):
-        for m in range(1, args.max_m + 1):
+    for n in range(1, max_n + 1):
+        for m in range(1, max_m + 1):
             w = gates.random_program(n, m, rng)
             psi = oracle.random_state(n, rng)
             res = toqc.run_toqc(w, psi=psi, n_circ=1, seed=(seed, n, m))

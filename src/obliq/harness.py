@@ -2,7 +2,9 @@
 
 Covers message records with exact wire sizes, the upload/download ledger,
 channel registration with structural non-communication between servers,
-branch-outcome forcing, and the secrecy/complexity audits.
+branch-outcome forcing, the complexity audits and the secrecy audits of
+the quantum side (the mask average and the Bell branch probabilities). The
+query audit sits in `toqc`, next to the derivations it checks.
 """
 
 import hashlib
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_bits, as_ints, check_n_circ, matrix_of
+from .gates import as_bits, as_count, as_ints, check_n_circ, matrix_of
 from .qsim import as_state, trace_distance
 
 
@@ -409,10 +411,7 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
         raise ValueError(f"unknown protocol {protocol!r}")
     if classical_output and protocol == "tgdmqc":
         raise ValueError("--classical-output applies only to toqc transcripts")
-    (n,), (m,) = as_ints((n,), "n"), as_ints((m,), "m")
-    for name, value in (("n", n), ("m", m)):
-        if value < 1:
-            raise ValueError(f"{name} is {value}, not at least 1")
+    n, m = as_count(n, "n"), as_count(m, "m")
     n_circ = check_n_circ(n_circ, n)
     transcript = Transcript()
     transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
@@ -462,43 +461,6 @@ def audit_mask_average(psi):
     dist = trace_distance(acc, np.eye(1 << n) / (1 << n))
     v = Verdict("mask-average", dist <= 1e-12)
     v.details.append(f"trace distance to I/2^n: {dist:.3e}")
-    return v
-
-
-@dataclass(frozen=True)
-class QueryEquationAudit:
-    """One query equation with the residue ring of its uniform source.
-
-    `derive(source, setting)` computes the on-the-wire value from one uniform
-    source residue; the two settings fix every other quantity at two distinct
-    protocol contexts.
-    """
-
-    name: str
-    ring: int
-    derive: object
-    setting_a: object
-    setting_b: object
-
-
-def audit_query_uniformity(equation_audits):
-    """Enumerate each equation's source; the output marginal must be uniform
-    and identical across the two settings, which must differ."""
-    v = Verdict("query-uniformity", True)
-    for eq in equation_audits:
-        if eq.setting_a == eq.setting_b:
-            v.ok = False
-            v.details.append(f"{eq.name}: settings are not distinct")
-            continue
-        marg_a = sorted(eq.derive(q, eq.setting_a) % eq.ring for q in range(eq.ring))
-        marg_b = sorted(eq.derive(q, eq.setting_b) % eq.ring for q in range(eq.ring))
-        uniform = list(range(eq.ring))
-        if marg_a != uniform or marg_b != uniform:
-            v.ok = False
-            v.details.append(f"{eq.name}: marginal not uniform over Z_{eq.ring}")
-        elif marg_a != marg_b:
-            v.ok = False
-            v.details.append(f"{eq.name}: marginals differ between settings")
     return v
 
 

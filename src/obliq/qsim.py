@@ -118,6 +118,13 @@ class StateRegister:
             raise ValueError(f"qubit {q!r} is not live") from None
         return len(self._order) - 1 - axis
 
+    def _pair_bitpos(self, q1, q2, what):
+        """The bit positions of two distinct live qubits; `what` names the
+        caller in the error."""
+        if q1 is q2 or q1 == q2:
+            raise ValueError(f"{what} needs two distinct qubits")
+        return self._bitpos(q1), self._bitpos(q2)
+
     def _check_capacity(self, count):
         if len(self._order) + count > self.max_qubits:
             raise CapacityError(
@@ -194,10 +201,8 @@ class StateRegister:
 
     def apply_cz(self, q1, q2, power=1):
         """Controlled-Z to the given power (phase -1 on |11> when power is odd)."""
-        if q1 is q2 or q1 == q2:
-            raise ValueError("apply_cz needs two distinct qubits")
+        self._pair_bitpos(q1, q2, "apply_cz")
         if power % 2 == 0:
-            self._bitpos(q1), self._bitpos(q2)  # liveness check only
             return
         self.apply_pair_phase(q1, q2, 1, 1, -1.0)
 
@@ -205,8 +210,7 @@ class StateRegister:
         """Multiply amplitudes with (q1,q2) bits equal to (b1,b2) by `phase`."""
         if abs(abs(phase) - 1.0) > 1e-12:
             raise ValueError("phase must have unit modulus")
-        m1 = self._bitpos(q1)
-        m2 = self._bitpos(q2)
+        m1, m2 = self._pair_bitpos(q1, q2, "apply_pair_phase")
         d = [1.0, 1.0, 1.0, 1.0]
         if m1 > m2:
             d[(b1 << 1) | b2] = phase
@@ -273,8 +277,7 @@ class StateRegister:
         """Apply a two-qubit diagonal, entries keyed by (q1 bit, q2 bit)."""
         for d in (d00, d01, d10, d11):
             checked_phase(d)
-        m1 = self._bitpos(q1)
-        m2 = self._bitpos(q2)
+        m1, m2 = self._pair_bitpos(q1, q2, "apply_pair_diag")
         if m1 > m2:
             kernels.apply_diag2(self._amps, m1, m2, d00, d01, d10, d11)
         else:
@@ -290,12 +293,9 @@ class StateRegister:
         teleportation is left holding Z^b X^a times the input state. Pass
         `force=(a, b)` to postselect a branch instead of sampling.
         """
-        if q1 is q2 or q1 == q2:
-            raise ValueError("bell_measure needs two distinct qubits")
+        m1, m2 = self._pair_bitpos(q1, q2, "bell_measure")
         if force is not None:
             force = _forced(force, pair=True)
-        m1 = self._bitpos(q1)
-        m2 = self._bitpos(q2)
         if m1 > m2:
             quad = kernels.gather_pair(self._amps, m1, m2)
             s00, s01, s10, s11 = quad  # rows keyed (q1 bit, q2 bit)

@@ -25,8 +25,6 @@ from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
     ProtocolUser,
-    _cz_audit,
-    _ring_audit,
     # not called here; the benchmark tracer wraps the draw and derive names
     # in this module (ROADMAP item 2)
     derive_cz_queries,
@@ -116,7 +114,8 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
 
 def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **kw):
     """Empirical output distribution over `runs` (at least 1) independent
-    honest runs; run i takes the seed `seed` followed by i."""
+    honest runs; run i takes the seed `seed` followed by i, or no seed when
+    `seed` is None."""
     n_circ = check_n_circ(n_circ, w.n)
     runs = as_count(runs, "runs")
     # numpy reads a nested seed (s, i) as the flat (*s, i): the same streams
@@ -124,7 +123,7 @@ def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **
     base = seed if isinstance(seed, tuple) else (seed,)
     counts = np.zeros(1 << n_circ, dtype=float)
     for i in range(runs):
-        res = run_tgdmqc(w, user_rounds, n_circ, seed=(*base, i), **kw)
+        res = run_tgdmqc(w, user_rounds, n_circ, seed=None if seed is None else (*base, i), **kw)
         counts[bits_index(res.output_bits)] += 1.0
     return counts / runs
 
@@ -144,24 +143,3 @@ def verify_against_ideal(w, user_rounds, n_circ=1, seed=0, exhaustive=True, runs
 def program_with_users(w, user_rounds):
     """The product program the run effectively applies."""
     return program_product(w, Program(w.n, tuple(user_rounds)))
-
-
-# -- audit wiring ----------------------------------------------------------------
-
-def equation_audits(coeffs_a, coeffs_b):
-    """Query equations with the offsets taken from two distinct w' rounds.
-
-    `coeffs_a` and `coeffs_b` are (x', y', z') exponent triples. The marginal
-    of each derived value over its uniform source must be uniform whatever
-    the w' entries are, so the servers' view is independent of the users'
-    program.
-    """
-    xa, ya, za = coeffs_a
-    xb, yb, zb = coeffs_b
-    sh, dl = (1,), (0,)
-    sh2, dl2 = (1, 0), (0, 1)
-    return [
-        _ring_audit("t-query offset y'", 8, (sh, dl, (ya,)), (sh, dl, (yb,))),
-        _ring_audit("h-query offset x'", 4, (sh, dl, (xa,)), (sh, dl, (xb,))),
-        _cz_audit("cz-query offset z'", (sh2, dl2, (za,)), (sh2, dl2, (zb,))),
-    ]

@@ -50,6 +50,7 @@ streams that moved since its snapshot.
 import copy
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -58,8 +59,8 @@ from .harness import (
     BranchRecord,
     ChannelRegistry,
     ClassicalPart,
-    QueryEquationAudit,
     StepMessage,
+    Verdict,
     all_branch_plans,
     cut_branch_plan,
 )
@@ -763,45 +764,34 @@ def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
         yield plan, copy.deepcopy(leaf.result())
 
 
-# -- audit wiring ---------------------------------------------------------------
-# Each setting is a (shift, delta, coeff) context, coeff None for all ones;
-# the derive closures enumerate the one uniform source coordinate that feeds
-# output coordinate 0.
+# -- query audit ----------------------------------------------------------------
 
-def _ring_audit(name, ring, setting_a, setting_b):
-    def derive(q, setting):
-        sh, dl, co = setting
-        fresh = {u: [0] * len(sh) for u in (0, 1)}
-        fresh[sh[0]][0] = q
-        return derive_ring_queries(ring, fresh, sh, dl, coeff=co)[0][0]
+def audit_query_uniformity():
+    """Every re-derived query must be a bijective relabelling of its fresh
+    family, whatever the shift, delta and offset coefficients are: then a
+    uniform fresh draw gives uniform queries whatever the masks, the Bell
+    outcomes and the users' w' are, so no server's queries depend on them.
 
-    return QueryEquationAudit(name, ring, derive, setting_a, setting_b)
-
-
-def _cz_audit(name, setting_a, setting_b):
-    def derive(q, setting):
-        sh, dl, co = setting
-        fresh = {uv: (0,) for uv in UV_PAIRS}
-        fresh[sh] = (q,)
-        return derive_cz_queries(fresh, 2, sh, dl, coeff=co)[(0, 0)][0]
-
-    return QueryEquationAudit(name, 2, derive, setting_a, setting_b)
-
-
-def equation_audits():
-    """The re-randomization equations with two distinct mask/outcome settings.
-
-    Every wire value a server receives is either drawn fresh-uniform or comes
-    out of one of these; each must be a bijection of its uniform source, so
-    the marginals match for any two input contexts.
+    The derivations act wire by wire and pair by pair, so the rings are
+    checked on one wire and the pairs on one pair (n = 2). For every shift,
+    delta and coefficient (None for all ones, or each residue), all
+    ring^rows fresh families go through the derivation, looked up by its
+    module name, and must give as many distinct query families.
     """
-    return [
-        _ring_audit("t-query round 1", 8, ((0,), (0,), None), ((1,), (1,), None)),
-        _ring_audit("t-query round j", 8, ((1,), (0,), None), ((0,), (1,), None)),
-        _ring_audit("h-query", 4, ((1,), (0,), None), ((0,), (1,), None)),
-        _cz_audit("cz-query round 1", ((0, 0), (0, 0), None), ((1, 0), (0, 1), None)),
-        _cz_audit("cz-query round j", ((0, 1), (1, 1), None), ((1, 1), (0, 0), None)),
-        QueryEquationAudit("fresh t-query", 8, lambda q, s: q, "ctx-a", "ctx-b"),
-        QueryEquationAudit("fresh h-query", 4, lambda q, s: q, "ctx-a", "ctx-b"),
-        QueryEquationAudit("fresh cz-query", 2, lambda q, s: q, "ctx-a", "ctx-b"),
-    ]
+    v = Verdict("query-uniformity", True)
+    families = (  # name, ring, fresh rows, wires, derivation
+        ("t-query", 8, (0, 1), 1, lambda f, sh, dl, co: derive_t_queries(f, sh, dl, co)),
+        ("h-query", 4, (0, 1), 1, lambda f, sh, dl, co: derive_h_queries(f, sh, dl, co)),
+        ("cz-query", 2, UV_PAIRS, 2, lambda f, sh, dl, co: derive_cz_queries(f, 2, sh, dl, co)),
+    )
+    for name, ring, rows, wires, derive in families:
+        fresh = [dict(zip(rows, ((x,) for x in values)))
+                 for values in product(range(ring), repeat=len(rows))]
+        for sh, dl in product(product((0, 1), repeat=wires), repeat=2):
+            for co in (None, *((c,) for c in range(ring))):
+                queries = {tuple(derive(f, sh, dl, co)[r] for r in rows) for f in fresh}
+                if len(queries) != len(fresh):
+                    v.ok = False
+                    v.details.append(f"{name}: shift {sh}, delta {dl}, coeff {co}: "
+                                     f"{len(queries)} distinct of {len(fresh)} families")
+    return v

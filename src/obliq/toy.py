@@ -58,13 +58,13 @@ def _bit(value, what):
     return b
 
 
-def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
+def run_toy(y, psi, seed=None, force_masks=None, force_branch=None):
     """One protocol run; returns the corrected output density and the run record.
 
     `force_masks` fixes (mask_x, mask_z); `force_branch` postselects the Bell
-    outcome (a, b). Unforced choices come from `rng` (or a fresh stream
-    seeded with `seed`, by `gates.as_seed`). `y` is an integer, taken mod
-    8; each forced mask is a bit.
+    outcome (a, b). Unforced choices come from one stream seeded with `seed`
+    (by `gates.as_seed`). `y` is an integer, taken mod 8; each forced mask
+    is a bit.
     """
     y = as_ints((y,), "y")[0] % 8
     psi = as_state(psi, 1)
@@ -76,8 +76,7 @@ def run_toy(y, psi, rng=None, seed=None, force_masks=None, force_branch=None):
         except (TypeError, ValueError):
             raise ValueError(f"force_masks is {force_masks!r}, not a pair of bits") from None
         force_masks = _bit(fx, "mask_x"), _bit(fz, "mask_z")
-    if rng is None:
-        rng = np.random.default_rng(as_seed(seed))
+    rng = np.random.default_rng(as_seed(seed))
 
     registry = ChannelRegistry()
     registry.register("user", "server-a")

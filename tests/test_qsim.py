@@ -150,6 +150,20 @@ def test_apply_cz_conventions():
         reg.apply_cz(q[0], q[0])
 
 
+@pytest.mark.parametrize("method, args", [
+    ("apply_cz", ()),
+    ("apply_pair_phase", (1, 1, -1.0)),
+    ("apply_pair_diag", (1.0, 1.0, 1.0, -1.0)),
+    ("bell_measure", ()),
+])
+def test_pair_methods_name_a_repeated_qubit(method, args):
+    reg = StateRegister()
+    q = reg.alloc_zero_qubits(2)
+    with pytest.raises(ValueError, match=f"^{method} needs two distinct qubits$"):
+        getattr(reg, method)(q[0], q[0], *args)
+    assert reg.amplitudes().tolist() == [1, 0, 0, 0]
+
+
 def test_bell_measure_on_bell_state_is_00():
     reg = StateRegister()
     q1, q2 = reg.alloc_bell_pair()

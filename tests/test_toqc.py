@@ -19,7 +19,6 @@ from obliq.harness import (
     all_branch_plans,
     assert_complexity_toqc,
     audit_bell_uniformity,
-    audit_query_uniformity,
     expected_toqc_steps,
 )
 from obliq.oracle import (
@@ -32,10 +31,12 @@ from obliq.oracle import (
 from obliq.qsim import pure_density, trace_distance
 from obliq.toqc import (
     RngStreams,
+    audit_query_uniformity,
+    derive_cz_queries,
     derive_h_queries,
+    derive_ring_queries,
     derive_t_queries,
     enumerate_branches,
-    equation_audits,
     make_streams,
     run_toqc,
 )
@@ -453,8 +454,37 @@ def test_refused_send_records_nothing():
 
 
 def test_query_equation_uniformity():
-    verdict = audit_query_uniformity(equation_audits())
+    verdict = audit_query_uniformity()
     assert verdict.ok, verdict.details
+
+
+def _t_reads_row_0_twice(fresh, shift, delta, coeff=None):
+    return derive_ring_queries(8, {0: fresh[0], 1: fresh[0]}, shift, delta, coeff)
+
+
+def _h_offset_scales(fresh, shift, delta, coeff=None):
+    # the offset multiplies the hit row instead of adding to it
+    out = derive_ring_queries(4, fresh, shift, delta, (0,) * len(shift))
+    (hit,) = coeff or (1,)
+    out[delta[0]] = (out[delta[0]][0] * hit % 4,)
+    return out
+
+
+def _cz_reads_one_column_twice(fresh, n, shift, delta, coeff=None):
+    out = derive_cz_queries(fresh, n, shift, delta, coeff)
+    return {**out, (1, 1): out[(0, 0)]}
+
+
+@pytest.mark.parametrize("name, mutant, family", [
+    ("derive_t_queries", _t_reads_row_0_twice, "t-query"),
+    ("derive_h_queries", _h_offset_scales, "h-query"),
+    ("derive_cz_queries", _cz_reads_one_column_twice, "cz-query"),
+])
+def test_query_audit_fails_a_non_bijective_derivation(monkeypatch, name, mutant, family):
+    monkeypatch.setattr(f"obliq.toqc.{name}", mutant)
+    verdict = audit_query_uniformity()
+    assert not verdict.ok
+    assert {d.split(":")[0] for d in verdict.details} == {family}
 
 
 def test_derivations_are_ring_bijections_directly():
