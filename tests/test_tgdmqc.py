@@ -1,6 +1,7 @@
 """Multiparty protocol: distribution correctness, routing, secrecy, ledger."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -31,7 +32,14 @@ from obliq.tgdmqc import (
     user_name,
     verify_against_ideal,
 )
-from obliq.toqc import ProtocolRun, ProtocolUser, derive_t_queries
+from obliq.toqc import (
+    UV_PAIRS,
+    ProtocolRun,
+    ProtocolUser,
+    derive_cz_queries,
+    derive_h_queries,
+    derive_t_queries,
+)
 
 
 def random_rounds(n, m, seed):
@@ -361,6 +369,25 @@ def test_users_see_only_their_outcomes():
 
 
 # -- secrecy ------------------------------------------------------------------------
+
+def test_query_uniformity_under_distinct_user_programs():
+    # two w' rounds with distinct (x', y', z') offsets: over every fresh family
+    # of one wire (h, t) or one pair (cz), each user's re-derived queries take
+    # every family once, so the servers see the same law under either program
+    families = (  # ring, fresh rows, wires, derivation, coefficient index
+        (4, (0, 1), 1, derive_h_queries, 0),
+        (8, (0, 1), 1, derive_t_queries, 1),
+        (2, UV_PAIRS, 2, lambda f, sh, dl, co: derive_cz_queries(f, 2, sh, dl, co), 2),
+    )
+    for ring, rows, wires, derive, k in families:
+        every = {tuple((x,) for x in values) for values in product(range(ring), repeat=len(rows))}
+        for sh, dl in product(product((0, 1), repeat=wires), repeat=2):
+            for w_round in ((1, 3, 1), (2, 6, 0)):
+                co = (w_round[k],)
+                queries = {tuple(derive(dict(zip(rows, f)), sh, dl, co)[r] for r in rows)
+                           for f in every}
+                assert queries == every, (ring, sh, dl, w_round)
+
 
 def test_coefficient_one_reduces_to_plain_equations():
     fresh = {0: (3, 1), 1: (6, 4)}
