@@ -283,7 +283,10 @@ BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 def cut_branch_plan(plan, hops, width):
     """Check a forced plan of hops * width Bell outcomes, in chronological
     order, and cut it into one tuple of `width` (a, b) int pairs per hop."""
-    plan = list(plan)
+    try:
+        plan = list(plan)
+    except TypeError:
+        raise ValueError(f"branch_plan is {plan!r}, not a sequence of Bell outcomes") from None
     if len(plan) != hops * width:
         raise ValueError(
             f"branch plan has {len(plan)} outcomes, the run makes {hops * width}"

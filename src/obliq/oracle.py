@@ -64,4 +64,6 @@ def random_state(n, rng):
 def total_variation(p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
     return 0.5 * float(np.sum(np.abs(p - q)))

@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, as_count, as_rounds, as_seed, bits_index, check_n_circ, program_product
+from .gates import Program, as_rounds, as_seed, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -112,31 +112,15 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     return acc, outcome_joint, total
 
 
-def sampled_output_distribution(w, user_rounds, n_circ=1, seed=0, runs=10000, **kw):
-    """Empirical output distribution over `runs` (at least 1) independent
-    honest runs; run i takes the seed `seed` followed by i, or no seed when
-    `seed` is None."""
-    n_circ = check_n_circ(n_circ, w.n)
-    runs = as_count(runs, "runs")
-    # numpy reads a nested seed (s, i) as the flat (*s, i): the same streams
-    seed = as_seed(seed)
-    base = seed if isinstance(seed, tuple) else (seed,)
-    counts = np.zeros(1 << n_circ, dtype=float)
-    for i in range(runs):
-        res = run_tgdmqc(w, user_rounds, n_circ, seed=None if seed is None else (*base, i), **kw)
-        counts[bits_index(res.output_bits)] += 1.0
-    return counts / runs
-
-
-def verify_against_ideal(w, user_rounds, n_circ=1, seed=0, exhaustive=True, runs=10000):
-    """Total variation between the protocol output and the product program's
-    ideal outcome distribution."""
-    product = program_with_users(w, user_rounds)
-    ideal = ideal_outcome_distribution(product, n_circ)
-    if exhaustive:
-        dist, _, total = exhaustive_output_distribution(w, user_rounds, n_circ, seed=seed)
-        return total_variation(dist, ideal), dist, ideal
-    dist = sampled_output_distribution(w, user_rounds, n_circ, seed=seed, runs=runs)
+def verify_against_ideal(w, user_rounds, n_circ=1, seed=0, exhaustive=True):
+    """(total variation, distribution, ideal): the output distribution summed
+    over every Bell branch against the product program's ideal one.
+    `exhaustive` takes only True; it stays because `perfbench/workloads.py`
+    passes it. One run's check is its exact per-branch law, `output_distribution`."""
+    if exhaustive is not True:
+        raise ValueError(f"exhaustive is {exhaustive!r}; only True remains")
+    ideal = ideal_outcome_distribution(program_with_users(w, user_rounds), n_circ)
+    dist, _, _ = exhaustive_output_distribution(w, user_rounds, n_circ, seed=seed)
     return total_variation(dist, ideal), dist, ideal
 
 

@@ -10,11 +10,7 @@ from obliq.gates import compile_parity, random_program, zero_program, zero_round
 from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_file
 from obliq.oracle import basis_state
 from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, StateRegister, default_max_qubits
-from obliq.tgdmqc import (
-    exhaustive_output_distribution,
-    run_tgdmqc,
-    sampled_output_distribution,
-)
+from obliq.tgdmqc import exhaustive_output_distribution, run_tgdmqc, verify_against_ideal
 from obliq.toqc import enumerate_branches, run_toqc
 from obliq.toy import run_toy
 
@@ -60,6 +56,14 @@ def test_wrong_length_plan_names_both_counts(no_messages, run, eager, length):
 def test_non_bell_plan_entry_rejected(no_messages, run, eager, entry, shown):
     plan = [(0, 0)] * (OUTCOMES - 1) + [entry]
     with pytest.raises(ValueError, match=fr"entry {shown} is not a Bell outcome"):
+        run(plan, eager)
+
+
+@pytest.mark.parametrize("plan", [5, 1.0], ids=["int", "float"])
+@pytest.mark.parametrize("eager", [False, True], ids=["frame", "physical"])
+@pytest.mark.parametrize("run", [_toqc, _tgdmqc], ids=["toqc", "tgdmqc"])
+def test_non_sequence_plan_rejected(no_messages, run, eager, plan):
+    with pytest.raises(ValueError, match=fr"^branch_plan is {plan}, not a sequence"):
         run(plan, eager)
 
 
@@ -121,6 +125,13 @@ def test_branch_walk_rejects_a_plan(no_messages, walk):
         walk([(0, 0), (0, 0)])
 
 
+@pytest.mark.parametrize("exhaustive", [False, 1, None])
+def test_verify_takes_only_exhaustive(no_messages, exhaustive):
+    w = zero_program(1, 1)
+    with pytest.raises(ValueError, match=fr"^exhaustive is {exhaustive}; only True remains$"):
+        verify_against_ideal(w, w.rounds, exhaustive=exhaustive)
+
+
 @pytest.mark.parametrize("bits,named", [
     ((0, 2), r"basis_bits\[1\] is 2,"),
     ((1, -1), r"basis_bits\[1\] is -1,"),
@@ -136,11 +147,9 @@ def test_non_bit_basis_bits_rejected(no_messages, bits, named):
     lambda w: run_toqc(w, psi=basis_state(N, (0, 1)), n_circ=1.5, seed=1),
     lambda w: run_tgdmqc(w, w.rounds, n_circ=1.5, seed=1),
     lambda w: exhaustive_output_distribution(w, w.rounds, n_circ=1.5),
-    lambda w: sampled_output_distribution(w, w.rounds, n_circ=1.5, runs=1),
     lambda w: oracle.ideal_output(w, basis_state(N, (0, 1)), 1.5),
     lambda w: oracle.outcome_distribution(w, basis_state(N, (0, 1)), 1.5),
-], ids=["toqc", "tgdmqc", "exhaustive", "sampled", "ideal-output",
-        "outcome-distribution"])
+], ids=["toqc", "tgdmqc", "exhaustive", "ideal-output", "outcome-distribution"])
 def test_non_integral_n_circ_rejected(no_messages, run):
     w = random_program(N, M, np.random.default_rng(99))
     with pytest.raises(ValueError, match=r"n_circ: value 1\.5 is not an integer"):

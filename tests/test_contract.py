@@ -39,7 +39,7 @@ from obliq.harness import (
     audit_transcript_file,
 )
 from obliq.oracle import basis_state, ideal_output, outcome_distribution, random_state
-from obliq.tgdmqc import run_tgdmqc, sampled_output_distribution
+from obliq.tgdmqc import run_tgdmqc
 from obliq.toqc import RunResult, run_toqc
 from obliq.toy import ToyResult, run_toy
 
@@ -107,10 +107,13 @@ def bell_outcomes(draw):
 
 @st.composite
 def branch_plans(draw, count):
-    """None, or `count` drawn outcomes, or a plan of the wrong length."""
-    kind = draw(st.sampled_from(("none", "plan", "plan", "length")))
+    """None, or `count` drawn outcomes, or a plan of the wrong length or
+    one that is no sequence."""
+    kind = draw(st.sampled_from(("none", "plan", "plan", "length", "type")))
     if kind == "none":
         return None, None
+    if kind == "type":
+        return draw(st.sampled_from((5, 1.0, np.int64(0)))), MISS
     entries = draw(st.lists(bell_outcomes(), min_size=count, max_size=count))
     value, canonical = [v for v, _ in entries], [c for _, c in entries]
     if kind == "length":
@@ -396,13 +399,6 @@ def test_program_constructors(name, n, m):
 @given(n=shape_ints())
 def test_zero_round(n):
     holds(lambda a: repr(zero_round(a)), n, match=r"^n\b")
-
-
-@CONTRACT
-@given(runs=shape_ints())
-def test_sampled_output_distribution_runs(runs):
-    holds(lambda r: sampled_output_distribution(W, ROUNDS, 1, seed=121, runs=r), runs,
-          match=r"^runs\b")
 
 
 @st.composite

@@ -125,3 +125,6 @@ def test_outcome_distribution_basis_inputs():
 def test_total_variation():
     assert total_variation([1, 0], [0, 1]) == pytest.approx(1.0)
     assert total_variation([0.5, 0.5], [0.5, 0.5]) == 0.0
+    for p, q in (([1.0], [0.5, 0.5]), ([0.5, 0.5], [[0.5, 0.5]])):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            total_variation(p, q)

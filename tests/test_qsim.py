@@ -5,6 +5,7 @@ matmul so they do not share any code path with the register kernels.
 """
 
 import re
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from obliq.qsim import (
     pure_density,
     trace_distance,
 )
+from obliq.toqc import BELL_UNIFORM
 
 RNG = np.random.default_rng(20240811)
 
@@ -430,3 +432,12 @@ def test_sample_index_skips_zero_probability_tail():
     assert _sample_index(probs, FixedRng(0.95)) == 2
     assert _sample_index(probs, FixedRng(0.5)) == 1
     assert _sample_index((0.25,) * 4, FixedRng(0.75)) == 3
+    # a draw r picks the i with c_(i-1) <= r < c_i for the running sums c,
+    # checked at 0, at each sum and just below it; a zero-probability
+    # outcome has an empty interval, so it is never picked
+    for probs in (BELL_UNIFORM, (0.0, 0.625, 0.0, 0.375)):
+        sums = list(accumulate(probs))
+        for r in (0.0, *sums[:-1], *(np.nextafter(c, 0) for c in sums)):
+            i = _sample_index(probs, FixedRng(r))
+            assert (0.0 if i == 0 else sums[i - 1]) <= r < sums[i], (probs, r, i)
+            assert probs[i] > 0, (probs, r, i)

@@ -8,11 +8,11 @@ import pytest
 
 from obliq.gates import (
     Program,
+    bits_index,
     compile_parity,
     identity_program,
     program_product,
     random_program,
-    zero_program,
     zero_round,
 )
 from obliq.harness import (
@@ -28,7 +28,6 @@ from obliq.tgdmqc import (
     exhaustive_output_distribution,
     program_with_users,
     run_tgdmqc,
-    sampled_output_distribution,
     user_name,
     verify_against_ideal,
 )
@@ -48,15 +47,19 @@ def random_rounds(n, m, seed):
 
 # -- correctness -----------------------------------------------------------------
 
-def test_single_run_distribution_matches_ideal_per_branch():
-    # per forced or sampled branch, the exact reconstructed distribution must
-    # equal the ideal one; a few honest runs cover different branches
-    w = random_program(2, 2, np.random.default_rng(0))
-    rounds = random_rounds(2, 2, 1)
-    ideal = ideal_outcome_distribution(program_with_users(w, rounds), 2)
-    for seed in range(5):
-        res = run_tgdmqc(w, rounds, 2, seed=seed)
-        assert total_variation(res.output_distribution, ideal) < 1e-9
+@pytest.mark.parametrize("full", [False, True], ids=["n_circ=1", "n_circ=n"])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 4), (6, 3), (8, 4)])
+def test_run_law_matches_ideal_per_branch(n, m, full):
+    # each run's exact law given its Bell branch is the ideal one, and its
+    # sampled bits are possible under it; every seed draws new programs
+    n_circ = n if full else 1
+    for seed in range(20):
+        w = random_program(n, m, np.random.default_rng((n, m, seed, 80)))
+        rounds = random_rounds(n, m, (n, m, seed, 81))
+        ideal = ideal_outcome_distribution(program_with_users(w, rounds), n_circ)
+        res = run_tgdmqc(w, rounds, n_circ, seed=(n, m, seed))
+        assert total_variation(res.output_distribution, ideal) < 1e-12
+        assert res.output_distribution[bits_index(res.output_bits)] > 0
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 1)])
@@ -243,29 +246,6 @@ def test_identity_user_rounds_run_server_program():
     dist, _, total = exhaustive_output_distribution(w, e.rounds, 1, seed=6)
     assert abs(total - 1.0) < 1e-12
     assert total_variation(dist, ideal) < 1e-9
-
-
-def test_sampled_agreement_n3_m3():
-    w = random_program(3, 3, np.random.default_rng(8))
-    rounds = random_rounds(3, 3, 9)
-    ideal = ideal_outcome_distribution(program_with_users(w, rounds), 1)
-    dist = sampled_output_distribution(w, rounds, 1, seed=10, runs=2000)
-    assert total_variation(dist, ideal) < 0.05
-
-
-def test_sampled_runs_take_a_sequence_seed():
-    # run i of a tuple seed s draws the streams numpy gives the nested (s, i)
-    w = random_program(2, 1, np.random.default_rng(1))
-    rounds = random_program(2, 1, np.random.default_rng(2)).rounds
-    assert sampled_output_distribution(w, rounds, seed=(3, 4), runs=5).tolist() == [0.6, 0.4]
-    nested = np.random.SeedSequence(((3, 4), 2)).generate_state(4)
-    assert nested.tolist() == np.random.SeedSequence((3, 4, 2)).generate_state(4).tolist()
-
-
-def test_sampled_runs_take_no_seed():
-    # a None seed leaves every run unseeded; this program's output is |0> whatever the branch
-    w = zero_program(1, 1)
-    assert sampled_output_distribution(w, w.rounds, seed=None, runs=2).tolist() == [1.0, 0.0]
 
 
 def test_zero_y_prime_cancels_round_phases():

@@ -8,6 +8,7 @@ import pytest
 from obliq.gates import (
     Program,
     ProgramRound,
+    bits_index,
     identity_program,
     random_program,
     zero_program,
@@ -215,15 +216,26 @@ def test_classical_output_zero_program():
     assert res.output_distribution[2] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_classical_output_distribution_matches_oracle():
-    rng = np.random.default_rng(8)
-    for trial in range(5):
-        w = random_program(2, 2, rng)
-        bits = tuple(int(b) for b in rng.integers(0, 2, size=2))
-        res = run_toqc(w, basis_bits=bits, n_circ=2, seed=(8, trial),
+@pytest.mark.parametrize("full", [False, True], ids=["n_circ=1", "n_circ=n"])
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 3), (4, 4), (6, 3), (8, 4)])
+def test_run_law_matches_oracle_per_branch(n, m, full):
+    # each run's exact law given its Bell branch is the oracle's: the bit
+    # distribution on a random basis input, with the sampled bits possible
+    # under it, and the output density on a random state; every seed draws
+    # a new program
+    n_circ = n if full else 1
+    for seed in range(5 if n == 8 else 20):
+        rng = np.random.default_rng((n, m, seed, 82))
+        w = random_program(n, m, rng)
+        bits = tuple(rng.integers(0, 2, size=n).tolist())
+        res = run_toqc(w, basis_bits=bits, n_circ=n_circ, seed=(n, m, seed),
                        classical_output=True)
-        ideal = outcome_distribution(w, basis_state(2, bits), 2)
-        assert total_variation(res.output_distribution, ideal) < 1e-9
+        ideal = outcome_distribution(w, basis_state(n, bits), n_circ)
+        assert total_variation(res.output_distribution, ideal) < 1e-12
+        assert res.output_distribution[bits_index(res.output_bits)] > 0
+        psi = random_state(n, rng)
+        res = run_toqc(w, psi=psi, n_circ=n_circ, seed=(n, m, seed))
+        assert trace_distance(res.output_density, ideal_output(w, psi, n_circ)) < 1e-12
 
 
 def test_classical_output_requires_basis_input():
