@@ -96,46 +96,36 @@ class StepMessage:
         return h.hexdigest()[:16]
 
 
-@dataclass
-class TranscriptRecord:
-    seq: int
-    message: StepMessage
-
-    def render(self):
-        m = self.message
-        receiver = "+".join(m.receivers)
-        return (
-            f"{self.seq} {m.step} {m.sender} {receiver} "
-            f"{m.kind} {m.bits} {m.qubits} {m.digest()}"
-        )
-
-
 class Transcript:
+    """The messages sent, in order: `StepMessage`s, or the `ParsedRecord`s
+    of a transcript read back from text. `render` numbers them from 1."""
+
     def __init__(self):
         self.records = []
 
-    def record(self, message):
-        self.records.append(TranscriptRecord(len(self.records) + 1, message))
-
     def render(self):
-        return "\n".join(r.render() for r in self.records) + "\n"
+        return "\n".join(
+            f"{seq} {m.step} {m.sender} {'+'.join(m.receivers)} "
+            f"{m.kind} {m.bits} {m.qubits} {m.digest()}"
+            for seq, m in enumerate(self.records, 1)
+        ) + "\n"
 
     def step_labels(self):
-        return [r.message.step for r in self.records]
+        return [m.step for m in self.records]
 
     def views(self, names):
         """Each named party's view, replayed from the messages it received."""
         views = {name: PartyView(name) for name in names}
-        for r in self.records:
-            for receiver in r.message.receivers:
-                views[receiver].absorb(r.message)
+        for m in self.records:
+            for receiver in m.receivers:
+                views[receiver].absorb(m)
         return views
 
     def ledger(self):
         """The ledger of the recorded messages, built with `ComplexityLedger.add`."""
         ledger = ComplexityLedger()
-        for r in self.records:
-            ledger.add(r.message)
+        for m in self.records:
+            ledger.add(m)
         return ledger
 
 
@@ -243,7 +233,7 @@ class ChannelRegistry:
         for r in message.receivers:
             if (sender, r) not in self._edges:
                 raise ChannelError(f"no channel {sender} -> {r}")
-        self.transcript.record(message)
+        self.transcript.records.append(message)
 
 
 @dataclass
@@ -323,15 +313,13 @@ def expected_toqc_steps(n, m, n_circ, classical_output=False):
     """Per-step (direction, bits, qubits) table for a two-server run."""
     quantum = not classical_output
     steps = {}
-    steps["step-1"] = ("up", 2 * n * n + 4 * n + (0 if quantum else n), n if quantum else 0)
-    steps["step-2"] = ("down", 2 * n, 0)
-    steps["step-3"] = ("up", 2 * n * n + 8 * n, 0)
-    steps["step-4"] = ("down", 2 * n, 0)
-    for j in range(2, m + 1):
+    for j in range(1, m + 1):
         steps[f"step-{4 * j - 3}"] = ("up", 2 * n * n + 8 * n, 0)
         steps[f"step-{4 * j - 2}"] = ("down", 2 * n, 0)
         steps[f"step-{4 * j - 1}"] = ("up", 2 * n * n + 8 * n, 0)
         steps[f"step-{4 * j}"] = ("down", 2 * n, 0)
+    # step 1 carries the fresh query families and the input
+    steps["step-1"] = ("up", 2 * n * n + 4 * n + (0 if quantum else n), n if quantum else 0)
     steps[f"step-{4 * m + 1}"] = ("up", 4 * n, 0)
     steps[f"step-{4 * m + 2}"] = ("down", 0 if quantum else n_circ, n_circ if quantum else 0)
     return steps
@@ -358,8 +346,7 @@ def _check_ledger(name, ledger, expect, transcript, step_table):
             v.ok = False
             v.details.append("ledger does not equal the transcript column sums")
         seen = {}
-        for rec in transcript.records:
-            msg = rec.message
+        for msg in transcript.records:
             b, q = seen.get(msg.step, (0, 0))
             seen[msg.step] = (b + msg.bits, q + msg.qubits)
         for step, (_, bits, qubits) in step_table.items():
@@ -417,7 +404,7 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     n, m = as_count(n, "n"), as_count(m, "m")
     n_circ = check_n_circ(n_circ, n)
     transcript = Transcript()
-    transcript.records = [TranscriptRecord(r.seq, r) for r in parse_transcript(text)]
+    transcript.records = parse_transcript(text)
     try:
         ledger = transcript.ledger()
     except ValueError as exc:
@@ -428,10 +415,10 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     else:
         v = assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=transcript)
     for r in transcript.records:
-        want = wire_kind(r.message.bits, r.message.qubits)
-        if r.message.kind != want:
+        want = wire_kind(r.bits, r.qubits)
+        if r.kind != want:
             v.ok = False
-            v.details.append(f"{r.message.step}: kind {r.message.kind}, expected {want}")
+            v.details.append(f"{r.step}: kind {r.kind}, expected {want}")
     return v
 
 

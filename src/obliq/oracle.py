@@ -7,7 +7,7 @@ party or query machinery is involved.
 
 import numpy as np
 
-from .gates import as_bits, bits_index, check_n_circ, round_unitary_apply
+from .gates import as_bits, as_count, bits_index, check_n_circ, round_unitary_apply
 from .qsim import StateRegister
 
 
@@ -49,6 +49,7 @@ def ideal_outcome_distribution(program, n_circ):
 
 def basis_state(n, bits):
     """|bits> as an amplitude vector, first bit most significant."""
+    n = as_count(n, "n")
     idx = bits_index(as_bits(bits, "bits", n))
     psi = np.zeros(1 << n, dtype=np.complex128)
     psi[idx] = 1.0
@@ -57,6 +58,7 @@ def basis_state(n, bits):
 
 def random_state(n, rng):
     """Haar-ish random pure state on n qubits (normalized Gaussian vector)."""
+    n = as_count(n, "n")
     v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return v / np.linalg.norm(v)
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .gates import as_bits
+from .gates import as_bits, as_count
 
 DEFAULT_MAX_QUBITS = 22
 MAX_QUBITS_ENV = "OBLIQ_MAX_QUBITS"
@@ -149,9 +149,9 @@ class StateRegister:
     # -- allocation --------------------------------------------------------
 
     def alloc_zero_qubits(self, count):
-        """Append `count` fresh qubits in |0>, tensored onto the state."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        """Append `count` fresh qubits in |0>, tensored onto the state;
+        `count` must be an integer of at least 1 (`as_count`)."""
+        count = as_count(count, "count")
         self._check_capacity(count)
         zero = np.zeros(1 << count, dtype=np.complex128)
         zero[0] = 1.0
@@ -243,13 +243,14 @@ class StateRegister:
             h <<= 1
         return parity[np.bitwise_and(m, index, out=m)]
 
-    def apply_paulis(self, qubits, xs, zs, sign_first=False):
-        """Z^z X^x on each qubit (X^x Z^z when `sign_first`) as one gather
-        amps[i ^ xmask] and one sign pass on the i with odd popcount(i & zmask).
+    def apply_paulis(self, qubits, xs, zs):
+        """Z^z X^x on each qubit as one gather amps[i ^ xmask], then one sign
+        pass on the i with odd popcount(i & zmask).
 
         The per-qubit X and Z gates move or negate amplitudes exactly, so
         this gives the same values; only the sign of a zero part can differ,
-        which no read-out sees.
+        which no read-out sees. X^x Z^z is the same up to the global sign
+        (-1)^(sum of x z), which no density matrix or probability shows.
         """
         top, axis = len(self._order) - 1, self._axis
         xmask = zmask = 0
@@ -261,11 +262,9 @@ class StateRegister:
                 xmask ^= bit
             if z % 2:
                 zmask ^= bit
-        if zmask and sign_first:
-            self.apply_sign(self.parity(zmask))
         if xmask:
             self._amps = self._amps[_index_tables(self._amps.size)[0] ^ xmask]
-        if zmask and not sign_first:
+        if zmask:
             self.apply_sign(self.parity(zmask))
 
     def apply_sign(self, odd):

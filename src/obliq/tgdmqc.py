@@ -20,11 +20,12 @@ classical.
 
 import numpy as np
 
-from .gates import Program, as_rounds, as_seed, check_n_circ, program_product
+from .gates import Program, as_rounds, check_n_circ, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
     ProtocolUser,
+    make_streams,
     # not called here; the benchmark tracer wraps the draw and derive names
     # in this module (ROADMAP item 2)
     derive_cz_queries,
@@ -49,9 +50,9 @@ class _Run(ProtocolRun):
         user_rounds = as_rounds(user_rounds, n, "user_rounds")
         if len(user_rounds) != m:
             raise ValueError(f"expected {m} user rounds, got {len(user_rounds)}")
-        # streams 0..m are users 1..m+1 (user m+1 draws nothing), then A and B
-        seeds = np.random.SeedSequence(as_seed(seed)).spawn(m + 3)
-        rngs = [np.random.default_rng(s) for s in seeds]
+        # the one stream rule, `make_streams(seed, parties)`: users 1..m+1
+        # (user m+1 draws nothing), then server A, then server B
+        rngs = make_streams(seed, m + 3)
         held = [{j: r} for j, r in enumerate(user_rounds, 1)] + [{}]
         users = [ProtocolUser(user_name(j), rngs[j - 1], held[j - 1], (0,) * n, (0,) * n)
                  for j in range(1, m + 2)]
@@ -83,11 +84,6 @@ def run_tgdmqc(
                 branch_plan=branch_plan).run_through()
 
 
-def _leaves(w, user_rounds, n_circ, seed, **kw):
-    """Yield (plan, run) for every Bell branch plan (`ProtocolRun.leaves`)."""
-    return _Run(w, user_rounds, n_circ, seed, **kw).leaves()
-
-
 def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     """Exact output distribution summed over every Bell branch.
 
@@ -104,7 +100,7 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     acc = np.zeros(1 << n_circ, dtype=float)
     outcome_joint = {}
     total = 0.0
-    for plan, run in _leaves(w, user_rounds, n_circ, seed, **kw):
+    for plan, run in _Run(w, user_rounds, n_circ, seed, **kw).leaves():
         p = run.branch_probability
         total += p
         acc += p * run.output_distribution

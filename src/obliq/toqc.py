@@ -84,19 +84,11 @@ SERVER_B = "server-b"
 UV_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass
-class RngStreams:
-    user: object
-    server_a: object
-    server_b: object
-
-
-def make_streams(seed):
-    """The user's and the two servers' generators, spawned from `seed` (the
-    one seed rule, `gates.as_seed`)."""
-    ss = np.random.SeedSequence(as_seed(seed))
-    children = ss.spawn(3)
-    return RngStreams(*(np.random.default_rng(c) for c in children))
+def make_streams(seed, parties):
+    """One generator per party, spawned from `seed` (the one seed rule,
+    `gates.as_seed`): the users' in order, then server A's, then server B's."""
+    children = np.random.SeedSequence(as_seed(seed)).spawn(parties)
+    return [np.random.default_rng(c) for c in children]
 
 
 # -- query derivations --------------------------------------------------------
@@ -271,8 +263,8 @@ class PauliFrame:
         return dist, tuple(self.reg.measure_z(q, rng=rng)[0] for q in self.data[:count])
 
     def density(self, count, xs, zs):
-        """X^x Z^z on the first `count` data qubits, then their density matrix."""
-        self.reg.apply_paulis(self.data[:count], xs, zs, sign_first=True)
+        """Z^z X^x on the first `count` data qubits, then their density matrix."""
+        self.reg.apply_paulis(self.data[:count], xs, zs)
         return self.reg.density_on(self.data[:count])
 
     def snapshot(self):
@@ -661,7 +653,7 @@ class _ToqcRun(ProtocolRun):
     """The schedule with one masked user who holds every round, with all
     offset coefficients 1, and who sends the input and reads the output."""
 
-    def __init__(self, w, psi, basis_bits, n_circ, *, seed=None, streams=None,
+    def __init__(self, w, psi, basis_bits, n_circ, *, seed=None,
                  classical_output=False, tcz_delta_coeff=None, **kw):
         n, m = w.n, w.m
         if (psi is None) == (basis_bits is None):
@@ -689,11 +681,12 @@ class _ToqcRun(ProtocolRun):
             j: ProgramRound((1,) * n, (c % 8,) * n, (c % 2,) * npairs)
             for j, c in zip(js, coeffs)
         }
-        streams = streams or make_streams(seed)
+        # the one stream rule, `make_streams(seed, parties)`: user, server A, server B
+        user_rng, *server_rngs = make_streams(seed, 3)
         # the masks are the first draws from the user's stream, x then z
-        mask_x, mask_z = map(tuple, streams.user.integers(0, 2, size=(2, n)).tolist())
-        user = ProtocolUser(USER, streams.user, rounds, mask_x, mask_z)
-        super().__init__(w, n_circ, [user] * (m + 1), (streams.server_a, streams.server_b),
+        mask_x, mask_z = map(tuple, user_rng.integers(0, 2, size=(2, n)).tolist())
+        user = ProtocolUser(USER, user_rng, rounds, mask_x, mask_z)
+        super().__init__(w, n_circ, [user] * (m + 1), server_rngs,
                          classical_output=classical_output, **kw)
 
     def _load_input(self):
@@ -728,7 +721,6 @@ def run_toqc(
     n_circ=1,
     *,
     seed=None,
-    streams=None,
     classical_output=False,
     eager_bell=False,
     branch_plan=None,
@@ -744,7 +736,7 @@ def run_toqc(
     must fit the OBLIQ_MAX_QUBITS cap (`qsim`). Returns a RunResult.
     """
     return _ToqcRun(
-        w, psi, basis_bits, n_circ, seed=seed, streams=streams,
+        w, psi, basis_bits, n_circ, seed=seed,
         classical_output=classical_output, tcz_delta_coeff=tcz_delta_coeff,
         eager_bell=eager_bell, branch_plan=branch_plan,
     ).run_through()

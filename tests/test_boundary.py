@@ -317,3 +317,26 @@ def test_state_that_is_not_one_vector_named(no_messages, call, psi, shape):
     # two-qubit state: it must not be read as one
     with pytest.raises(ValueError, match=fr"^psi has shape {shape}, not a vector of amplitudes$"):
         call(psi)
+
+
+@pytest.mark.parametrize("n,named", [
+    (0, "n is 0, not at least 1"),
+    (-1, "n is -1, not at least 1"),
+    (1.5, r"n: value 1\.5 is not an integer"),
+], ids=["zero", "negative", "half"])
+@pytest.mark.parametrize("call", [
+    lambda n: oracle.random_state(n, np.random.default_rng(108)),
+    lambda n: oracle.basis_state(n, ()),
+], ids=["random-state", "basis-state"])
+def test_oracle_state_qubit_count_checked(call, n, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        call(n)
+
+
+@pytest.mark.parametrize("count,named", [
+    (0, "count is 0, not at least 1"),
+    (1.5, r"count: value 1\.5 is not an integer"),
+], ids=["zero", "half"])
+def test_alloc_zero_qubits_count_checked(count, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        StateRegister().alloc_zero_qubits(count)

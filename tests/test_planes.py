@@ -75,7 +75,7 @@ def test_toqc_drives_the_plane_in_step_order(calls):
     res = toqc.run_toqc(w, psi=random_state(n, rng), n_circ=1, seed=92,
                         branch_plan=plan)
     # the masks are the first draws of the user's stream
-    user_rng = toqc.make_streams(92).user
+    user_rng = toqc.make_streams(92, 3)[0]
     mask_x, mask_z = (tuple(int(v) for v in user_rng.integers(0, 2, size=n))
                       for _ in "xz")
     assert calls == [

@@ -23,7 +23,6 @@ from obliq.harness import (
 from obliq.oracle import ideal_outcome_distribution, total_variation
 from obliq.qsim import MAX_QUBITS_ENV
 from obliq.tgdmqc import (
-    _leaves,
     _Run,
     exhaustive_output_distribution,
     program_with_users,
@@ -96,7 +95,7 @@ def test_enumerator_leaves_equal_single_runs(n, m):
     rounds = random_rounds(n, m, (n, m, 53))
     plans = list(all_branch_plans(2 * n * m))
     count = 0
-    for (plan, leaf), want in zip(_leaves(w, rounds, n, 54), plans):
+    for (plan, leaf), want in zip(_Run(w, rounds, n, 54).leaves(), plans):
         assert plan == want
         ref = run_tgdmqc(w, rounds, n, seed=54, branch_plan=plan)
         got = leaf.result()
@@ -300,7 +299,7 @@ def test_no_qubits_anywhere_near_users():
     res = run_tgdmqc(random_program(2, 2, np.random.default_rng(7)),
                      random_rounds(2, 2, 8), 1, seed=15)
     for rec in res.transcript.records:
-        assert rec.message.qubits == 0
+        assert rec.qubits == 0
     assert res.ledger.upload_qubits == 0
     assert res.ledger.download_qubits == 0
 
@@ -312,8 +311,7 @@ def test_outcome_routing_table():
     res = run_tgdmqc(random_program(1, m, np.random.default_rng(9)),
                      random_rounds(1, m, 10), 1, seed=16)
     routes = {}
-    for rec in res.transcript.records:
-        msg = rec.message
+    for msg in res.transcript.records:
         if msg.sender.startswith("server") and msg.parts and \
                 msg.parts[0].name == "bell-x":
             routes[msg.step] = msg.receivers
@@ -329,7 +327,7 @@ def test_outcome_downloads_counted_once():
     n, m = 2, 2
     res = run_tgdmqc(random_program(n, m, np.random.default_rng(11)),
                      random_rounds(n, m, 12), 1, seed=17)
-    step4 = [r.message for r in res.transcript.records if r.message.step == "step-4"]
+    step4 = [r for r in res.transcript.records if r.step == "step-4"]
     assert len(step4) == 1
     assert step4[0].bits == 2 * n
     assert len(step4[0].receivers) == 2

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from obliq import toqc
 from obliq.gates import (
     Program,
     ProgramRound,
@@ -31,7 +32,6 @@ from obliq.oracle import (
 )
 from obliq.qsim import pure_density, trace_distance
 from obliq.toqc import (
-    RngStreams,
     audit_query_uniformity,
     derive_cz_queries,
     derive_h_queries,
@@ -53,8 +53,8 @@ class ZeroRng:
         return 0.0
 
 
-def zero_streams():
-    return RngStreams(ZeroRng(), np.random.default_rng(0), np.random.default_rng(1))
+def zero_streams(seed, parties):
+    return [ZeroRng(), np.random.default_rng(0), np.random.default_rng(1)]
 
 
 def expected_step_labels(m, include_local=False):
@@ -97,12 +97,12 @@ def test_random_programs_match_oracle(n, m):
         assert audit_bell_uniformity(res.branch_records).ok
 
 
-def test_forced_zero_outcomes_with_zero_everything():
+def test_forced_zero_outcomes_with_zero_everything(monkeypatch):
     # all-zero queries, masks and outcomes: pure teleport chain, data unchanged
+    monkeypatch.setattr(toqc, "make_streams", zero_streams)
     psi = basis_state(1, (1,))
     w = zero_program(1, 2)
-    res = run_toqc(w, psi=psi, n_circ=1, streams=zero_streams(),
-                   branch_plan=[(0, 0)] * 4)
+    res = run_toqc(w, psi=psi, n_circ=1, branch_plan=[(0, 0)] * 4)
     assert trace_distance(res.output_density, pure_density(psi)) < 1e-12
     for rec in res.branch_records:
         assert rec.outcome == (0, 0)
@@ -292,7 +292,7 @@ def test_query_message_sizes():
     for n in (1, 2, 3):
         w = zero_program(n, 1)
         res = run_toqc(w, psi=basis_state(n, (0,) * n), n_circ=1, seed=n)
-        by_step = {r.message.step: r.message for r in res.transcript.records}
+        by_step = {r.step: r for r in res.transcript.records}
         assert by_step["step-1"].bits == 2 * n * n + 4 * n
         assert by_step["step-1"].qubits == n
         assert by_step["step-3"].bits == 2 * n * n + 8 * n
@@ -540,7 +540,7 @@ def test_branch_probabilities_uniform_across_runs():
 
 
 def test_make_streams_independent():
-    s = make_streams(1234)
-    a = s.user.integers(0, 8, 4).tolist()
-    b = s.server_a.integers(0, 8, 4).tolist()
+    user, server_a, _ = make_streams(1234, 3)
+    a = user.integers(0, 8, 4).tolist()
+    b = server_a.integers(0, 8, 4).tolist()
     assert a != b

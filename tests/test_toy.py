@@ -63,7 +63,7 @@ def test_branch_probabilities_uniform():
 
 def test_transcript_sizes():
     res = run_toy(5, PLUS, seed=5)
-    rows = [(r.message.step, r.message.sender, r.message.bits, r.message.qubits)
+    rows = [(r.step, r.sender, r.bits, r.qubits)
             for r in res.transcript.records]
     assert rows == [
         ("step-1", "user", 6, 1),
@@ -119,8 +119,8 @@ def test_rederived_queries_pinned_on_every_input():
 def test_no_server_to_server_channel():
     res = run_toy(1, PLUS, seed=7)
     for rec in res.transcript.records:
-        sender = rec.message.sender
-        for receiver in rec.message.receivers:
+        sender = rec.sender
+        for receiver in rec.receivers:
             assert not (sender.startswith("server") and receiver.startswith("server"))
 
 
