@@ -45,12 +45,19 @@ per-qubit kernels skip the check. A family draw is one `rng.integers` call
 for all its rows, turned into tuples with one `tolist()`. The run logs the
 stream each draw takes, so a branch walk's `restore` resets only the
 streams that moved since its snapshot.
+
+Every node of a branch walk redraws the same fresh families after its
+`restore`, so its leaves repeat a few distinct wire parts, messages, hop
+records and re-derived rotation families: the walk builds, and checks, each
+once, in one table keyed by their fields (`ProtocolRun._intern`). The
+classical readout draws its bits from the exact law it has already
+computed (`PauliFrame.measure`) instead of collapsing the register.
 """
 
 import copy
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import product, repeat, starmap
 
 import numpy as np
 
@@ -75,7 +82,7 @@ from .layers import (  # noqa: F401
     apply_xz,
     apply_zx,
 )
-from .qsim import StateRegister, _index_tables
+from .qsim import StateRegister, _index_tables, _sample_index
 
 USER = "user"
 SERVER_A = "server-a"
@@ -152,18 +159,24 @@ def h_shift_delta(mask_x, mask_z, first, second):
             tuple([a ^ b ^ c ^ d for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)]))
 
 
-def ring_family_parts(width, prefix, family):
-    return (ClassicalPart(f"{prefix}[u=0]", width, family[0]),
-            ClassicalPart(f"{prefix}[u=1]", width, family[1]))
+# each query family's wire parts: their names, one per row in row order
+# (rows u for the ring families, (u, v) for the pair family), and the bits
+# per entry
+_RING_ROWS = ("u=0", "u=1")
+_PAIR_ROWS = tuple([f"u={u},v={v}" for u, v in UV_PAIRS])
+FAMILY_PARTS = {
+    prefix: (tuple([f"{prefix}[{row}]" for row in rows]), width)
+    for family, rows, width in (("t-query", _RING_ROWS, 3), ("h-query", _RING_ROWS, 2),
+                                ("cz-query", _PAIR_ROWS, 1))
+    for prefix in (family, f"{family}-rederived")
+}
 
 
-t_family_parts = partial(ring_family_parts, 3)
-h_family_parts = partial(ring_family_parts, 2)
-
-
-def cz_family_parts(prefix, family):
-    return tuple([ClassicalPart(f"{prefix}[u={u},v={v}]", 1, family[(u, v)])
-                  for u, v in UV_PAIRS])
+def family_parts(prefix, family):
+    """The wire parts of the query family `family`, sent as `prefix`, each
+    as its `ClassicalPart` fields (name, width, values)."""
+    names, width = FAMILY_PARTS[prefix]
+    return tuple(zip(names, repeat(width), family.values()))
 
 
 # One `rng.integers` call per family, its rows in this order: a seed's
@@ -258,9 +271,21 @@ class PauliFrame:
 
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
-        distribution of the bits, then the bits."""
+        distribution of the bits, then the bits. Each bit takes one
+        `rng.random()`, in qubit order, from its law given the bits before
+        it: the draws of one collapsing `measure_z` per qubit, without the
+        collapse, which no later step reads. A drawn prefix always has
+        positive probability (`_sample_index`), so no law divides by zero."""
         dist = self.reg.probabilities_on(self.data[:count])
-        return dist, tuple(self.reg.measure_z(q, rng=rng)[0] for q in self.data[:count])
+        block = dist.tolist()
+        bits = []
+        for _ in range(count):
+            half = len(block) >> 1
+            p1 = sum(block[half:]) / sum(block)
+            bit = _sample_index((1.0 - p1, p1), rng)
+            bits.append(bit)
+            block = block[half:] if bit else block[:half]
+        return dist, tuple(bits)
 
     def density(self, count, xs, zs):
         """Z^z X^x on the first `count` data qubits, then their density matrix."""
@@ -405,11 +430,40 @@ class ProtocolRun:
         self.rngs = [p.rng for p in self.parties] + [rng_a, rng_b]
         self.drawn = []
         self.fresh = None
+        # the branch walk's table of built values (`_intern`); None in a single run
+        self.interned = None
 
     def _draw_from(self, rng):
         """Log `rng` as the stream of the next draw; returns it."""
         self.drawn.append(rng)
         return rng
+
+    def _intern(self, key, build, *args):
+        """`build(*args)`, or in a branch walk the value it gave for `key`
+        the first time: the values are immutable and a function of their
+        key, whose first entry names their kind."""
+        table = self.interned
+        if table is None:
+            return build(*args)
+        value = table.get(key)
+        if value is None:
+            value = table[key] = build(*args)
+        return value
+
+    def _message(self, step, sender, receivers, parts, qubits):
+        """The `StepMessage` of `parts`, given as (name, width, values)
+        triples; in a walk each distinct part is built, and checked, once."""
+        if self.interned is None:
+            built = tuple(starmap(ClassicalPart, parts))
+        else:
+            built = tuple([self._intern(("part", *p), ClassicalPart, *p) for p in parts])
+        return StepMessage(step, sender, receivers, built, qubits)
+
+    def _send(self, step, sender, receivers, parts=(), qubits=0):
+        """Send the message of `parts` ((name, width, values) triples)
+        through the channel registry; a walk builds each distinct one once."""
+        self.registry.send(self._intern(("message", step, sender, receivers, parts, qubits),
+                                        self._message, step, sender, receivers, parts, qubits))
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits), read off its n branch records; zeros
@@ -423,8 +477,9 @@ class ProtocolRun:
     # -- the schedule ------------------------------------------------------
 
     def _load_input(self):
-        """Load the data qubits; returns the parts and qubits that step 1
-        adds for the input: none when server A allocates |0...0> itself."""
+        """Load the data qubits; returns the parts, as (name, width, values)
+        triples, and the qubits that step 1 adds for the input: none when
+        server A allocates |0...0> itself."""
         self.plane.load()
         return (), 0
 
@@ -434,18 +489,23 @@ class ProtocolRun:
         shift, delta = h_shift_delta(user.mask_x, user.mask_z,
                                      self.outcomes(2 * j - 1), self.outcomes(2 * j))
         coeff = user.rounds.get(j)
-        return derive_h_queries(self.fresh[2], shift, delta, coeff=coeff and coeff.x)
+        coeff = coeff and coeff.x
+        fresh = self.fresh[2]
+        return self._intern(("h", fresh[0], fresh[1], shift, delta, coeff),
+                            derive_h_queries, fresh, shift, delta, coeff)
 
     def open(self):
-        """Step 1, then server A's round-1 layers up to its first hop."""
+        """Step 1, then server A's round-1 layers up to its first hop. A run
+        runs once: a run that has sent step 1 is refused."""
+        if self.registry.transcript.records:
+            raise ValueError("this run has already sent step 1; a ProtocolRun runs once")
         user = self.users[0]
         rng = self._draw_from(user.rng)
         t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
         self.fresh = (t, cz, None)
         parts, qubits = self._load_input()
-        parts += t_family_parts("t-query", t) + cz_family_parts("cz-query", cz)
-        self.registry.send(
-            StepMessage("step-1", user.name, (SERVER_A,), parts, qubits=qubits))
+        parts += family_parts("t-query", t) + family_parts("cz-query", cz)
+        self._send("step-1", user.name, (SERVER_A,), parts, qubits)
         self.plane.phase_layers(1, t, cz)
 
     def hop(self, k, outcomes=None):
@@ -459,21 +519,27 @@ class ProtocolRun:
         server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
                              else (self.server_b, self.users[j - 1:j + 1]))
         rng = server.rng if outcomes is not None else self._draw_from(server.rng)
-        hopped = self.plane.hop(k, server.side, rng, outcomes)
-        measured = self.plane.measured
-        self.branch_records += [BranchRecord(step, s, probs, ab, measured)
-                                for s, (ab, probs) in enumerate(hopped, 1)]
-        xs, zs = zip(*[ab for ab, _ in hopped])
-        self.registry.send(StepMessage(
-            step, server.name, tuple(dict.fromkeys(p.name for p in receivers)),
-            (ClassicalPart("bell-x", 1, xs), ClassicalPart("bell-z", 1, zs)),
-        ))
+        hopped = tuple(self.plane.hop(k, server.side, rng, outcomes))
+        records, message = self._intern(("hop", step, hopped), self._hop_records,
+                                        step, server.name, receivers, hopped)
+        self.branch_records += records
+        self.registry.send(message)
         if k % 2:
             self._round_b(j)
         elif j < self.m:
             self._round_a(j + 1)
         else:
             self._read_out()
+
+    def _hop_records(self, step, sender, receivers, hopped):
+        """A hop's branch records, one per wire, and its outcome message."""
+        measured = self.plane.measured
+        records = tuple([BranchRecord(step, s, probs, ab, measured)
+                         for s, (ab, probs) in enumerate(hopped, 1)])
+        xs, zs = zip(*[ab for ab, _ in hopped])
+        return records, self._message(
+            step, sender, tuple(dict.fromkeys(p.name for p in receivers)),
+            (("bell-x", 1, xs), ("bell-z", 1, zs)), 0)
 
     def run_through(self):
         """Open, then every hop with the plan's or sampled outcomes."""
@@ -495,11 +561,11 @@ class ProtocolRun:
         h = draw_h_family(self._draw_from(user.rng), self.n)
         self.fresh = (t_fresh, cz_fresh, h)
         parts = (
-            t_family_parts("t-query-rederived", t)
-            + cz_family_parts("cz-query-rederived", cz)
-            + h_family_parts("h-query", h)
+            family_parts("t-query-rederived", t)
+            + family_parts("cz-query-rederived", cz)
+            + family_parts("h-query", h)
         )
-        self.registry.send(StepMessage(f"step-{4 * j - 1}", user.name, (SERVER_B,), parts))
+        self._send(f"step-{4 * j - 1}", user.name, (SERVER_B,), parts)
         self.plane.phase_layers(j, t, cz)
         self.plane.h_layer(j, h)
 
@@ -513,12 +579,12 @@ class ProtocolRun:
         rng = self._draw_from(user.rng)
         t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
         self.fresh = (t, cz, None)
-        halves = [(prev, h_family_parts("h-query-rederived", h)),
-                  (user, t_family_parts("t-query", t) + cz_family_parts("cz-query", cz))]
+        halves = [(prev, family_parts("h-query-rederived", h)),
+                  (user, family_parts("t-query", t) + family_parts("cz-query", cz))]
         if prev is user:
             halves = [(user, halves[0][1] + halves[1][1])]
         for sender, parts in halves:
-            self.registry.send(StepMessage(step, sender.name, (SERVER_A,), parts))
+            self._send(step, sender.name, (SERVER_A,), parts)
         self.plane.h_layer(j - 1, h)
         self.plane.phase_layers(j, t, cz)
 
@@ -528,8 +594,8 @@ class ProtocolRun:
         m, n_circ = self.m, self.n_circ
         user, reader = self.users[m - 1], self.users[m]
         h = self._derived_h(m)
-        self.registry.send(StepMessage(f"step-{4 * m + 1}", user.name, (SERVER_A,),
-                                       h_family_parts("h-query-rederived", h)))
+        self._send(f"step-{4 * m + 1}", user.name, (SERVER_A,),
+                   family_parts("h-query-rederived", h))
 
         self.plane.h_layer(m, h)
         step = f"step-{4 * m + 2}"
@@ -538,15 +604,14 @@ class ProtocolRun:
         xs = tuple([x ^ mx for x, mx in zip(ox, reader.mask_x)])
         if self.classical_output:
             raw, measured = self.plane.measure(n_circ, self._draw_from(self.server_a.rng))
-            self.registry.send(StepMessage(step, SERVER_A, (reader.name,),
-                                           (ClassicalPart("output-bits", 1, measured),)))
+            self._send(step, SERVER_A, (reader.name,), (("output-bits", 1, measured),))
             # step 4m+3: add back the residual X bits
             shift = xs[:n_circ]
             self.output_bits = tuple([b ^ x for b, x in zip(measured, shift)])
             self.output_distribution = raw[_index_tables(raw.size)[0] ^ bits_index(shift)]
             self.output_density = None
         else:
-            self.registry.send(StepMessage(step, SERVER_A, (reader.name,), qubits=n_circ))
+            self._send(step, SERVER_A, (reader.name,), qubits=n_circ)
             # step 4m+3: undo the residual masks on the received qubits
             zs = tuple((z + mz) % 2 for z, mz in zip(oz, reader.mask_z))
             self.output_density = self.plane.density(n_circ, xs, zs)
@@ -585,25 +650,27 @@ class ProtocolRun:
         node. The run is the same object each time, valid until the next
         leaf; it is left at the last leaf. A run built with a branch plan
         is refused: the walk takes every plan.
+
+        The walk builds each distinct value once (`_intern`); every message
+        still goes through the channel registry.
         """
         if self.plan[0] is not None:
             raise ValueError("the branch walk takes every plan, not a branch_plan")
+        self.interned = {}
         self.open()
-        combos = tuple(all_branch_plans(self.n))
-        last = 2 * self.m
+        yield from self._walk(1, (), tuple(all_branch_plans(self.n)))
 
-        def walk(k, prefix):
-            snap = self.snapshot()
-            for i, combo in enumerate(combos):
-                if i:
-                    self.restore(snap)
-                self.hop(k, combo)
-                if k == last:
-                    yield prefix + combo, self
-                else:
-                    yield from walk(k + 1, prefix + combo)
-
-        yield from walk(1, ())
+    def _walk(self, k, prefix, combos):
+        """The walk from hop k on, after the outcomes `prefix`."""
+        snap = self.snapshot()
+        for i, combo in enumerate(combos):
+            if i:
+                self.restore(snap)
+            self.hop(k, combo)
+            if k == 2 * self.m:
+                yield prefix + combo, self
+            else:
+                yield from self._walk(k + 1, prefix + combo, combos)
 
     def result(self):
         """The run's `RunResult`: the views, steps and ledger are replayed
@@ -703,7 +770,7 @@ class _ToqcRun(ProtocolRun):
                 bits = tuple((b + a) % 2 for b, a in zip(bits, user.mask_x))
             self.plane.paulis(bits, (0,) * self.n)
             if self.classical_output:
-                return (ClassicalPart("masked-bits", 1, bits),), 0
+                return (("masked-bits", 1, bits),), 0
         self.plane.paulis(user.mask_x, user.mask_z)
         return (), self.n
 

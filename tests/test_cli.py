@@ -269,6 +269,27 @@ def test_tgdmqc_exhaustive_branches_passes(tmp_path, capsys):
     assert _verdict_lines(out) == ["verdict=pass"]
 
 
+def test_tgdmqc_exhaustive_branches_walk_on_the_eager_bell_plane(tmp_path, capsys, monkeypatch):
+    # --eager-bell selects the physical executor for the branch walk too: at
+    # n = m = 1 the single run samples its 2 hops, the walk forces 4 + 16
+    hops = []
+    hop = toqc.BellStore.hop
+
+    def counting_hop(self, k, side, rng, forced):
+        hops.append(forced is not None)
+        return hop(self, k, side, rng, forced)
+
+    monkeypatch.setattr(toqc.BellStore, "hop", counting_hop)
+    rng = np.random.default_rng(13)
+    w, users = tmp_path / "w.txt", tmp_path / "users.txt"
+    save_program(random_program(1, 1, rng), w)
+    save_program(random_program(1, 1, rng), users)
+    assert cli.main(["tgdmqc", "--server-program", str(w), "--user-rounds", str(users),
+                     "--seed", "14", "--exhaustive-branches", "--eager-bell"]) == 0
+    assert hops == [False] * 2 + [True] * 20
+    out = capsys.readouterr().out
+    assert "total_variation=" in out and "verdict_bell-uniformity=pass" in out
+
 @pytest.mark.parametrize("text,named", [
     ("0.5 0\n0.5 0\n0.5 0\n", "psi has 3 amplitudes, expected 2^2 = 4"),
     ("1 0\n1 0\n1 0\n1 0\n", "psi has norm 2.0, not 1"),

@@ -1,6 +1,8 @@
 """Multiparty protocol: distribution correctness, routing, secrecy, ledger."""
 
+import gc
 import hashlib
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -15,7 +17,10 @@ from obliq.gates import (
     random_program,
     zero_round,
 )
+from obliq import toqc
 from obliq.harness import (
+    ChannelRegistry,
+    ClassicalPart,
     all_branch_plans,
     assert_complexity_tgdmqc,
     audit_bell_uniformity,
@@ -206,6 +211,70 @@ def test_restore_resets_only_the_streams_drawn_since_the_snapshot():
     assert server_b.draws == server_b.bit_generator.writes == 0
     assert users[m].rng.draws == users[m].rng.bit_generator.writes == 0
 
+
+def test_walk_builds_each_distinct_value_once(monkeypatch):
+    # the walk's table builds, and so checks, one wire part per distinct
+    # (name, width, values) and derives one rotation family per distinct
+    # input, while every message still goes through the channel registry:
+    # at (2, 1) step 1, then 16 x 2 after hop 1 and 256 x 3 after hop 2
+    parts, derived, sent = Counter(), Counter(), Counter()
+    post_init, derive, send = (ClassicalPart.__post_init__, toqc.derive_h_queries,
+                               ChannelRegistry.send)
+
+    def counting_post_init(self):
+        post_init(self)
+        parts[self.name, self.width, self.values] += 1
+
+    def counting_derive(fresh, shift, delta, coeff=None):
+        derived[fresh[0], fresh[1], shift, delta, coeff] += 1
+        return derive(fresh, shift, delta, coeff)
+
+    def counting_send(self, message):
+        sent[message.step] += 1
+        send(self, message)
+
+    monkeypatch.setattr(ClassicalPart, "__post_init__", counting_post_init)
+    monkeypatch.setattr(toqc, "derive_h_queries", counting_derive)
+    monkeypatch.setattr(ChannelRegistry, "send", counting_send)
+    w = random_program(2, 1, np.random.default_rng(75))
+    _, _, total = exhaustive_output_distribution(w, random_rounds(2, 1, 76))
+    assert abs(total - 1.0) < 1e-12
+    assert parts and max(parts.values()) == 1
+    # every node draws the same fresh family after its restore, so the
+    # derivations differ only in their 4^n (shift, delta) pairs
+    assert len(derived) == 4 ** 2 and max(derived.values()) == 1
+    assert sent == {"step-1": 1, "step-2": 16, "step-3": 16,
+                    "step-4": 256, "step-5": 256, "step-6": 256}
+    assert sum(sent.values()) == 801
+
+
+def test_walk_leaves_no_cyclic_garbage():
+    # a finished walk frees its run by reference counting alone
+    w = random_program(2, 1, np.random.default_rng(77))
+    rounds = random_rounds(2, 1, 78)
+    exhaustive_output_distribution(w, rounds)
+    gc.collect()
+    gc.disable()
+    try:
+        exhaustive_output_distribution(w, rounds)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("second", ["leaves", "run_through"])
+@pytest.mark.parametrize("first", ["leaves", "run_through"])
+def test_a_run_runs_once(first, second):
+    # a run that has sent step 1 refuses to start again, before any message
+    w = random_program(2, 1, np.random.default_rng(79))
+    run = _Run(w, random_rounds(2, 1, 80), 1, 81)
+    go = {"leaves": lambda: sum(1 for _ in run.leaves()), "run_through": run.run_through}
+    go[first]()
+    sent = list(run.registry.transcript.records)
+    assert len(sent) == 6
+    with pytest.raises(ValueError, match="already sent step 1"):
+        go[second]()
+    assert run.registry.transcript.records == sent
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
 def test_outcome_joint_has_every_plan_once(n, m):
