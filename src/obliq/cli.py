@@ -133,16 +133,15 @@ def cmd_tgdmqc(args):
     res = tgdmqc.run_tgdmqc(w, users.rounds, args.n_circ, seed=seed,
                             eager_bell=args.eager_bell)
     print(f"output_bits={''.join(str(b) for b in res.output_bits)}")
-    ideal = oracle.ideal_outcome_distribution(
-        tgdmqc.program_with_users(w, users.rounds), args.n_circ)
     if args.exhaustive_branches:
         # the walk runs on the same executor as the single run
-        dist = tgdmqc.exhaustive_output_distribution(
-            w, users.rounds, args.n_circ, seed=seed, eager_bell=args.eager_bell)[0]
-        tv = oracle.total_variation(dist, ideal)
+        tv = tgdmqc.verify_against_ideal(w, users.rounds, args.n_circ, seed=seed,
+                                         eager_bell=args.eager_bell)[0]
         print(f"total_variation={tv:.3e}")
         verdict = _oracle_verdict("oracle-distribution", "total variation", tv)
     else:
+        ideal = oracle.ideal_outcome_distribution(
+            tgdmqc.program_with_users(w, users.rounds), args.n_circ)
         tv = oracle.total_variation(res.output_distribution, ideal)
         print(f"run_total_variation={tv:.3e}")
         verdict = _oracle_verdict("oracle-distribution", "per-branch total variation", tv)

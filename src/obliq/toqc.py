@@ -57,7 +57,7 @@ computed (`PauliFrame.measure`) instead of collapsing the register.
 import copy
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat, starmap
+from itertools import product
 
 import numpy as np
 
@@ -159,13 +159,12 @@ def h_shift_delta(mask_x, mask_z, first, second):
             tuple([a ^ b ^ c ^ d for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)]))
 
 
-# each query family's wire parts: their names, one per row in row order
-# (rows u for the ring families, (u, v) for the pair family), and the bits
-# per entry
-_RING_ROWS = ("u=0", "u=1")
-_PAIR_ROWS = tuple([f"u={u},v={v}" for u, v in UV_PAIRS])
+# each query family's wire parts: (part name, row key) in wire order (rows
+# u for the ring families, (u, v) for the pair family), and the bits per entry
+_RING_ROWS = tuple([(f"u={u}", u) for u in (0, 1)])
+_PAIR_ROWS = tuple([(f"u={u},v={v}", (u, v)) for u, v in UV_PAIRS])
 FAMILY_PARTS = {
-    prefix: (tuple([f"{prefix}[{row}]" for row in rows]), width)
+    prefix: (tuple([(f"{prefix}[{row}]", key) for row, key in rows]), width)
     for family, rows, width in (("t-query", _RING_ROWS, 3), ("h-query", _RING_ROWS, 2),
                                 ("cz-query", _PAIR_ROWS, 1))
     for prefix in (family, f"{family}-rederived")
@@ -175,8 +174,8 @@ FAMILY_PARTS = {
 def family_parts(prefix, family):
     """The wire parts of the query family `family`, sent as `prefix`, each
     as its `ClassicalPart` fields (name, width, values)."""
-    names, width = FAMILY_PARTS[prefix]
-    return tuple(zip(names, repeat(width), family.values()))
+    rows, width = FAMILY_PARTS[prefix]
+    return tuple([(name, width, family[key]) for name, key in rows])
 
 
 # One `rng.integers` call per family, its rows in this order: a seed's
@@ -453,23 +452,14 @@ class ProtocolRun:
     def _message(self, step, sender, receivers, parts, qubits):
         """The `StepMessage` of `parts`, given as (name, width, values)
         triples; in a walk each distinct part is built, and checked, once."""
-        if self.interned is None:
-            built = tuple(starmap(ClassicalPart, parts))
-        else:
-            built = tuple([self._intern(("part", *p), ClassicalPart, *p) for p in parts])
+        built = tuple([self._intern(("part", *p), ClassicalPart, *p) for p in parts])
         return StepMessage(step, sender, receivers, built, qubits)
 
     def _send(self, step, sender, receivers, parts=(), qubits=0):
         """Send the message of `parts` ((name, width, values) triples)
         through the channel registry; a walk builds each distinct one once."""
-        # a single run builds each message once anyway, so it skips the key
-        # and the `_intern` call, as `hop` does: they cost it about 2%
-        if self.interned is None:
-            message = self._message(step, sender, receivers, parts, qubits)
-        else:
-            message = self._intern(("message", step, sender, receivers, parts, qubits),
-                                   self._message, step, sender, receivers, parts, qubits)
-        self.registry.send(message)
+        self.registry.send(self._intern(("message", step, sender, receivers, parts, qubits),
+                                        self._message, step, sender, receivers, parts, qubits))
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits), read off its n branch records; zeros
@@ -526,11 +516,8 @@ class ProtocolRun:
                              else (self.server_b, self.users[j - 1:j + 1]))
         rng = server.rng if outcomes is not None else self._draw_from(server.rng)
         hopped = tuple(self.plane.hop(k, server.side, rng, outcomes))
-        if self.interned is None:
-            records, message = self._hop_records(step, server.name, receivers, hopped)
-        else:
-            records, message = self._intern(("hop", step, hopped), self._hop_records,
-                                            step, server.name, receivers, hopped)
+        records, message = self._intern(("hop", step, hopped), self._hop_records,
+                                        step, server.name, receivers, hopped)
         self.branch_records += records
         self.registry.send(message)
         if k % 2:

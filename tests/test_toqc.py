@@ -300,6 +300,19 @@ def test_query_message_sizes():
         assert by_step["step-2"].bits == 2 * n
 
 
+def test_family_parts_name_rows_by_key():
+    # a family's part for row u (or (u, v)) carries row u's values, whatever
+    # order the family's dict was built in
+    rng = np.random.default_rng(5)
+    for prefix, family in (("t-query", toqc.draw_t_family(rng, 3)),
+                           ("cz-query-rederived", toqc.draw_cz_family(rng, 3))):
+        parts = toqc.family_parts(prefix, family)
+        assert toqc.family_parts(prefix, dict(reversed(family.items()))) == parts
+        for (name, _, values), key in zip(parts, family):
+            row = f"u={key}" if isinstance(key, int) else "u={},v={}".format(*key)
+            assert name == f"{prefix}[{row}]" and values == family[key]
+
+
 def test_step_labels_schedule():
     for m in (1, 2, 3):
         w = zero_program(1, m)
