@@ -86,6 +86,7 @@ class StepMessage:
     def kind(self):
         return wire_kind(self.bits, self.qubits)
 
+    @property
     def digest(self):
         h = hashlib.sha256()
         for p in self.parts:
@@ -97,8 +98,8 @@ class StepMessage:
 
 
 class Transcript:
-    """The messages sent, in order: `StepMessage`s, or the `ParsedRecord`s
-    of a transcript read back from text. `render` numbers them from 1."""
+    """The messages sent, in order: `StepMessage`s, or the `ParsedRecord`s of
+    text read back, which `render` (numbering from 1) gives back unchanged."""
 
     def __init__(self):
         self.records = []
@@ -106,7 +107,7 @@ class Transcript:
     def render(self):
         return "\n".join(
             f"{seq} {m.step} {m.sender} {'+'.join(m.receivers)} "
-            f"{m.kind} {m.bits} {m.qubits} {m.digest()}"
+            f"{m.kind} {m.bits} {m.qubits} {m.digest}"
             for seq, m in enumerate(self.records, 1)
         ) + "\n"
 

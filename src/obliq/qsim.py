@@ -364,6 +364,8 @@ class StateRegister:
         (given order), columns by the other qubits."""
         if not subset:
             raise ValueError("subset must be non-empty")
+        if list(subset) == self._order[:len(subset)]:  # the leading qubits, in order
+            return self._amps.reshape(1 << len(subset), -1)
         if len({id(q) for q in subset}) != len(subset):
             raise ValueError("subset entries must be distinct")
         k = len(self._order)
@@ -383,6 +385,14 @@ def _index_tables(dim):
         parity ^= ((index >> b) & 1).astype(bool)
     index.flags.writeable = parity.flags.writeable = False
     return index, parity
+
+
+@lru_cache(maxsize=8)
+def _xor_index(dim, mask):
+    """i -> i ^ mask over 0..dim-1, kept for the last 8 (dim, mask); read-only."""
+    perm = _index_tables(dim)[0] ^ mask
+    perm.flags.writeable = False
+    return perm
 
 
 def checked_1q(gate):

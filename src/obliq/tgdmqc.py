@@ -104,7 +104,7 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
         p = run.branch_probability
         total += p
         acc += p * run.output_distribution
-        outcome_joint[plan] = outcome_joint.get(plan, 0.0) + p
+        outcome_joint[plan] = p
     return acc, outcome_joint, total
 
 

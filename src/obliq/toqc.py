@@ -49,12 +49,13 @@ streams that moved since its snapshot.
 Every node of a branch walk redraws the same fresh families after its
 `restore`, so its leaves repeat a few distinct wire parts, messages, hop
 records and re-derived rotation families: the walk builds, and checks, each
-once, in one table keyed by their fields (`ProtocolRun._intern`). The
-classical readout draws its bits from the exact law it has already
-computed (`PauliFrame.measure`) instead of collapsing the register.
+once, in one table keyed by their fields (`ProtocolRun._intern`). A node
+extends its parent's hop log (`ProtocolRun.hops`) by one entry, so a leaf
+reads its outcomes and branch probability there instead of rescanning its
+records. The classical readout draws its bits from the exact law it has
+already computed (`PauliFrame.measure`) instead of collapsing the register.
 """
 
-import copy
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -82,7 +83,7 @@ from .layers import (  # noqa: F401
     apply_xz,
     apply_zx,
 )
-from .qsim import StateRegister, _index_tables, _sample_index
+from .qsim import StateRegister, _sample_index, _xor_index
 
 USER = "user"
 SERVER_A = "server-a"
@@ -395,9 +396,11 @@ class ProtocolRun:
     and the one fresh (t, cz, h) family in flight, which a round uses
     before the next round draws its own, are the run's whole classical
     record: each party acts on the message it was just sent or on the
-    outcomes routed to it, which `outcomes(k)` reads off the records. A
-    third log, `drawn`, holds the stream handed to each draw: a user's
-    family draw, an unforced hop and the readout's measurement.
+    outcomes routed to it. A third log, `drawn`, holds the stream handed to
+    each draw: a user's family draw, an unforced hop and the readout's
+    measurement. A fourth, `hops`, holds at k hop k's (x bits, z bits),
+    which `outcomes(k)` returns, and the branch probability after hop k,
+    the records' factors multiplied in order (zeros and 1.0 at k = 0).
 
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
     everything up to hop k+1, or through the readout when k = 2m.
@@ -421,6 +424,7 @@ class ProtocolRun:
             self.registry.register(p.name, SERVER_A)
             self.registry.register(p.name, SERVER_B)
         self.branch_records = []
+        self.hops = [(((0,) * n, (0,) * n), 1.0)]
         # the physical reference when `eager_bell`, else the Pauli frame
         self.plane = (BellStore if eager_bell else PauliFrame)(w)
         rng_a, rng_b = server_rngs
@@ -462,13 +466,9 @@ class ProtocolRun:
                                         self._message, step, sender, receivers, parts, qubits))
 
     def outcomes(self, k):
-        """Hop k's (x bits, z bits), read off its n branch records; zeros
-        for k = 0, before the first hop."""
-        if k == 0:
-            zero = (0,) * self.n
-            return zero, zero
-        xs, zs = zip(*[r.outcome for r in self.branch_records[(k - 1) * self.n:k * self.n]])
-        return xs, zs
+        """Hop k's (x bits, z bits) from the hop log; zeros for k = 0,
+        before the first hop."""
+        return self.hops[k][0]
 
     # -- the schedule ------------------------------------------------------
 
@@ -516,9 +516,13 @@ class ProtocolRun:
                              else (self.server_b, self.users[j - 1:j + 1]))
         rng = server.rng if outcomes is not None else self._draw_from(server.rng)
         hopped = tuple(self.plane.hop(k, server.side, rng, outcomes))
-        records, message = self._intern(("hop", step, hopped), self._hop_records,
-                                        step, server.name, receivers, hopped)
+        records, message, bits, factors = self._intern(("hop", step, hopped), self._hop_records,
+                                                       step, server.name, receivers, hopped)
         self.branch_records += records
+        p = self.hops[-1][1]
+        for f in factors:
+            p *= f
+        self.hops.append((bits, p))
         self.registry.send(message)
         if k % 2:
             self._round_b(j)
@@ -528,14 +532,16 @@ class ProtocolRun:
             self._read_out()
 
     def _hop_records(self, step, sender, receivers, hopped):
-        """A hop's branch records, one per wire, and its outcome message."""
+        """A hop's branch records, one per wire, its outcome message, its
+        (x bits, z bits) and each wire's branch probability factor."""
         measured = self.plane.measured
         records = tuple([BranchRecord(step, s, probs, ab, measured)
                          for s, (ab, probs) in enumerate(hopped, 1)])
         xs, zs = zip(*[ab for ab, _ in hopped])
+        factors = tuple([probs[(a << 1) | b] for (a, b), probs in hopped])
         return records, self._message(
             step, sender, tuple(dict.fromkeys(p.name for p in receivers)),
-            (("bell-x", 1, xs), ("bell-z", 1, zs)), 0)
+            (("bell-x", 1, xs), ("bell-z", 1, zs)), 0), (xs, zs), factors
 
     def run_through(self):
         """Open, then every hop with the plan's or sampled outcomes."""
@@ -604,7 +610,7 @@ class ProtocolRun:
             # step 4m+3: add back the residual X bits
             shift = xs[:n_circ]
             self.output_bits = tuple([b ^ x for b, x in zip(measured, shift)])
-            self.output_distribution = raw[_index_tables(raw.size)[0] ^ bits_index(shift)]
+            self.output_distribution = raw[_xor_index(raw.size, bits_index(shift))]
             self.output_density = None
         else:
             self._send(step, SERVER_A, (reader.name,), qubits=n_circ)
@@ -612,29 +618,27 @@ class ProtocolRun:
             zs = tuple((z + mz) % 2 for z, mz in zip(oz, reader.mask_z))
             self.output_density = self.plane.density(n_circ, xs, zs)
             self.output_bits = self.output_distribution = None
-        p = 1.0
-        for rec in self.branch_records:
-            p *= rec.probs[(rec.outcome[0] << 1) | rec.outcome[1]]
-        self.branch_probability = p
+        self.branch_probability = self.hops[-1][1]
 
     # -- resuming ----------------------------------------------------------
 
     def snapshot(self):
         """Everything a later hop changes: the plane's register and frame, the
-        rng states, the three logs by their lengths and the families in
+        rng states, the four logs by their lengths and the families in
         flight."""
         return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
                 len(self.branch_records), len(self.registry.transcript.records),
-                len(self.drawn), self.fresh)
+                len(self.drawn), len(self.hops), self.fresh)
 
     def restore(self, snap):
         """Return to `snap`. Of the rng streams, only those the draw log
         names since the snapshot are reset: no other stream has moved."""
-        reg, frame, rng_states, n_records, n_messages, n_drawn, self.fresh = snap
+        reg, frame, rng_states, n_records, n_messages, n_drawn, n_hops, self.fresh = snap
         self.plane.restore((reg, frame))
         for rng in dict.fromkeys(self.drawn[n_drawn:]):
             rng.bit_generator.state = rng_states[rng]
         del self.drawn[n_drawn:]
+        del self.hops[n_hops:]
         del self.branch_records[n_records:]
         del self.registry.transcript.records[n_messages:]
 
@@ -772,9 +776,8 @@ class _ToqcRun(ProtocolRun):
 
     def outcome_table(self):
         """The X and Z outcome bits of each hop k, zeros at k = 0."""
-        hops = [self.outcomes(k) for k in range(2 * self.m + 1)]
-        return {"x": {k: xs for k, (xs, _) in enumerate(hops)},
-                "z": {k: zs for k, (_, zs) in enumerate(hops)}}
+        return {"x": {k: xs for k, ((xs, _), _) in enumerate(self.hops)},
+                "z": {k: zs for k, ((_, zs), _) in enumerate(self.hops)}}
 
 
 def run_toqc(
@@ -803,20 +806,6 @@ def run_toqc(
         classical_output=classical_output, tcz_delta_coeff=tcz_delta_coeff,
         eager_bell=eager_bell, branch_plan=branch_plan,
     ).run_through()
-
-
-def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
-    """Yield (plan, result) over every Bell branch assignment of a run.
-
-    Walks the outcome tree depth-first, so a shared prefix of outcomes runs
-    once. Every plan shares `seed`, so each result equals
-    `run_toqc(..., seed=seed, branch_plan=plan)` exactly; `**kw` takes
-    `run_toqc`'s other keywords, and `branch_plan` raises a ValueError.
-    """
-    run = _ToqcRun(w, psi, basis_bits, n_circ, seed=seed, **kw)
-    for plan, leaf in run.leaves():
-        # the run goes on to the next branch: hand out a copy
-        yield plan, copy.deepcopy(leaf.result())
 
 
 # -- query audit ----------------------------------------------------------------

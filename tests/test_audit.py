@@ -5,7 +5,7 @@ import pytest
 
 from obliq import cli
 from obliq.gates import random_program
-from obliq.harness import audit_transcript_file, parse_transcript
+from obliq.harness import Transcript, audit_transcript_file, parse_transcript
 from obliq.tgdmqc import run_tgdmqc
 from obliq.toqc import run_toqc
 
@@ -39,6 +39,20 @@ def test_render_parse_audit_round_trip(tgdmqc_text):
     assert records[3].receivers == ("user-1", "user-2")
     verdict = audit_transcript_file(tgdmqc_text, "tgdmqc", 2, 1, 1)
     assert verdict.ok, verdict.details
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: run_toqc(w, psi=np.eye(4)[1], n_circ=2, seed=65),
+    lambda w: run_toqc(w, basis_bits=(1, 0), n_circ=2, seed=65, classical_output=True),
+    lambda w: run_tgdmqc(w, random_program(2, 2, np.random.default_rng(66)).rounds, 2, seed=65),
+], ids=["toqc-quantum", "toqc-classical", "tgdmqc"])
+def test_parsed_transcript_renders_to_its_text(run):
+    # the transcript `audit_transcript_file` rebuilds from text renders back
+    # to that text, record for record
+    text = run(random_program(2, 2, np.random.default_rng(64))).transcript.render()
+    parsed = Transcript()
+    parsed.records = parse_transcript(text)
+    assert parsed.render() == text
 
 
 def test_toqc_round_trip_passes():

@@ -11,8 +11,9 @@ from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_
 from obliq.oracle import basis_state
 from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, StateRegister, default_max_qubits
 from obliq.tgdmqc import exhaustive_output_distribution, run_tgdmqc, verify_against_ideal
-from obliq.toqc import enumerate_branches, run_toqc
+from obliq.toqc import run_toqc
 from obliq.toy import run_toy
+from test_toqc import enumerate_branches
 
 N, M = 2, 1
 OUTCOMES = 2 * M * N

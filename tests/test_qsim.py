@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from obliq.gates import matrix_of
+from obliq import toqc
+from obliq.gates import matrix_of, random_program
 from obliq.qsim import (
     MAX_QUBITS_ENV,
     CapacityError,
@@ -413,6 +414,56 @@ def test_norm_preserved_under_random_ops(seed, n):
             if reg.num_live < 6:
                 qubits.extend(reg.alloc_zero_qubits(1))
         assert reg.norm_error() < 1e-12
+
+
+def _transposed_rows(reg, subset):
+    """The rows of `subset` by the general path, one transpose of the
+    amplitude tensor: the reference for the leading-qubit reshape."""
+    k = len(reg._order)
+    axes = [reg._order.index(q) for q in subset]
+    rest = [a for a in range(k) if a not in axes]
+    return reg._amps.reshape((2,) * k).transpose(axes + rest).reshape(1 << len(axes), -1)
+
+
+def _check_readout(reg, subset):
+    mat = _transposed_rows(reg, subset)
+    re, im = mat.real, mat.imag
+    assert reg.probabilities_on(subset).tobytes() == (re * re + im * im).sum(axis=1).tobytes()
+    assert reg.density_on(subset).tobytes() == (mat @ mat.conj().T).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_readout_equals_transpose_path(n):
+    # every leading prefix, which reads the amplitudes as they lie, and
+    # subsets that are not one, byte for byte against the transpose path
+    rng = np.random.default_rng((n, 91))
+    for _ in range(5):
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        reg = StateRegister()
+        qs = reg.alloc_state(vec / np.linalg.norm(vec))
+        for length in range(1, n + 1):
+            _check_readout(reg, qs[:length])
+        others = [qs[::-1], qs[1:], [qs[0], qs[-1]]] if n >= 2 else []
+        if n >= 3:
+            others.append([qs[n // 2]])
+        for subset in others:
+            _check_readout(reg, subset)
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 1), (3, 1)])
+def test_bell_store_readout_equals_transpose_path(n, m):
+    # the physical plane's data qubits are partner halves of its Bell pairs,
+    # after the first hop and after the whole run
+    rng = np.random.default_rng((n, m, 92))
+    vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    run = toqc._ToqcRun(random_program(n, m, rng), vec / np.linalg.norm(vec), None, n,
+                        seed=93, eager_bell=True)
+    run.open()
+    for k in range(1, 2 * m + 1):
+        run.hop(k)
+        reg, data = run.plane.reg, run.plane.data
+        for subset in (data, data[::-1], data[-1:], reg._order[::-1]):
+            _check_readout(reg, subset)
 
 
 class FixedRng:

@@ -137,6 +137,87 @@ def test_restore_returns_run_to_its_snapshot(eager_bell):
         assert state() == before
 
 
+def _record_outcomes(run, k):
+    """Hop k's (x bits, z bits) derived from its n branch records, as the
+    run did before it kept a hop log; zeros at k = 0."""
+    if k == 0:
+        return (0,) * run.n, (0,) * run.n
+    xs, zs = zip(*[r.outcome for r in run.branch_records[(k - 1) * run.n:k * run.n]])
+    return xs, zs
+
+
+def _record_probability(records):
+    """The branch probability as the in-order product over the records."""
+    p = 1.0
+    for rec in records:
+        p *= rec.probs[(rec.outcome[0] << 1) | rec.outcome[1]]
+    return p
+
+
+def _check_hop_log(run):
+    hops = 2 * run.m
+    assert len(run.hops) == hops + 1
+    for k in range(hops + 1):
+        assert run.outcomes(k) == _record_outcomes(run, k)
+        prefix = _record_probability(run.branch_records[:k * run.n])
+        assert run.hops[k][1].hex() == prefix.hex()
+    assert run.branch_probability.hex() == _record_probability(run.branch_records).hex()
+
+
+class _SkewedFrame(toqc.PauliFrame):
+    """The Pauli frame reporting an unequal law for every hop: its products
+    depend on the order of the factors, where 1/4 and the physical plane's
+    near-1/4 laws hide it."""
+
+    def hop(self, k, side, rng, forced):
+        return [(o, (0.1, 0.2, 0.3, 0.4)) for o, _ in super().hop(k, side, rng, forced)]
+
+
+def _hop_log_run(protocol, n, m, seed, plane, branch_plan=None):
+    w = random_program(n, m, np.random.default_rng((n, m, seed, 84)))
+    kw = dict(eager_bell=plane == "eager_bell", branch_plan=branch_plan)
+    if protocol == "tgdmqc":
+        run = _Run(w, random_rounds(n, m, (n, m, seed, 85)), n, seed, **kw)
+    else:
+        bits = tuple(int(b) for b in np.random.default_rng((n, m, seed, 86)).integers(0, 2, n))
+        run = toqc._ToqcRun(w, None, bits, n, seed=seed, classical_output=protocol == "toqc",
+                            **kw)
+    if plane == "skewed":
+        run.plane = _SkewedFrame(w)
+    return run
+
+
+@pytest.mark.parametrize("plane", ["frame", "eager_bell", "skewed"])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("protocol", ["toqc", "toqc-quantum", "tgdmqc"])
+def test_hop_log_matches_branch_records(protocol, n, m, plane):
+    # the hop log gives each hop's outcomes and the branch probability so
+    # far exactly as the branch records give them, on sampled runs, forced
+    # runs and every leaf of a walk, and a restore cuts it back
+    k = 2 * n * m
+    plans = np.random.default_rng((n, m, 90)).integers(0, 2, size=(3, k, 2)).tolist()
+    for seed in range(3):
+        for plan in (None, plans[seed]):
+            run = _hop_log_run(protocol, n, m, seed, plane, plan)
+            run.run_through()
+            _check_hop_log(run)
+    # the physical plane's walk holds 4mn + n qubits at every node
+    if k <= (4 if plane == "eager_bell" else 6):
+        leaves = 0
+        for _, leaf in _hop_log_run(protocol, n, m, 3, plane).leaves():
+            _check_hop_log(leaf)
+            leaves += 1
+        assert leaves == 4 ** k
+    run = _hop_log_run(protocol, n, m, 4, plane)
+    run.open()
+    run.hop(1, plans[0][:n])
+    snap, before = run.snapshot(), list(run.hops)
+    for j in range(2, 2 * m + 1):
+        run.hop(j, plans[1][(j - 1) * n:j * n])
+    run.restore(snap)
+    assert run.hops == before
+
+
 class _CountedBitGenerator:
     """A bit generator's `state`, counting the writes to it."""
 
@@ -285,6 +366,24 @@ def test_outcome_joint_has_every_plan_once(n, m):
     assert set(joint) == set(all_branch_plans(k))
     assert len(joint) == 4 ** k
     assert all(p == 0.25 ** k for p in joint.values())
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+@pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
+def test_outcome_joint_is_the_leaves_laws(n, m, eager_bell):
+    # the walk yields each plan once: the joint law holds each leaf's
+    # branch probability under its plan, and its values add up to the total
+    w = random_program(n, m, np.random.default_rng((n, m, 87)))
+    rounds = random_rounds(n, m, (n, m, 88))
+    _, joint, total = exhaustive_output_distribution(w, rounds, 1, seed=89,
+                                                     eager_bell=eager_bell)
+    k = 2 * n * m
+    assert len(joint) == 4 ** k
+    leaves = _Run(w, rounds, 1, 89, eager_bell=eager_bell).leaves()
+    want = dict(zip(all_branch_plans(k), [run.branch_probability for _, run in leaves]))
+    assert list(joint) == list(want)
+    assert all(joint[plan].hex() == p.hex() for plan, p in want.items())
+    assert sum(joint.values()) == total
 
 
 def test_exhaustive_eager_bell_matches_frame():

@@ -1,5 +1,6 @@
 """Two-server protocol: oracle agreement, wire accounting, secrecy audits."""
 
+import copy
 import hashlib
 
 import numpy as np
@@ -37,10 +38,23 @@ from obliq.toqc import (
     derive_h_queries,
     derive_ring_queries,
     derive_t_queries,
-    enumerate_branches,
     make_streams,
     run_toqc,
 )
+
+
+def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
+    """Yield (plan, result) over every Bell branch assignment of a run.
+
+    Walks the outcome tree depth-first, so a shared prefix of outcomes runs
+    once. Every plan shares `seed`, so each result equals
+    `run_toqc(..., seed=seed, branch_plan=plan)` exactly; `**kw` takes
+    `run_toqc`'s other keywords, and `branch_plan` raises a ValueError.
+    """
+    run = toqc._ToqcRun(w, psi, basis_bits, n_circ, seed=seed, **kw)
+    for plan, leaf in run.leaves():
+        # the run goes on to the next branch: hand out a copy
+        yield plan, copy.deepcopy(leaf.result())
 
 
 class ZeroRng:
