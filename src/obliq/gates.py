@@ -15,13 +15,9 @@ from functools import lru_cache
 
 import numpy as np
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 Y = Z @ X                      # [[0, 1], [-1, 0]]
-T = np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=np.complex128)
-H = _SQRT_HALF * np.array([[1, 1], [-1, 1]], dtype=np.complex128)
 CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
 
 GATE_ORDER = {"X": 2, "Z": 2, "CZ": 2, "T": 8, "H": 8, "Y": 4}

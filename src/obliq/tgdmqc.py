@@ -4,10 +4,10 @@ This is the two-server schedule of `toqc.ProtocolRun` in a second
 configuration:
 
 - masks: none, so every user re-derives queries from the outcomes alone;
-- coefficients: user j holds round j of a second program w', whose
-  exponents enter only as the offset coefficients of user j's re-derived
-  queries; that turns every applied layer into the corresponding layer of
-  the product program w . w';
+- coefficients: the run's table `coeffs` is a second program w', whose
+  round j only user j's re-derived queries read, as their offset
+  coefficients; that turns every applied layer into the corresponding layer
+  of the product program w . w';
 - routing: hop 2j-1 goes to user j and hop 2j to users j and j+1, so user
   m+1 receives the last outcomes and the readout;
 - input: server A allocates |0...0> itself;
@@ -42,8 +42,8 @@ def user_name(j):
 
 
 class _Run(ProtocolRun):
-    """The schedule with users 1..m, each holding one round of w', and
-    user m+1 as the reader."""
+    """The schedule with users 1..m, user j holding round j of w' as the
+    run's coefficients of round j, and user m+1 as the reader."""
 
     def __init__(self, w, user_rounds, n_circ, seed, **kw):
         n, m = w.n, w.m
@@ -53,10 +53,9 @@ class _Run(ProtocolRun):
         # the one stream rule, `make_streams(seed, parties)`: users 1..m+1
         # (user m+1 draws nothing), then server A, then server B
         rngs = make_streams(seed, m + 3)
-        held = [{j: r} for j, r in enumerate(user_rounds, 1)] + [{}]
-        users = [ProtocolUser(user_name(j), rngs[j - 1], held[j - 1], (0,) * n, (0,) * n)
+        users = [ProtocolUser(user_name(j), rngs[j - 1], (0,) * n, (0,) * n)
                  for j in range(1, m + 2)]
-        super().__init__(w, n_circ, users, rngs[m + 1:], **kw)
+        super().__init__(w, n_circ, users, rngs[m + 1:], coeffs=user_rounds, **kw)
 
     def outcome_table(self):
         """Every hop's outcomes in the order they were measured."""

@@ -7,12 +7,13 @@ program. Every gate layer is applied twice, once per server, with query
 exponents randomized so that the pair telescopes to the program layer while
 each server's queries stay uniform; the user side re-derives each second
 query from the first and the teleport outcomes. A configuration fixes five
-things: who holds the input masks, the offset coefficients of the
-re-derived queries, which user each hop's outcomes go to, the step-1 input
-and the output mode. `run_toqc` is the configuration here: one user who
-holds the masks and every round, with coefficients 1, sends a masked input
-(quantum, or classical bits) and gets back a quantum or measured output.
-`tgdmqc` is the other.
+things: who holds the input masks, the run's `coeffs` (the offset
+coefficients of the re-derived queries, one `ProgramRound` or None per
+round), which user each hop's outcomes go to, the step-1 input and the
+output mode. `run_toqc` is the configuration here: one user who holds the
+masks and every round, with coefficients 1, sends a masked input (quantum,
+or classical bits) and gets back a quantum or measured output. `tgdmqc` is
+the other.
 
 The control plane (`ProtocolRun`, `ProtocolUser`, `ProtocolServer`) holds
 only classical state; the data plane owns the register, the qubits and the
@@ -62,7 +63,7 @@ from itertools import product
 
 import numpy as np
 
-from .gates import ProgramRound, as_bits, as_ints, as_seed, bits_index, check_n_circ, pair_table
+from .gates import as_bits, as_seed, bits_index, check_n_circ, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -361,18 +362,12 @@ class ProtocolServer:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolUser:
-    """One user party: the stream the run draws its fresh queries from,
-    the rounds it holds and its input masks (zero for tgdmqc users).
-
-    `rounds` maps a round j to its offset coefficients (a `ProgramRound`):
-    round j of w' for tgdmqc user j. A round it does not list has all
-    coefficients 1, as every round of the single toqc user has unless a
-    run probes other offsets.
-    """
+    """One user party: the stream the run draws its fresh queries from and
+    its input masks (zero for tgdmqc users). The offset coefficients of the
+    rounds it re-derives are the run's `coeffs`."""
 
     name: str
     rng: object
-    rounds: dict
     mask_x: tuple
     mask_z: tuple
 
@@ -384,7 +379,9 @@ class ProtocolRun:
 
     `users[j-1]` is the party that holds round j (j <= m): it draws that
     round's fresh queries, receives hop 2j-1's outcomes and re-derives the
-    queries after it. Hop 2j goes to `users[j-1]` and `users[j]`, so
+    queries after it, with the offset coefficients `coeffs[j-1]` (a
+    `ProgramRound`, or None for all ones; `coeffs` None is all ones
+    throughout). Hop 2j goes to `users[j-1]` and `users[j]`, so
     `users[m]`, the reader, gets the last outcomes and then the output; a
     message that two halves of a step would send from one party goes as one
     message. Step 1 carries the input that `_load_input` loads (by default
@@ -402,13 +399,14 @@ class ProtocolRun:
     which `outcomes(k)` returns, and the branch probability after hop k,
     the records' factors multiplied in order (zeros and 1.0 at k = 0).
 
+    Server A's steps 4j-3 (j = 1..m+1) run through one method, `_round_a`.
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
     everything up to hop k+1, or through the readout when k = 2m.
     `snapshot()` and `restore()` save and reset everything a run changes, so
     one state can be continued with each outcome of the next hop in turn.
     """
 
-    def __init__(self, w, n_circ, users, server_rngs, *,
+    def __init__(self, w, n_circ, users, server_rngs, *, coeffs=None,
                  classical_output=True, eager_bell=False, branch_plan=None):
         n, m = w.n, w.m
         n_circ = check_n_circ(n_circ, n)
@@ -416,6 +414,7 @@ class ProtocolRun:
                      else cut_branch_plan(branch_plan, 2 * m, n))
         self.n, self.m, self.n_circ = n, m, n_circ
         self.users = tuple(users)
+        self.coeffs = (None,) * m if coeffs is None else coeffs
         self.classical_output = classical_output
         self.parties = tuple(dict.fromkeys(self.users))
 
@@ -479,30 +478,12 @@ class ProtocolRun:
         self.plane.load()
         return (), 0
 
-    def _derived_h(self, j):
-        """Server A's rotation queries of round j, re-derived by user j."""
-        user = self.users[j - 1]
-        shift, delta = h_shift_delta(user.mask_x, user.mask_z,
-                                     self.outcomes(2 * j - 1), self.outcomes(2 * j))
-        coeff = user.rounds.get(j)
-        coeff = coeff and coeff.x
-        fresh = self.fresh[2]
-        return self._intern(("h", fresh[0], fresh[1], shift, delta, coeff),
-                            derive_h_queries, fresh, shift, delta, coeff)
-
     def open(self):
         """Step 1, then server A's round-1 layers up to its first hop. A run
         runs once: a run that has sent step 1 is refused."""
         if self.registry.transcript.records:
             raise ValueError("this run has already sent step 1; a ProtocolRun runs once")
-        user = self.users[0]
-        rng = self._draw_from(user.rng)
-        t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
-        self.fresh = (t, cz, None)
-        parts, qubits = self._load_input()
-        parts += family_parts("t-query", t) + family_parts("cz-query", cz)
-        self._send("step-1", user.name, (SERVER_A,), parts, qubits)
-        self.plane.phase_layers(1, t, cz)
+        self._round_a(1)
 
     def hop(self, k, outcomes=None):
         """Hop k and the steps up to the next hop (through the readout at
@@ -526,10 +507,8 @@ class ProtocolRun:
         self.registry.send(message)
         if k % 2:
             self._round_b(j)
-        elif j < self.m:
-            self._round_a(j + 1)
         else:
-            self._read_out()
+            self._round_a(j + 1)
 
     def _hop_records(self, step, sender, receivers, hopped):
         """A hop's branch records, one per wire, its outcome message, its
@@ -557,7 +536,7 @@ class ProtocolRun:
         t_fresh, cz_fresh, _ = self.fresh
         shift, delta = tcz_shift_delta(user.mask_x, self.outcomes(2 * j - 2)[0],
                                        self.outcomes(2 * j - 1)[0])
-        coeff = user.rounds.get(j)
+        coeff = self.coeffs[j - 1]
         t = derive_t_queries(t_fresh, shift, delta, coeff=coeff and coeff.y)
         cz = derive_cz_queries(cz_fresh, self.n, shift, delta, coeff=coeff and coeff.z)
         h = draw_h_family(self._draw_from(user.rng), self.n)
@@ -572,36 +551,49 @@ class ProtocolRun:
         self.plane.h_layer(j, h)
 
     def _round_a(self, j):
-        """Step 4j-3: the rederived rotation queries of round j-1, then the
-        fresh phase queries of round j, both to server A, which then runs
-        its half of round j on them."""
-        step = f"step-{4 * j - 3}"
-        prev, user = self.users[j - 2], self.users[j - 1]
-        h = self._derived_h(j - 1)
-        rng = self._draw_from(user.rng)
-        t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
-        self.fresh = (t, cz, None)
-        halves = [(prev, family_parts("h-query-rederived", h)),
-                  (user, family_parts("t-query", t) + family_parts("cz-query", cz))]
-        if prev is user:
-            halves = [(user, halves[0][1] + halves[1][1])]
-        for sender, parts in halves:
-            self._send(step, sender.name, (SERVER_A,), parts)
-        self.plane.h_layer(j - 1, h)
-        self.plane.phase_layers(j, t, cz)
+        """Step 4j-3 (j = 1..m+1) to server A, then its layers on the
+        queries sent: from j = 2, user j-1 re-derives the rotation queries
+        of round j-1; up to j = m, user j draws the phase queries of round
+        j, which the input joins at j = 1. After step 4m+1, the readout."""
+        step, sender, parts, qubits = f"step-{4 * j - 3}", None, (), 0
+        if j > 1:
+            sender = self.users[j - 2]
+            shift, delta = h_shift_delta(sender.mask_x, sender.mask_z,
+                                         self.outcomes(2 * j - 3), self.outcomes(2 * j - 2))
+            coeff = self.coeffs[j - 2]
+            coeff = coeff and coeff.x
+            fresh = self.fresh[2]
+            h = self._intern(("h", fresh[0], fresh[1], shift, delta, coeff),
+                             derive_h_queries, fresh, shift, delta, coeff)
+            parts = family_parts("h-query-rederived", h)
+        if j <= self.m:
+            user = self.users[j - 1]
+            rng = self._draw_from(user.rng)
+            t, cz = draw_t_family(rng, self.n), draw_cz_family(rng, self.n)
+            self.fresh = (t, cz, None)
+            # one user's two halves go as one message, two users' as two
+            if j > 1 and sender is not user:
+                self._send(step, sender.name, (SERVER_A,), parts)
+                parts = ()
+            sender = user
+            if j == 1:
+                parts, qubits = self._load_input()
+            parts += family_parts("t-query", t) + family_parts("cz-query", cz)
+        self._send(step, sender.name, (SERVER_A,), parts, qubits)
+        if j > 1:
+            self.plane.h_layer(j - 1, h)
+        if j <= self.m:
+            self.plane.phase_layers(j, t, cz)
+        else:
+            self._read_out()
 
     def _read_out(self):
-        """Steps 4m+1 to 4m+3: the last rotation queries and layer, then the
-        output to the reader, corrected by its masks and the last outcomes."""
+        """Steps 4m+2 and 4m+3: the output to the reader, corrected by its
+        masks and the last outcomes."""
         m, n_circ = self.m, self.n_circ
-        user, reader = self.users[m - 1], self.users[m]
-        h = self._derived_h(m)
-        self._send(f"step-{4 * m + 1}", user.name, (SERVER_A,),
-                   family_parts("h-query-rederived", h))
-
-        self.plane.h_layer(m, h)
+        reader = self.users[m]
         step = f"step-{4 * m + 2}"
-        ox, oz = self.outcomes(2 * m)
+        (ox, oz), self.branch_probability = self.hops[2 * m]
         # the residual X of each wire: its input mask and the last X outcome
         xs = tuple([x ^ mx for x, mx in zip(ox, reader.mask_x)])
         if self.classical_output:
@@ -618,7 +610,6 @@ class ProtocolRun:
             zs = tuple((z + mz) % 2 for z, mz in zip(oz, reader.mask_z))
             self.output_density = self.plane.density(n_circ, xs, zs)
             self.output_bits = self.output_distribution = None
-        self.branch_probability = self.hops[-1][1]
 
     # -- resuming ----------------------------------------------------------
 
@@ -717,11 +708,12 @@ class RunResult:
 # -- the two-server configuration ----------------------------------------------
 
 class _ToqcRun(ProtocolRun):
-    """The schedule with one masked user who holds every round, with all
-    offset coefficients 1, and who sends the input and reads the output."""
+    """The schedule with one masked user who holds every round and who sends
+    the input and reads the output. Its offset coefficients are all 1, as
+    `run_toqc` runs it; `coeffs` (through `**kw`) probes others."""
 
     def __init__(self, w, psi, basis_bits, n_circ, *, seed=None,
-                 classical_output=False, tcz_delta_coeff=None, **kw):
+                 classical_output=False, **kw):
         n, m = w.n, w.m
         if (psi is None) == (basis_bits is None):
             raise ValueError("give exactly one of psi or basis_bits")
@@ -732,27 +724,11 @@ class _ToqcRun(ProtocolRun):
         # psi is checked where it is loaded, before step 1 is sent
         self.psi, self.basis_bits = psi, basis_bits
 
-        # all ones except for runs probing what a changed re-randomization
-        # offset does to a round's phase layers
-        tcz_delta_coeff = {} if tcz_delta_coeff is None else tcz_delta_coeff
-        if not isinstance(tcz_delta_coeff, dict):
-            raise ValueError(f"tcz_delta_coeff is {tcz_delta_coeff!r}, "
-                             "not a dict of round: coefficient")
-        js = as_ints(tcz_delta_coeff, "tcz_delta_coeff rounds")
-        outside = [j for j in js if not 1 <= j <= m]
-        if outside:
-            raise ValueError(f"tcz_delta_coeff rounds {outside} are outside 1..{m}")
-        npairs = n * (n - 1) // 2
-        coeffs = as_ints(tcz_delta_coeff.values(), "tcz_delta_coeff")
-        rounds = {
-            j: ProgramRound((1,) * n, (c % 8,) * n, (c % 2,) * npairs)
-            for j, c in zip(js, coeffs)
-        }
         # the one stream rule, `make_streams(seed, parties)`: user, server A, server B
         user_rng, *server_rngs = make_streams(seed, 3)
         # the masks are the first draws from the user's stream, x then z
         mask_x, mask_z = map(tuple, user_rng.integers(0, 2, size=(2, n)).tolist())
-        user = ProtocolUser(USER, user_rng, rounds, mask_x, mask_z)
+        user = ProtocolUser(USER, user_rng, mask_x, mask_z)
         super().__init__(w, n_circ, [user] * (m + 1), server_rngs,
                          classical_output=classical_output, **kw)
 
@@ -790,7 +766,6 @@ def run_toqc(
     classical_output=False,
     eager_bell=False,
     branch_plan=None,
-    tcz_delta_coeff=None,
 ):
     """One full protocol run.
 
@@ -803,8 +778,7 @@ def run_toqc(
     """
     return _ToqcRun(
         w, psi, basis_bits, n_circ, seed=seed,
-        classical_output=classical_output, tcz_delta_coeff=tcz_delta_coeff,
-        eager_bell=eager_bell, branch_plan=branch_plan,
+        classical_output=classical_output, eager_bell=eager_bell, branch_plan=branch_plan,
     ).run_through()
 
 

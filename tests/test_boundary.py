@@ -80,30 +80,14 @@ def test_toy_non_bell_branch_rejected(no_messages):
         run_toy(1, basis_state(1, (0,)), seed=0, force_branch=(2, 0))
 
 
-@pytest.mark.parametrize("coeffs,named", [
-    ({2: 0}, r"\[2\]"),
-    ({0: 1}, r"\[0\]"),
-    ({1: 0, 2: 0, -1: 5}, r"\[2, -1\]"),
-])
-def test_unknown_tcz_delta_coeff_round_rejected(no_messages, coeffs, named):
-    w = random_program(1, 1, np.random.default_rng(95))
-    with pytest.raises(ValueError,
-                       match=fr"tcz_delta_coeff rounds {named} are outside 1\.\.1"):
-        run_toqc(w, psi=basis_state(1, (0,)), seed=96, tcz_delta_coeff=coeffs)
-
-
 @pytest.mark.parametrize("call,named", [
-    (lambda: run_toqc(zero_program(1, 1), basis_bits=(0,), tcz_delta_coeff={1.0: 1}),
-     r"tcz_delta_coeff rounds: value 1\.0 is not an integer"),
-    (lambda: run_toqc(zero_program(1, 1), basis_bits=(0,), tcz_delta_coeff=[1]),
-     r"tcz_delta_coeff is \[1\], not a dict of round: coefficient"),
     (lambda: run_toy(1, basis_state(1, (0,)), seed=0, force_masks=(0,)),
      r"force_masks is \(0,\), not a pair of bits"),
     (lambda: run_toy(1, basis_state(1, (0,)), seed=0, force_masks=5),
      r"force_masks is 5, not a pair of bits"),
     (lambda: run_tgdmqc(zero_program(1, 1), zero_round(1), seed=0),
      r"user_rounds is ProgramRound\(.*\), not a sequence of rounds"),
-], ids=["coeff-round-float", "coeff-list", "masks-short", "masks-int", "bare-user-round"])
+], ids=["masks-short", "masks-int", "bare-user-round"])
 def test_run_argument_named(no_messages, call, named):
     with pytest.raises(ValueError, match=fr"^{named}$"):
         call()

@@ -341,40 +341,6 @@ def test_matrix_of(name, power):
     holds(lambda p: matrix_of(name, p), power, match=r"^power\b")
 
 
-@st.composite
-def delta_coeffs(draw, m):
-    """None, or a dict from rounds in 1..m (int or numpy form) to
-    coefficients (`int_values`), or a near miss: a round as a float twin or
-    out of 1..m by one, a bad coefficient, or no dict at all."""
-    kind = draw(st.sampled_from(("none", "dict", "dict", "round", "type")))
-    if kind == "none":
-        return None, None
-    if kind == "type":
-        return draw(st.sampled_from(([1], (1, 2), 5, "1"))), MISS
-    rounds = draw(st.lists(st.integers(1, m), unique=True, max_size=m))
-    keys = [draw(st.sampled_from((int, np.int64)))(j) for j in rounds]
-    coeffs = [draw(int_values(-9, 17)) for _ in rounds]
-    value = dict(zip(keys, (v for v, _ in coeffs)))
-    if kind == "round":
-        if rounds and draw(st.booleans()):
-            key = keys[0]
-            value = {float(key) if k is key else k: v for k, v in value.items()}
-        else:
-            value[draw(st.sampled_from((0, m + 1)))] = 0
-        return value, MISS
-    if any(c is MISS for _, c in coeffs):
-        return value, MISS
-    return value, {j: c for j, (_, c) in zip(rounds, coeffs)}
-
-
-@CONTRACT
-@given(coeff=delta_coeffs(2))
-def test_tcz_delta_coeff(coeff):
-    w = random_program(1, 2, np.random.default_rng(117))
-    holds(lambda c: run_toqc(w, basis_bits=(1,), seed=118, tcz_delta_coeff=c), coeff,
-          match=r"^tcz_delta_coeff\b")
-
-
 @CONTRACT
 @given(y=int_values(-9, 17), masks=st.one_of(st.just((None, None)), bit_vectors(2)))
 def test_run_toy_y_and_masks(y, masks):

@@ -12,10 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from obliq.gates import ProgramRound, qubit_pairs, random_program, zero_program
+from obliq.gates import ProgramRound, qubit_pairs, zero_program
 from obliq.harness import ClassicalPart
 from obliq.layers import _T_PHASES, t_phase
-from obliq.oracle import random_state
 from obliq.toqc import (
     UV_PAIRS,
     PauliFrame,
@@ -25,7 +24,6 @@ from obliq.toqc import (
     draw_cz_family,
     draw_h_family,
     draw_t_family,
-    run_toqc,
 )
 
 # -- per-value references ------------------------------------------------------
@@ -163,17 +161,10 @@ def _non_integral_part():
     return ClassicalPart("x-part", 1, (0.9,))
 
 
-def _non_integral_coeff():
-    rng = np.random.default_rng(12)
-    return run_toqc(random_program(1, 1, rng), psi=random_state(1, rng), seed=13,
-                    tcz_delta_coeff={1: 2.5})
-
-
 @pytest.mark.parametrize("make,named", [
     (_non_integral_round, r"x: value 1\.7"),
     (_non_integral_part, r"x-part: value 0\.9"),
-    (_non_integral_coeff, r"tcz_delta_coeff: value 2\.5"),
-], ids=["program-round", "classical-part", "tcz-delta-coeff"])
+], ids=["program-round", "classical-part"])
 def test_non_integral_values_are_rejected_not_truncated(make, named):
     with pytest.raises(ValueError, match=fr"^{named} is not an integer"):
         make()

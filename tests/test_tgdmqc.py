@@ -260,10 +260,9 @@ def test_restore_resets_only_the_streams_drawn_since_the_snapshot():
     rounds = random_rounds(n, m, 74)
     # the tgdmqc configuration (`tgdmqc._Run`) on counting streams
     streams = [_CountedStream(s) for s in range(m + 3)]
-    held = [{j: r} for j, r in enumerate(rounds, 1)] + [{}]
-    users = [ProtocolUser(user_name(j), streams[j - 1], held[j - 1], (0,) * n, (0,) * n)
+    users = [ProtocolUser(user_name(j), streams[j - 1], (0,) * n, (0,) * n)
              for j in range(1, m + 2)]
-    run = ProtocolRun(w, 1, users, streams[m + 1:])
+    run = ProtocolRun(w, 1, users, streams[m + 1:], coeffs=rounds)
     saved = []
     snapshot, restore = run.snapshot, run.restore
 

@@ -146,9 +146,35 @@ def test_dropped_delta_offset_skips_phase_layers():
     stripped_rounds = list(w.rounds)
     stripped_rounds[1] = ProgramRound(w.rounds[1].x, (0, 0), (0,))
     stripped = Program(2, tuple(stripped_rounds))
-    res = run_toqc(w, psi=psi, n_circ=2, seed=42, tcz_delta_coeff={2: 0})
+    res = toqc._ToqcRun(w, psi, None, 2, seed=42,
+                        coeffs=(None, ProgramRound((1, 1), (0, 0), (0,)))).run_through()
     ideal = ideal_output(stripped, psi, 2)
     assert trace_distance(res.output_density, ideal) < 1e-9
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "bell"])
+@pytest.mark.parametrize("classical", [False, True], ids=["quantum", "classical"])
+@pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 1)])
+def test_all_ones_coefficient_table_is_the_default(n, m, classical, eager_bell):
+    # a table of rounds whose every coefficient is 1 re-derives each query as
+    # the default table (None) does: the two runs agree byte for byte
+    rng = np.random.default_rng((n, m, 88))
+    w = random_program(n, m, rng)
+    if classical:
+        inputs = (None, tuple(int(b) for b in rng.integers(0, 2, size=n)))
+    else:
+        inputs = (random_state(n, rng), None)
+    kw = dict(seed=89, classical_output=classical, eager_bell=eager_bell)
+    ones = toqc._ToqcRun(w, *inputs, n, coeffs=identity_program(n, m).rounds, **kw).run_through()
+    default = run_toqc(w, *inputs, n, **kw)
+    assert ones.transcript.render() == default.transcript.render()
+    assert ones.outcomes == default.outcomes
+    assert ones.output_bits == default.output_bits
+    for got, want in ((ones.output_density, default.output_density),
+                      (ones.output_distribution, default.output_distribution)):
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+    assert ones.branch_probability.hex() == default.branch_probability.hex()
 
 
 # sha256 over transcript, outcomes, output bits, density and distribution of
@@ -171,8 +197,9 @@ def test_seeded_runs_are_stable():
                          classical_output=True),
                 # round 2 exists only when m >= 2; at m = 1 the run takes no
                 # coefficients, which is what an unknown round used to mean
-                run_toqc(w, psi=psi, n_circ=1, seed=seed,
-                         tcz_delta_coeff={2: 0} if m >= 2 else None),
+                toqc._ToqcRun(w, psi, None, 1, seed=seed, coeffs=(
+                    None, ProgramRound((1,) * n, (0,) * n, (0,) * (n * (n - 1) // 2))
+                ) if m >= 2 else None).run_through(),
             ]
             # the pre-shared pairs hold 4mn + n qubits: 36 at (4, 2)
             if 4 * m * n + n <= 18:
