@@ -1,13 +1,19 @@
-"""Masked gate layers applied by the servers.
+"""Masked gate layers: each layer's net effect as a classical value, and the
+data-plane passes that apply it.
 
-Each layer is a commuting family of factors X^u G(q_u * e) X^u over the mask
-index u (and (u, v) for the pair gates); the factors are multiplied out to a
-single diagonal (or a single H power) per target, which is exactly equal to
-applying them one by one. A CZ layer is a +-1 diagonal, so
-`apply_cz_sign_layer` also multiplies the targets out: one sign pass over the
-register. `apply_masked_cz_layer`, `apply_zx` and `apply_xz` are the
-per-gate references of the fused passes.
+A layer is a commuting family of factors X^u G(q_u * e) X^u over the mask
+index u ((u, v) for the pair gates). The control plane multiplies them out
+into one value, exactly equal to the factors one by one: `t_layer` gives per
+wire the T exponents (k0, k1) on |0> and |1>, `h_layer` per wire an H power,
+and `cz_layer` the sign polynomial (const, lin, quad) mod 2 over the wire
+bits. They are pure functions over ints and tuples. The data plane
+(`apply_masked_t_layer`, `apply_masked_h_layer`, `apply_cz_sign_layer`) maps
+the wires to register bits and applies the value: one kernel pass per active
+qubit for T and H, one sign pass for CZ. `apply_masked_cz_layer`, `apply_zx`
+and `apply_xz` are the per-gate references of the fused passes.
 """
+
+from itertools import compress
 
 import numpy as np
 
@@ -29,16 +35,44 @@ _T_PHASES = tuple(checked_phase(t_phase(k)) for k in range(8))
 _T_PAIRS = tuple(checked_diag1(d0, d1) for d0 in _T_PHASES for d1 in _T_PHASES)
 
 
-def apply_masked_t_layer(reg, qubits, family, y_exps):
-    """prod_u X^u T(family[u][s] * y[s]) X^u on every qubit s.
+def t_layer(family, y_exps):
+    """prod_u X^u T(family[u][s] * y[s]) X^u per wire s as its exponents
+    (k0, k1) mod 8 on |0> and |1>: u = 0 phases |1>, u = 1 phases |0>."""
+    return tuple([((f1 * y) % 8, (f0 * y) % 8)
+                  for f0, f1, y in zip(family[0], family[1], y_exps)])
 
-    family maps u in {0, 1} to a length-n exponent vector (mod 8).
-    """
-    for q, f0, f1, y in zip(qubits, family[0], family[1], y_exps):
-        # u = 0 phases the |1> component, u = 1 the |0> component
-        k = ((f1 * y) % 8) * 8 + (f0 * y) % 8
-        if k:
-            reg.apply_checked_diag1(q, _T_PAIRS[k])
+
+def h_layer(family, x_exps):
+    """prod_u X^u H(family[u][s] * x[s]) X^u = H^((f0 - f1) x) per wire s,
+    as that power: X conjugation inverts H."""
+    return tuple([((f0 - f1) * x) % 8 for f0, f1, x in zip(family[0], family[1], x_exps)])
+
+
+def cz_layer(family, z_exps, n):
+    """`apply_masked_cz_layer` as (const, lin, quad) mod 2, `quad` over the
+    pairs (s, t) of `pair_table(n)`: it negates the wire-bit cells b where
+    const + sum lin[s] b_s + sum quad[p] b_s b_t is odd. An active pair
+    negates cell (bs, bt) when f(bs, bt) = family[(1-bs, 1-bt)][p] is odd,
+    over Z2 f00 + (f00+f10) bs + (f00+f01) bt + (f00+f01+f10+f11) bs bt."""
+    const, lin, quad = 0, [0] * n, []
+    for (s, t), z, f00, f01, f10, f11 in zip(
+            pair_table(n), z_exps,
+            family[(1, 1)], family[(1, 0)], family[(0, 1)], family[(0, 0)]):
+        if z & 1:
+            const ^= f00
+            lin[s] ^= (f00 ^ f10) & 1
+            lin[t] ^= (f00 ^ f01) & 1
+            quad.append((f00 ^ f01 ^ f10 ^ f11) & 1)
+        else:
+            quad.append(0)
+    return const & 1, tuple(lin), tuple(quad)
+
+
+def apply_masked_t_layer(reg, qubits, family, y_exps):
+    """`t_layer` on `qubits`, one diagonal pass per qubit with a nonzero exponent."""
+    for q, (k0, k1) in zip(qubits, t_layer(family, y_exps)):
+        if k0 or k1:
+            reg.apply_checked_diag1(q, _T_PAIRS[8 * k0 + k1])
 
 
 def apply_masked_cz_layer(reg, qubits, family, z_exps):
@@ -61,42 +95,25 @@ def apply_masked_cz_layer(reg, qubits, family, z_exps):
 
 
 def apply_cz_sign_layer(reg, qubits, family, z_exps):
-    """`apply_masked_cz_layer` as one sign pass over the register.
-
-    An active pair (s, t) negates cell (bs, bt) when f(bs, bt) =
-    family[(1-bs, 1-bt)][p] is odd; over Z2 that is f00 + (f00+f10) bs +
-    (f00+f01) bt + (f00+f01+f10+f11) bs bt. Summed over the pairs, the layer
-    negates the cells where a constant, a linear mask and, per wire s, the
-    bs-weighted mask of its partners t add up to odd.
-    """
+    """`cz_layer` as one sign pass, with `lin` mapped to a mask of register
+    bits and `quad` to each wire's mask of partners."""
+    n = len(qubits)
+    const, lin, quad = cz_layer(family, z_exps, n)
     bits = [reg.bit_of(q) for q in qubits]
-    const, lin, quad = 0, 0, {}
-    for (s, t), z, f00, f01, f10, f11 in zip(
-            pair_table(len(qubits)), z_exps,
-            family[(1, 1)], family[(1, 0)], family[(0, 1)], family[(0, 0)]):
-        if not z % 2:
-            continue
-        # only the low bits count: const is read mod 2 below
-        const ^= f00
-        if (f00 ^ f10) & 1:
-            lin ^= bits[s]
-        if (f00 ^ f01) & 1:
-            lin ^= bits[t]
-        if (f00 ^ f01 ^ f10 ^ f11) & 1:
-            quad[bits[s]] = quad.get(bits[s], 0) ^ bits[t]
-    const &= 1
-    if not (const or lin or quad):
+    lin_mask, partners = sum(compress(bits, lin)), {}
+    for s, t in compress(pair_table(n), quad):
+        partners[bits[s]] = partners.get(bits[s], 0) | bits[t]
+    if not (const or lin_mask or partners):
         return
-    odd = reg.quadratic_parity(lin, quad)
+    odd = reg.quadratic_parity(lin_mask, partners)
     if const:
         np.logical_not(odd, out=odd)
     reg.apply_sign(odd)
 
 
 def apply_masked_h_layer(reg, qubits, family, x_exps):
-    """prod_u X^u H(family[u][s] * x[s]) X^u = H^((q0 - q1) x) on every qubit."""
-    for q, f0, f1, x in zip(qubits, family[0], family[1], x_exps):
-        e = ((f0 - f1) * x) % 8
+    """`h_layer` on `qubits`, one rotation pass per qubit whose power is not 0."""
+    for q, e in zip(qubits, h_layer(family, x_exps)):
         if e:
             reg.apply_checked_1q(q, _H_POWERS[e])
 

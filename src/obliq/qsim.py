@@ -453,25 +453,3 @@ def trace_distance(rho, sigma):
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     eig = np.linalg.eigvalsh(rho - sigma)
     return 0.5 * float(np.sum(np.abs(eig)))
-
-
-def check_density(rho):
-    """Raise if rho is not a valid density matrix."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > 1e-12:
-        raise ValueError(f"not Hermitian (deviation {herm:.2e})")
-    tr = abs(np.trace(rho) - 1.0)
-    if tr > 1e-12:
-        raise ValueError(f"trace differs from 1 by {tr:.2e}")
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -1e-10:
-        raise ValueError(f"negative eigenvalue {lo:.2e}")
-    return rho
-
-
-def pure_density(vec):
-    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-    return np.outer(v, v.conj())

@@ -16,36 +16,30 @@ or classical bits) and gets back a quantum or measured output. `tgdmqc` is
 the other.
 
 The control plane (`ProtocolRun`, `ProtocolUser`, `ProtocolServer`) holds
-only classical state; the data plane owns the register, the qubits and the
-servers' program. The default `PauliFrame` keeps only the n data qubits
-live and turns each hop into a Pauli update on them. Each hop and each Pauli
-pass is one gather plus one sign pass over the register, and each CZ layer
-one sign pass. The T and H layers stay one kernel call per active qubit,
-since fusing them would change the rounding; each call is one numpy pass
-over a gate operand built at import (`kernels`). `eager_bell=True` selects
-the physical reference `BellStore`, which shares all 2mn Bell pairs before
-the run as in the paper (4mn + n live qubits). Both draw each unforced
-outcome from one uniform double, so a seed gives the same transcript under
-either; the frame takes a hop's n doubles in one `rng.random(n)` call,
-which yields the doubles and the final generator state of n
-`rng.random()` calls.
+only classical state. The data plane owns the register, the qubits and the
+servers' program. The seam between them is each layer's net value, which
+pure functions of the queries and the program's exponents give
+(`layers.t_layer`, `h_layer`, `cz_layer`) and the data plane only applies.
+The default `PauliFrame` keeps only the n data qubits live and turns each
+hop into a Pauli update on them. `eager_bell=True` selects the physical
+reference `BellStore`, which shares all 2mn Bell pairs before the run as in
+the paper (4mn + n live qubits). Both draw each unforced outcome from one
+uniform double, so a seed gives the same transcript under either; the frame
+takes a hop's n doubles in one `rng.random(n)` call, which yields the
+doubles and the final generator state of n `rng.random()` calls.
 
 Query families, by the gate they drive: `t` (mod 8) and `cz` (mod 2) go
 fresh to server A and re-derived to server B; `h` (mod 4) goes fresh to
 server B and re-derived to server A. Index arithmetic on the mask index u is
 mod 2 throughout.
 
-The per-run classical work reads small tables built once per shape instead
-of re-deriving per value: `gates.qubit_pairs(n)` and its 0-based
-`gates.pair_table(n)` per n, which the pair derivation indexes by XOR of
-the shift bits and the CZ sign layer walks; `qsim._index_tables` per
-register dimension (the index vector and its popcount parities) for the
-gathers and sign passes; and the kernel operands in `layers` (X, Z, the 8
-H powers and the 64 T phase pairs), built and validated at import so the
-per-qubit kernels skip the check. A family draw is one `rng.integers` call
-for all its rows, turned into tuples with one `tolist()`. The run logs the
-stream each draw takes, so a branch walk's `restore` resets only the
-streams that moved since its snapshot.
+Small tables are built once per shape: `gates.pair_table(n)`, which the
+pair derivation indexes by XOR of the shift bits and the CZ layer walks,
+`qsim._index_tables` per register dimension for the gathers and sign
+passes, and the kernel operands in `layers`, checked at import. A family
+draw is one `rng.integers` call for all its rows, turned into tuples with
+one `tolist()`. The run logs the stream each draw takes, so a branch walk's
+`restore` resets only the streams that moved since its snapshot.
 
 Every node of a branch walk redraws the same fresh families after its
 `restore`, so its leaves repeat a few distinct wire parts, messages, hop
@@ -220,7 +214,8 @@ class PauliFrame:
     pass: a hop or a Pauli pass is one gather amps[i ^ xmask] plus one sign
     pass (`StateRegister.apply_paulis`), and a CZ layer is one sign pass
     (`apply_cz_sign_layer`). The T and H layers stay per qubit, one kernel
-    pass each over a prebuilt operand.
+    pass each over a prebuilt operand, since fusing them would change the
+    rounding.
     """
 
     # a hop draws from the known Bell law; it reads no amplitudes
@@ -488,7 +483,12 @@ class ProtocolRun:
     def hop(self, k, outcomes=None):
         """Hop k and the steps up to the next hop (through the readout at
         k = 2m). `outcomes` forces this hop's n Bell outcomes; None samples
-        them."""
+        them. A hop out of order is refused before anything moves."""
+        if not (k == len(self.hops) <= 2 * self.m and self.registry.transcript.records):
+            due = len(self.hops) if self.registry.transcript.records else 0
+            raise ValueError(f"hop {k} out of order: expected " + (
+                "open() first" if not due else f"hop {due}" if due <= 2 * self.m
+                else "no hop after the readout"))
         j = (k + 1) // 2
         # server A ends round j at step 4j-2, server B at step 4j; hop 2j-1
         # goes to user j, hop 2j to users j and j+1
@@ -615,16 +615,21 @@ class ProtocolRun:
 
     def snapshot(self):
         """Everything a later hop changes: the plane's register and frame, the
-        rng states, the four logs by their lengths and the families in
-        flight."""
+        rng states, the four logs by their lengths, the hop log's last entry
+        and the families in flight."""
         return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
                 len(self.branch_records), len(self.registry.transcript.records),
-                len(self.drawn), len(self.hops), self.fresh)
+                len(self.drawn), len(self.hops), self.hops[-1], self.fresh)
 
     def restore(self, snap):
-        """Return to `snap`. Of the rng streams, only those the draw log
-        names since the snapshot are reset: no other stream has moved."""
-        reg, frame, rng_states, n_records, n_messages, n_drawn, n_hops, self.fresh = snap
+        """Return to `snap`, which must lie on the current path: the hop log
+        still holds its last entry. Of the rng streams, only those the draw
+        log names since the snapshot are reset: no other stream has moved."""
+        reg, frame, rng_states, n_records, n_messages, n_drawn, n_hops, last, fresh = snap
+        if len(self.hops) < n_hops or self.hops[n_hops - 1] is not last:
+            raise ValueError(f"the snapshot is off the run's current path: hop {n_hops - 1} "
+                             "has since been undone or taken again")
+        self.fresh = fresh
         self.plane.restore((reg, frame))
         for rng in dict.fromkeys(self.drawn[n_drawn:]):
             rng.bit_generator.state = rng_states[rng]

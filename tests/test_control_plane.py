@@ -12,9 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from obliq.gates import ProgramRound, qubit_pairs, zero_program
+from obliq.gates import ProgramRound, matrix_of, pair_table, qubit_pairs, zero_program
 from obliq.harness import ClassicalPart
-from obliq.layers import _T_PHASES, t_phase
+from obliq.layers import _T_PHASES, cz_layer, h_layer, t_layer, t_phase
 from obliq.toqc import (
     UV_PAIRS,
     PauliFrame,
@@ -131,6 +131,64 @@ def test_t_phase_table_equals_t_phase_bytes():
     for k in range(8):
         assert type(_T_PHASES[k]) is complex
         assert np.complex128(_T_PHASES[k]).tobytes() == np.complex128(t_phase(k)).tobytes()
+
+
+# -- layer values ------------------------------------------------------------------
+# Each layer value is the product of the per-gate factors X^u G(f_u e) X^u it
+# stands for, computed here factor by factor with no register.
+
+
+def test_t_layer_is_the_product_of_its_factors():
+    # every (f0, f1, y) in Z8^3, one wire each: the factor X^u T(f_u y) X^u
+    # adds f_u y to the exponent of basis cell 1 - u
+    cases = list(itertools.product(range(8), repeat=3))
+    f0, f1, y = zip(*cases)
+    got = t_layer({0: f0, 1: f1}, y)
+    assert type(got) is tuple and len(got) == len(cases)
+    for (a, b, e), pair in zip(cases, got):
+        exps = [0, 0]
+        for u, f in ((0, a), (1, b)):
+            exps[1 - u] += f * e
+        assert pair == (exps[0] % 8, exps[1] % 8)
+        assert all(type(k) is int for k in pair)
+
+
+def test_h_layer_is_the_product_of_its_factors():
+    # every (f0, f1, x) in Z4^3, one wire each: the power's matrix against
+    # X^0 H(f0 x) X^0 times X^1 H(f1 x) X^1
+    cases = list(itertools.product(range(4), repeat=3))
+    f0, f1, x = zip(*cases)
+    got = h_layer({0: f0, 1: f1}, x)
+    assert type(got) is tuple and len(got) == len(cases)
+    flips = (np.eye(2), matrix_of("X"))
+    for (a, b, e), power in zip(cases, got):
+        want = np.eye(2)
+        for u, f in ((0, a), (1, b)):
+            want = flips[u] @ matrix_of("H", f * e) @ flips[u] @ want
+        assert type(power) is int and 0 <= power < 8
+        assert np.abs(matrix_of("H", power) - want).max() < 1e-12, (a, b, e)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cz_layer_is_the_per_pair_rule(n):
+    # every family and every z: the polynomial on every wire-bit cell against
+    # the per-pair rule, where an active pair p = (s, t) negates cell
+    # (bs, bt) when family[(1-bs, 1-bt)][p] is odd
+    pairs = pair_table(n)
+    npairs = len(pairs)
+    cells = list(itertools.product((0, 1), repeat=n))
+    for bits in itertools.product((0, 1), repeat=4 * npairs):
+        family = {uv: bits[i * npairs:(i + 1) * npairs] for i, uv in enumerate(UV_PAIRS)}
+        for z in itertools.product((0, 1), repeat=npairs):
+            const, lin, quad = cz_layer(family, z, n)
+            assert (len(lin), len(quad)) == (n, npairs)
+            assert all(type(v) is int for v in (const, *lin, *quad))
+            for b in cells:
+                poly = (const + sum(c * bs for c, bs in zip(lin, b))
+                        + sum(c * b[s] * b[t] for c, (s, t) in zip(quad, pairs)))
+                rule = sum(zp * family[(1 - b[s], 1 - b[t])][p]
+                           for p, ((s, t), zp) in enumerate(zip(pairs, z)))
+                assert poly % 2 == rule % 2, (family, z, b)
 
 
 # -- wire parts and program rounds ----------------------------------------------

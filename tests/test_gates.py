@@ -24,7 +24,8 @@ from obliq.gates import (
     split_program,
     zero_program,
 )
-from obliq.qsim import StateRegister, pure_density, trace_distance
+from obliq.qsim import StateRegister, trace_distance
+from test_qsim import pure_density
 
 RNG = np.random.default_rng(77)
 

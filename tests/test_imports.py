@@ -65,7 +65,7 @@ UNREAD = {
                     "the public program API"),
     **dict.fromkeys(("audit_mask_average", "audit_query_uniformity"),
                     "a secrecy audit that ROADMAP item 4 wires into the runs"),
-    **dict.fromkeys(("num_live", "amplitudes", "norm_error", "check_density", "pure_density"),
+    **dict.fromkeys(("num_live", "amplitudes", "norm_error"),
                     "test-only, until ROADMAP item 7 moves it into the tests"),
 }
 

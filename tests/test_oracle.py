@@ -20,7 +20,8 @@ from obliq.oracle import (
     random_state,
     total_variation,
 )
-from obliq.qsim import StateRegister, check_density, pure_density, trace_distance
+from obliq.qsim import StateRegister, trace_distance
+from test_qsim import check_density, pure_density
 
 
 def test_zero_program_keeps_state():

@@ -19,8 +19,6 @@ from obliq.qsim import (
     CapacityError,
     StateRegister,
     _sample_index,
-    check_density,
-    pure_density,
     trace_distance,
 )
 from obliq.toqc import BELL_UNIFORM
@@ -28,6 +26,30 @@ from obliq.toqc import BELL_UNIFORM
 RNG = np.random.default_rng(20240811)
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+
+
+# -- density-matrix helpers, which other test modules import too -----------
+
+def check_density(rho):
+    """Raise if rho is not a valid density matrix."""
+    rho = np.asarray(rho)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError("density matrix must be square")
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > 1e-12:
+        raise ValueError(f"not Hermitian (deviation {herm:.2e})")
+    tr = abs(np.trace(rho) - 1.0)
+    if tr > 1e-12:
+        raise ValueError(f"trace differs from 1 by {tr:.2e}")
+    lo = float(np.linalg.eigvalsh(rho).min())
+    if lo < -1e-10:
+        raise ValueError(f"negative eigenvalue {lo:.2e}")
+    return rho
+
+
+def pure_density(vec):
+    v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+    return np.outer(v, v.conj())
 
 
 def random_qubit(rng):

@@ -356,6 +356,72 @@ def test_a_run_runs_once(first, second):
         go[second]()
     assert run.registry.transcript.records == sent
 
+
+def _run_state(run):
+    """Everything a refused call must leave as it was: the register bytes,
+    the frame, the four logs, the streams and the families in flight."""
+    (amps, *reg), frame = run.plane.snapshot()
+    return (amps.tobytes(), reg, frame, list(run.registry.transcript.records),
+            list(run.branch_records), list(run.drawn), list(run.hops),
+            [rng.bit_generator.state for rng in run.rngs], run.fresh)
+
+
+def _refused(run, call, match):
+    before = _run_state(run)
+    with pytest.raises(ValueError, match=match):
+        call()
+    assert _run_state(run) == before
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+def test_a_hop_out_of_order_is_refused(eager_bell):
+    # only the next hop of an opened run goes ahead; any other is refused
+    # before a message is sent, a log changes or the plane moves
+    w = random_program(2, 2, np.random.default_rng(93))
+    run = _Run(w, random_rounds(2, 2, 94), 1, 95, eager_bell=eager_bell)
+    forced = ((0, 0), (1, 0))
+
+    def refused(k, expected):
+        _refused(run, lambda: run.hop(k, forced), fr"^hop {k} out of order: expected {expected}$")
+
+    refused(1, r"open\(\) first")
+    run.open()
+    refused(3, "hop 1")
+    refused(0, "hop 1")
+    run.hop(1, forced)
+    refused(1, "hop 2")
+    for k in (2, 3, 4):
+        run.hop(k, forced)
+    refused(5, "no hop after the readout")
+    refused(4, "no hop after the readout")
+    assert len(run.registry.transcript.records) == 11 and len(run.hops) == 5
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+def test_a_restore_off_the_current_path_is_refused(eager_bell):
+    # a snapshot is restored only while the hop log still holds its last
+    # entry; a restore past the log's end, or onto another hop 1, is
+    # refused before the register, the streams or a log is touched
+    w = random_program(2, 2, np.random.default_rng(96))
+    run = _Run(w, random_rounds(2, 2, 97), 1, 98, eager_bell=eager_bell)
+    run.open()
+    s0 = run.snapshot()
+    run.hop(1, ((0, 0), (0, 0)))
+    s1 = run.snapshot()
+    run.restore(s0)
+    match = "^the snapshot is off the run's current path"
+    _refused(run, lambda: run.restore(s1), match)
+    run.hop(1, ((1, 1), (0, 1)))
+    _refused(run, lambda: run.restore(s1), match)
+    assert run.outcomes(1) == ((1, 0), (1, 1))
+    # on the path a restore goes back as often as a walk asks
+    s2 = run.snapshot()
+    for combo in (((0, 1), (1, 1)), ((1, 0), (0, 0))):
+        run.hop(2, combo)
+        run.restore(s2)
+    run.restore(s0)
+    assert len(run.hops) == 1
+
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
 def test_outcome_joint_has_every_plan_once(n, m):
     w = random_program(n, m, np.random.default_rng((n, m, 55)))

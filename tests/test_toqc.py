@@ -31,7 +31,7 @@ from obliq.oracle import (
     random_state,
     total_variation,
 )
-from obliq.qsim import pure_density, trace_distance
+from obliq.qsim import trace_distance
 from obliq.toqc import (
     audit_query_uniformity,
     derive_cz_queries,
@@ -41,6 +41,7 @@ from obliq.toqc import (
     make_streams,
     run_toqc,
 )
+from test_qsim import pure_density
 
 
 def enumerate_branches(w, psi=None, basis_bits=None, n_circ=1, seed=0, **kw):
@@ -195,8 +196,8 @@ def test_seeded_runs_are_stable():
                 run_toqc(w, basis_bits=bits, n_circ=1, seed=seed),
                 run_toqc(w, basis_bits=bits, n_circ=n, seed=seed,
                          classical_output=True),
-                # round 2 exists only when m >= 2; at m = 1 the run takes no
-                # coefficients, which is what an unknown round used to mean
+                # round 2 exists only when m >= 2; at m = 1 the run passes
+                # coeffs=None, every coefficient 1
                 toqc._ToqcRun(w, psi, None, 1, seed=seed, coeffs=(
                     None, ProgramRound((1,) * n, (0,) * n, (0,) * (n * (n - 1) // 2))
                 ) if m >= 2 else None).run_through(),

@@ -8,8 +8,9 @@ import pytest
 from obliq.gates import matrix_of
 from obliq.harness import audit_bell_uniformity, audit_mask_average
 from obliq.oracle import random_state
-from obliq.qsim import pure_density, trace_distance
+from obliq.qsim import trace_distance
 from obliq.toy import rederive_queries, run_toy
+from test_qsim import pure_density
 
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
