@@ -9,7 +9,9 @@ and `cz_layer` the sign polynomial (const, lin, quad) mod 2 over the wire
 bits. They are pure functions over ints and tuples. The data plane
 (`apply_masked_t_layer`, `apply_masked_h_layer`, `apply_cz_sign_layer`) maps
 the wires to register bits and applies the value: one kernel pass per active
-qubit for T and H, one sign pass for CZ. `apply_masked_cz_layer`, `apply_zx`
+qubit for T and H, one sign pass for CZ. The H pass takes the value itself,
+which a branch walk builds once per distinct key, and `apply_h_rows` applies
+one value per row to a stack of states. `apply_masked_cz_layer`, `apply_zx`
 and `apply_xz` are the per-gate references of the fused passes.
 """
 
@@ -33,6 +35,8 @@ _Z = checked_diag1(1.0, -1.0)
 _H_POWERS = tuple(checked_1q(matrix_of("H", e)) for e in range(8))
 _T_PHASES = tuple(checked_phase(t_phase(k)) for k in range(8))
 _T_PAIRS = tuple(checked_diag1(d0, d1) for d0 in _T_PHASES for d1 in _T_PHASES)
+# the H powers' two columns as (8, 1, 2, 1) tables, indexed by a stack's powers
+_H_COLUMN0, _H_COLUMN1 = (np.array(cols)[:, None] for cols in zip(*_H_POWERS))
 
 
 def t_layer(family, y_exps):
@@ -111,11 +115,28 @@ def apply_cz_sign_layer(reg, qubits, family, z_exps):
     reg.apply_sign(odd)
 
 
-def apply_masked_h_layer(reg, qubits, family, x_exps):
-    """`h_layer` on `qubits`, one rotation pass per qubit whose power is not 0."""
-    for q, e in zip(qubits, h_layer(family, x_exps)):
+def apply_masked_h_layer(reg, qubits, powers):
+    """An `h_layer` value on `qubits`, one rotation pass per qubit whose
+    power is not 0. It takes the value, not the queries, so that a branch
+    walk builds each distinct value once."""
+    for q, e in zip(qubits, powers):
         if e:
             reg.apply_checked_1q(q, _H_POWERS[e])
+
+
+def apply_h_rows(rows, bits, powers):
+    """`apply_masked_h_layer` on every row of a stack of states
+    (`StateRegister.pauli_rows`), row r with the value powers[r], the wires
+    on the register bits `bits`. Per wire, one pass over all rows with the
+    products of `kernels.apply_1q` in its operand order (gate entry first),
+    written only to the rows whose power is not 0, as the per-row pass skips
+    them: the identity's products could flip the sign of a zero part."""
+    powers = np.asarray(powers)
+    count = len(rows)
+    for bit, e in zip(bits, powers.T):
+        v = rows.reshape(count, -1, 2, bit)
+        np.add(_H_COLUMN0[e] * v[:, :, :1], _H_COLUMN1[e] * v[:, :, 1:], out=v,
+               where=(e != 0).reshape(-1, 1, 1, 1))
 
 
 def apply_zx(reg, qubit, x_bit, z_bit):

@@ -267,6 +267,25 @@ class StateRegister:
         if zmask:
             self.apply_sign(self.parity(zmask))
 
+    def pauli_rows(self, xmasks, zmasks):
+        """A stack of states, one row per mask pair: row r holds what
+        `apply_paulis` leaves for X mask xmasks[r] and Z mask zmasks[r],
+        byte for byte, from one gather through the index table and one sign
+        pass over all rows. The stack is a batch of classical rows, not live
+        qubits: it takes no handle and does not count toward the
+        OBLIQ_MAX_QUBITS cap or the live-qubit peak (it holds
+        len(xmasks) x dimension amplitudes)."""
+        index, parity = _index_tables(self._amps.size)
+        rows = self._amps[index ^ np.asarray(xmasks)[:, None]]
+        np.multiply(rows, -1.0, out=rows, where=parity[index & np.asarray(zmasks)[:, None]])
+        return rows
+
+    def install(self, amps):
+        """Take `amps`, a state of the live qubits in index order (a vector
+        of `dimension` amplitudes), as the amplitudes, without a copy: a row
+        a stacked pass computed."""
+        self._amps = amps
+
     def apply_sign(self, odd):
         """Multiply the amplitudes where `odd` is set by -1.0, as the diagonal
         kernels do (np.negative would also flip a zero imaginary part)."""
@@ -373,6 +392,15 @@ class StateRegister:
         rest = [a for a in range(k) if a not in axes]
         t = self._amps.reshape((2,) * k).transpose(axes + rest)
         return t.reshape(1 << len(axes), -1)
+
+
+def row_probabilities(rows, count):
+    """`probabilities_on` the first `count` qubits for every row of a stack
+    (`StateRegister.pauli_rows`), as one (rows, 2^count) array: the same
+    products and the same sums over each row's blocks."""
+    mat = rows.reshape(len(rows), 1 << count, -1)
+    re, im = mat.real, mat.imag
+    return (re * re + im * im).sum(axis=2)
 
 
 @lru_cache(maxsize=4)

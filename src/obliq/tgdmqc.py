@@ -88,9 +88,13 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
 
     Walks the tree of the 4^(2mn) Bell outcome plans depth-first: the state
     after each hop is snapshotted once, and each of the hop's 4^n outcome
-    combinations continues from it, so a shared prefix runs once. Every plan
-    shares `seed`, so each leaf equals `run_tgdmqc(..., seed=seed,
-    branch_plan=plan)` exactly; `**kw` (`eager_bell`) goes to the run.
+    combinations continues from it, so a shared prefix runs once. At the
+    last hop the Pauli frame computes the data plane of all 4^n combinations
+    in one stacked pass, and each leaf runs its steps on its row of it
+    (`toqc.PauliFrame.stack`); the physical plane (`eager_bell=True`) runs
+    each leaf's own passes. Every plan shares `seed`, so each leaf equals
+    `run_tgdmqc(..., seed=seed, branch_plan=plan)` byte for byte; `**kw`
+    (`eager_bell`) goes to the run.
     Also returns the joint distribution of all Bell outcomes (what the
     users collectively receive), keyed by the chronological outcome tuple,
     and the total probability.

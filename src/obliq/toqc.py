@@ -43,12 +43,19 @@ one `tolist()`. The run logs the stream each draw takes, so a branch walk's
 
 Every node of a branch walk redraws the same fresh families after its
 `restore`, so its leaves repeat a few distinct wire parts, messages, hop
-records and re-derived rotation families: the walk builds, and checks, each
-once, in one table keyed by their fields (`ProtocolRun._intern`). A node
-extends its parent's hop log (`ProtocolRun.hops`) by one entry, so a leaf
-reads its outcomes and branch probability there instead of rescanning its
-records. The classical readout draws its bits from the exact law it has
-already computed (`PauliFrame.measure`) instead of collapsing the register.
+records, re-derived rotation families and H layer values: the walk builds,
+and checks, each once, in one table keyed by their fields (`_intern`), which
+the plane shares for the H values. A node extends its parent's hop log
+(`ProtocolRun.hops`) by one entry, so a leaf reads its outcomes and branch
+probability there instead of rescanning its records. The classical readout
+draws its bits from the exact law it has already computed
+(`PauliFrame.measure`) instead of collapsing the register. The 4^n siblings
+of the last hop differ only in the hop's Pauli and in the rotation queries
+their outcomes give, so a plane that does not measure computes all their
+data planes at once, in a few passes over a stack of states
+(`PauliFrame.stack`; the batched frames of Gidney's Stim, Quantum 5, 497
+(2021)). Each sibling still runs every step, message, record and draw of
+the schedule; the plane serves it its row instead of recomputing it.
 """
 
 from dataclasses import dataclass
@@ -72,19 +79,33 @@ from .harness import (
 # tracer wraps them (ROADMAP item 2)
 from .layers import (  # noqa: F401
     apply_cz_sign_layer,
+    apply_h_rows,
     apply_masked_cz_layer,
     apply_masked_h_layer,
     apply_masked_t_layer,
     apply_xz,
     apply_zx,
+    h_layer,
 )
-from .qsim import StateRegister, _sample_index, _xor_index
+from .qsim import StateRegister, _sample_index, _xor_index, row_probabilities
 
 USER = "user"
 SERVER_A = "server-a"
 SERVER_B = "server-b"
 
 UV_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _intern(table, key, build, *args):
+    """`build(*args)`, or in a branch walk (`table` a dict, not None) the
+    value it gave for `key` the first time: the values are immutable and a
+    function of their key, whose first entry names their kind."""
+    if table is None:
+        return build(*args)
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(*args)
+    return value
 
 
 def make_streams(seed, parties):
@@ -216,6 +237,12 @@ class PauliFrame:
     (`apply_cz_sign_layer`). The T and H layers stay per qubit, one kernel
     pass each over a prebuilt operand, since fusing them would change the
     rounding.
+
+    A branch walk's last hop is the exception (`stack`): one pass over a
+    stack of states gives every sibling's hop and rotation layer, and `hop`,
+    `h_layer` and `measure` install or read the sibling's row, so a
+    subclass that overrides one of them sees the register the per-sibling
+    passes would give.
     """
 
     # a hop draws from the known Bell law; it reads no amplitudes
@@ -226,6 +253,11 @@ class PauliFrame:
         self.w = w
         self.data = None
         self._queued = [(0, 0)] * w.n
+        # a branch walk's table of built values (`_intern`), None in a single
+        # run; then the stacked siblings (`stack`), the row the last hop
+        # served and the law of the row `h_layer` installed
+        self.interned = None
+        self._stack = self._row = self._law = None
 
     def load(self, psi=None):
         """Allocate the n data qubits in |psi>, or in |0...0> when psi is None."""
@@ -244,8 +276,22 @@ class PauliFrame:
         apply_cz_sign_layer(self.reg, self.data, cz, r.z)
 
     def h_layer(self, j, h):
-        """Round j's masked rotation layer on the queries `h`."""
-        apply_masked_h_layer(self.reg, self.data, h, self.w.rounds[j - 1].x)
+        """Round j's masked rotation layer on the queries `h`. After a
+        stacked hop, handed the family its row was stacked with, it
+        installs the row's final state instead."""
+        row, self._row = self._row, None
+        if row is not None and row[0] is h:
+            self.reg.install(row[2])
+            self._law = row[3]
+            return
+        self._law = None
+        apply_masked_h_layer(self.reg, self.data, self._h_powers(j, h))
+
+    def _h_powers(self, j, h):
+        """Round j's H layer value on the queries `h` (`layers.h_layer`); a
+        walk builds each distinct one once."""
+        x = self.w.rounds[j - 1].x
+        return _intern(self.interned, ("h-layer", h[0], h[1], x), h_layer, h, x)
 
     def hop(self, k, side, rng, forced):
         """Apply hop k's frame update, forcing the outcomes when `forced`
@@ -259,11 +305,37 @@ class PauliFrame:
         ab = [(a, b) for a, b in forced]
         queued = self._queued
         self._queued = ab if k < 2 * self.w.m else [(0, 0)] * len(ab)
-        # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
-        # up to a global sign no output can see
-        self.reg.apply_paulis(self.data, [a ^ qa for (a, _), (qa, _) in zip(ab, queued)],
-                              [b ^ qb for (_, b), (_, qb) in zip(ab, queued)])
+        stack = self._stack
+        self._row = row = (stack[1].get(tuple(forced)) if stack is not None and stack[0] == k
+                           else None)
+        if row is not None:
+            self.reg.install(row[1])
+        else:
+            # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
+            # up to a global sign no output can see
+            self.reg.apply_paulis(self.data, [a ^ qa for (a, _), (qa, _) in zip(ab, queued)],
+                                  [b ^ qb for (_, b), (_, qb) in zip(ab, queued)])
         return [(o, BELL_UNIFORM) for o in ab]
+
+    def stack(self, k, combos, families, count):
+        """Compute hop k = 2m and round m's rotation layer for every sibling
+        combo of hop k at once, from the register as it stands, combos[r]
+        with the rotation queries families[r]: one gather and one sign pass
+        for the Paulis (`StateRegister.pauli_rows`), one pass per wire for
+        the H layer (`layers.apply_h_rows`) and one row sum for each row's
+        law on the first `count` qubits. Until the next stack, hop k with one
+        of the combos installs its row's state after the Paulis, and the next
+        `h_layer` its final state and `measure` its law: each byte for byte
+        what the per-sibling passes give. The stack holds len(combos) x 2^n
+        amplitudes as classical rows, not live qubits."""
+        bits = [self.reg.bit_of(q) for q in self.data]
+        weights = np.array(bits)
+        flips = np.array(combos) ^ np.array(self._queued)
+        after = self.reg.pauli_rows(flips[:, :, 0] @ weights, flips[:, :, 1] @ weights)
+        final = after.copy()
+        apply_h_rows(final, bits, [self._h_powers(k // 2, h) for h in families])
+        self._stack = k, dict(zip(combos, zip(families, after, final,
+                                              row_probabilities(final, count))))
 
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
@@ -271,8 +343,11 @@ class PauliFrame:
         `rng.random()`, in qubit order, from its law given the bits before
         it: the draws of one collapsing `measure_z` per qubit, without the
         collapse, which no later step reads. A drawn prefix always has
-        positive probability (`_sample_index`), so no law divides by zero."""
-        dist = self.reg.probabilities_on(self.data[:count])
+        positive probability (`_sample_index`), so no law divides by zero.
+        After a stacked row's final state, the law is the row's."""
+        law, self._law = self._law, None
+        dist = (law if law is not None and law.size == 1 << count
+                else self.reg.probabilities_on(self.data[:count]))
         block = dist.tolist()
         bits = []
         for _ in range(count):
@@ -296,6 +371,7 @@ class PauliFrame:
         reg, (self.data, queued) = snap
         self.reg.restore(reg)
         self._queued = list(queued)
+        self._row = self._law = None
 
 
 class BellStore(PauliFrame):
@@ -435,29 +511,18 @@ class ProtocolRun:
         self.drawn.append(rng)
         return rng
 
-    def _intern(self, key, build, *args):
-        """`build(*args)`, or in a branch walk the value it gave for `key`
-        the first time: the values are immutable and a function of their
-        key, whose first entry names their kind."""
-        table = self.interned
-        if table is None:
-            return build(*args)
-        value = table.get(key)
-        if value is None:
-            value = table[key] = build(*args)
-        return value
-
     def _message(self, step, sender, receivers, parts, qubits):
         """The `StepMessage` of `parts`, given as (name, width, values)
         triples; in a walk each distinct part is built, and checked, once."""
-        built = tuple([self._intern(("part", *p), ClassicalPart, *p) for p in parts])
+        built = tuple([_intern(self.interned, ("part", *p), ClassicalPart, *p) for p in parts])
         return StepMessage(step, sender, receivers, built, qubits)
 
     def _send(self, step, sender, receivers, parts=(), qubits=0):
         """Send the message of `parts` ((name, width, values) triples)
         through the channel registry; a walk builds each distinct one once."""
-        self.registry.send(self._intern(("message", step, sender, receivers, parts, qubits),
-                                        self._message, step, sender, receivers, parts, qubits))
+        key = ("message", step, sender, receivers, parts, qubits)
+        self.registry.send(_intern(self.interned, key, self._message,
+                                   step, sender, receivers, parts, qubits))
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits) from the hop log; zeros for k = 0,
@@ -497,8 +562,9 @@ class ProtocolRun:
                              else (self.server_b, self.users[j - 1:j + 1]))
         rng = server.rng if outcomes is not None else self._draw_from(server.rng)
         hopped = tuple(self.plane.hop(k, server.side, rng, outcomes))
-        records, message, bits, factors = self._intern(("hop", step, hopped), self._hop_records,
-                                                       step, server.name, receivers, hopped)
+        records, message, bits, factors = _intern(self.interned, ("hop", step, hopped),
+                                                  self._hop_records, step, server.name,
+                                                  receivers, hopped)
         self.branch_records += records
         p = self.hops[-1][1]
         for f in factors:
@@ -558,13 +624,7 @@ class ProtocolRun:
         step, sender, parts, qubits = f"step-{4 * j - 3}", None, (), 0
         if j > 1:
             sender = self.users[j - 2]
-            shift, delta = h_shift_delta(sender.mask_x, sender.mask_z,
-                                         self.outcomes(2 * j - 3), self.outcomes(2 * j - 2))
-            coeff = self.coeffs[j - 2]
-            coeff = coeff and coeff.x
-            fresh = self.fresh[2]
-            h = self._intern(("h", fresh[0], fresh[1], shift, delta, coeff),
-                             derive_h_queries, fresh, shift, delta, coeff)
+            h = self._rederived_h(j, self.outcomes(2 * j - 2))
             parts = family_parts("h-query-rederived", h)
         if j <= self.m:
             user = self.users[j - 1]
@@ -586,6 +646,19 @@ class ProtocolRun:
             self.plane.phase_layers(j, t, cz)
         else:
             self._read_out()
+
+    def _rederived_h(self, j, second):
+        """User j-1's re-derived rotation queries of round j-1 (j >= 2), sent
+        at step 4j-3, given hop 2j-2's (x bits, z bits) `second`; a walk
+        derives each distinct family once."""
+        sender = self.users[j - 2]
+        shift, delta = h_shift_delta(sender.mask_x, sender.mask_z,
+                                     self.outcomes(2 * j - 3), second)
+        coeff = self.coeffs[j - 2]
+        coeff = coeff and coeff.x
+        fresh = self.fresh[2]
+        return _intern(self.interned, ("h", fresh[0], fresh[1], shift, delta, coeff),
+                       derive_h_queries, fresh, shift, delta, coeff)
 
     def _read_out(self):
         """Steps 4m+2 and 4m+3: the output to the reader, corrected by its
@@ -652,18 +725,25 @@ class ProtocolRun:
         """
         if self.plan[0] is not None:
             raise ValueError("the branch walk takes every plan, not a branch_plan")
-        self.interned = {}
+        self.interned = self.plane.interned = {}
         self.open()
         yield from self._walk(1, (), tuple(all_branch_plans(self.n)))
 
     def _walk(self, k, prefix, combos):
-        """The walk from hop k on, after the outcomes `prefix`."""
+        """The walk from hop k on, after the outcomes `prefix`. At the last
+        hop a plane that does not measure computes the data plane of all
+        the siblings at once (`PauliFrame.stack`), each with the rotation
+        queries its outcomes give, and serves each sibling its row."""
         snap = self.snapshot()
+        last = k == 2 * self.m
+        if last and not self.plane.measured:
+            self.plane.stack(k, combos, [self._rederived_h(self.m + 1, tuple(zip(*combo)))
+                                         for combo in combos], self.n_circ)
         for i, combo in enumerate(combos):
             if i:
                 self.restore(snap)
             self.hop(k, combo)
-            if k == 2 * self.m:
+            if last:
                 yield prefix + combo, self
             else:
                 yield from self._walk(k + 1, prefix + combo, combos)

@@ -294,12 +294,13 @@ def test_restore_resets_only_the_streams_drawn_since_the_snapshot():
 
 def test_walk_builds_each_distinct_value_once(monkeypatch):
     # the walk's table builds, and so checks, one wire part per distinct
-    # (name, width, values) and derives one rotation family per distinct
-    # input, while every message still goes through the channel registry:
-    # at (2, 1) step 1, then 16 x 2 after hop 1 and 256 x 3 after hop 2
-    parts, derived, sent = Counter(), Counter(), Counter()
-    post_init, derive, send = (ClassicalPart.__post_init__, toqc.derive_h_queries,
-                               ChannelRegistry.send)
+    # (name, width, values), derives one rotation family per distinct input
+    # and builds one H layer value per distinct (family, x), while every
+    # message still goes through the channel registry: at (2, 1) step 1,
+    # then 16 x 2 after hop 1 and 256 x 3 after hop 2
+    parts, derived, sent, h_values = Counter(), Counter(), Counter(), Counter()
+    post_init, derive, send, h_layer = (ClassicalPart.__post_init__, toqc.derive_h_queries,
+                                        ChannelRegistry.send, toqc.h_layer)
 
     def counting_post_init(self):
         post_init(self)
@@ -313,7 +314,12 @@ def test_walk_builds_each_distinct_value_once(monkeypatch):
         sent[message.step] += 1
         send(self, message)
 
+    def counting_h_layer(family, x_exps):
+        h_values[family[0], family[1], x_exps] += 1
+        return h_layer(family, x_exps)
+
     monkeypatch.setattr(ClassicalPart, "__post_init__", counting_post_init)
+    monkeypatch.setattr(toqc, "h_layer", counting_h_layer)
     monkeypatch.setattr(toqc, "derive_h_queries", counting_derive)
     monkeypatch.setattr(ChannelRegistry, "send", counting_send)
     w = random_program(2, 1, np.random.default_rng(75))
@@ -323,6 +329,11 @@ def test_walk_builds_each_distinct_value_once(monkeypatch):
     # every node draws the same fresh family after its restore, so the
     # derivations differ only in their 4^n (shift, delta) pairs
     assert len(derived) == 4 ** 2 and max(derived.values()) == 1
+    # the H values: the fresh family's at the 16 nodes after hop 1 and the
+    # 16 derived families' at the last hop, 13 distinct here because some
+    # derived families coincide; each built once, where a leaf used to
+    # build its own (272 builds)
+    assert len(h_values) == 13 and max(h_values.values()) == 1
     assert sent == {"step-1": 1, "step-2": 16, "step-3": 16,
                     "step-4": 256, "step-5": 256, "step-6": 256}
     assert sum(sent.values()) == 801
