@@ -304,7 +304,7 @@ def parse_program(text):
     header = lines[0].split()
     if len(header) != 2:
         raise ValueError("header must be two integers: n m")
-    n, m = (_program_int(1, v) for v in header)
+    n, m = (line_int("program", 1, v) for v in header)
     for name, v in (("n", n), ("m", m)):
         if v < 1:
             raise ValueError(f"program line 1: {name} is {v}, not at least 1")
@@ -323,11 +323,14 @@ def parse_program(text):
     return Program(n, tuple(rounds))
 
 
-def _program_int(lineno, token):
+def line_int(text, lineno, token, name=""):
+    """The integer `token` on line `lineno` of a `text` ("program" or
+    "transcript") file; the error names the line and the field `name`."""
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"program line {lineno}: {token!r} is not an integer") from None
+        field = f"{name} " if name else ""
+        raise ValueError(f"{text} line {lineno}: {field}{token!r} is not an integer") from None
 
 
 def _parse_residue_line(lines, i, count, mod, what):
@@ -337,7 +340,7 @@ def _parse_residue_line(lines, i, count, mod, what):
         raise ValueError(f"{what}: expected {count} values, got {len(toks)}")
     vals = []
     for t in toks:
-        v = _program_int(i + 1, t)
+        v = line_int("program", i + 1, t)
         if not 0 <= v < mod:
             raise ValueError(f"{what}: value {v} out of range [0, {mod})")
         vals.append(v)

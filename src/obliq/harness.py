@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gates import as_bits, as_count, as_ints, check_n_circ, matrix_of
+from .gates import as_bits, as_count, as_ints, check_n_circ, line_int, matrix_of
 from .qsim import as_state, trace_distance
 
 
@@ -145,15 +145,6 @@ class ParsedRecord:
     digest: str
 
 
-def _int_field(lineno, name, value):
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(
-            f"transcript line {lineno}: {name} {value!r} is not an integer"
-        ) from None
-
-
 def parse_transcript(text):
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -167,9 +158,9 @@ def parse_transcript(text):
         seq, step, sender, receiver, kind, bits, qubits, digest = fields
         out.append(
             ParsedRecord(
-                _int_field(lineno, "seq", seq), step, sender,
-                tuple(receiver.split("+")), kind, _int_field(lineno, "bits", bits),
-                _int_field(lineno, "qubits", qubits), digest,
+                line_int("transcript", lineno, seq, "seq"), step, sender,
+                tuple(receiver.split("+")), kind, line_int("transcript", lineno, bits, "bits"),
+                line_int("transcript", lineno, qubits, "qubits"), digest,
             )
         )
     for i, rec in enumerate(out):
@@ -350,6 +341,12 @@ def _check_ledger(name, ledger, expect, transcript, step_table):
         for msg in transcript.records:
             b, q = seen.get(msg.step, (0, 0))
             seen[msg.step] = (b + msg.bits, q + msg.qubits)
+            # "up" goes from a user to a server, "down" the other way
+            direction = step_table.get(msg.step, ("",))[0]
+            if direction and (direction == "up") != is_user(msg.sender):
+                v.ok = False
+                v.details.append(f"{msg.step}: sent by {msg.sender}, "
+                                 f"but the step goes {direction}")
         for step, (_, bits, qubits) in step_table.items():
             got = seen.get(step)
             if got is None:
@@ -391,13 +388,13 @@ def assert_complexity_tgdmqc(ledger, n, m, n_circ, transcript=None):
 
 def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     """Re-check transcript text under the rules of a live run: the ledger
-    is rebuilt with `ComplexityLedger.add`, then the totals, every step and
-    the order of the steps are checked against the exact per-step table,
-    and each record's kind against its bits and qubits. A record between
-    two servers or naming an unknown party fails the verdict. The digests
-    are not re-checked: that needs the message parts, which the text does
-    not hold. A protocol, shape or flag that no run can have raises a
-    ValueError."""
+    is rebuilt with `ComplexityLedger.add`, then the totals, every step's
+    sizes and direction and the order of the steps are checked against the
+    exact per-step table, and each record's kind against its bits and
+    qubits. A record between two servers or naming an unknown party fails
+    the verdict. The digests are not re-checked: that needs the message
+    parts, which the text does not hold. A protocol, shape or flag that no
+    run can have raises a ValueError."""
     if protocol not in ("toqc", "tgdmqc"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if classical_output and protocol == "tgdmqc":

@@ -210,14 +210,10 @@ class StateRegister:
         """Multiply amplitudes with (q1,q2) bits equal to (b1,b2) by `phase`."""
         if abs(abs(phase) - 1.0) > 1e-12:
             raise ValueError("phase must have unit modulus")
-        m1, m2 = self._pair_bitpos(q1, q2, "apply_pair_phase")
+        self._pair_bitpos(q1, q2, "apply_pair_phase")  # the error names this method
         d = [1.0, 1.0, 1.0, 1.0]
-        if m1 > m2:
-            d[(b1 << 1) | b2] = phase
-            kernels.apply_diag2(self._amps, m1, m2, *d)
-        else:
-            d[(b2 << 1) | b1] = phase
-            kernels.apply_diag2(self._amps, m2, m1, *d)
+        d[(b1 << 1) | b2] = phase
+        self.apply_pair_diag(q1, q2, *d)
 
     def bit_of(self, q):
         """The amplitude-index bit that holds qubit q."""

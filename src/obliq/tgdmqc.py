@@ -59,7 +59,7 @@ class _Run(ProtocolRun):
 
     def outcome_table(self):
         """Every hop's outcomes in the order they were measured."""
-        return {"chronological": tuple(rec.outcome for rec in self.branch_records)}
+        return {"chronological": tuple([r.outcome for *_, rs in self.hops for r in rs])}
 
 
 def run_tgdmqc(

@@ -46,9 +46,9 @@ Every node of a branch walk redraws the same fresh families after its
 records, re-derived rotation families and H layer values: the walk builds,
 and checks, each once, in one table keyed by their fields (`_intern`), which
 the plane shares for the H values. A node extends its parent's hop log
-(`ProtocolRun.hops`) by one entry, so a leaf reads its outcomes and branch
-probability there instead of rescanning its records. The classical readout
-draws its bits from the exact law it has already computed
+(`ProtocolRun.hops`) by one entry, so a leaf reads its outcomes, branch
+probability and records there instead of rescanning the run. The classical
+readout draws its bits from the exact law it has already computed
 (`PauliFrame.measure`) instead of collapsing the register. The 4^n siblings
 of the last hop differ only in the hop's Pauli and in the rotation queries
 their outcomes give, so a plane that does not measure computes all their
@@ -70,6 +70,7 @@ from .harness import (
     ChannelRegistry,
     ClassicalPart,
     StepMessage,
+    Transcript,
     Verdict,
     all_branch_plans,
     cut_branch_plan,
@@ -195,23 +196,21 @@ def family_parts(prefix, family):
     return tuple([(name, width, family[key]) for name, key in rows])
 
 
-# One `rng.integers` call per family, its rows in this order: a seed's
-# transcript pins every drawn value and where it goes. A bounded draw below
-# 2^32 takes 32-bit halves in turn and the generator keeps a spare half in
-# its state, so one call of k x n gives the rows and the final state of k
-# calls of n.
-def draw_ring_family(ring, rng, n):
-    row0, row1 = rng.integers(0, ring, size=(2, n)).tolist()
-    return {0: tuple(row0), 1: tuple(row1)}
+# One `rng.integers` call per family, one row of `count` entries per key in
+# `keys` order: a seed's transcript pins every drawn value and where it goes.
+# A bounded draw below 2^32 takes 32-bit halves in turn and the generator
+# keeps a spare half in its state, so one call of k x n gives the rows and
+# the final state of k calls of n.
+def draw_family(ring, keys, rng, count):
+    return dict(zip(keys, map(tuple, rng.integers(0, ring, size=(len(keys), count)).tolist())))
 
 
-draw_t_family = partial(draw_ring_family, 8)
-draw_h_family = partial(draw_ring_family, 4)
+draw_t_family = partial(draw_family, 8, (0, 1))
+draw_h_family = partial(draw_family, 4, (0, 1))
 
 
 def draw_cz_family(rng, n):
-    rows = rng.integers(0, 2, size=(4, n * (n - 1) // 2)).tolist()
-    return dict(zip(UV_PAIRS, map(tuple, rows)))
+    return draw_family(2, UV_PAIRS, rng, n * (n - 1) // 2)
 
 
 # -- the data plane -------------------------------------------------------------
@@ -306,8 +305,10 @@ class PauliFrame:
         queued = self._queued
         self._queued = ab if k < 2 * self.w.m else [(0, 0)] * len(ab)
         stack = self._stack
-        self._row = row = (stack[1].get(tuple(forced)) if stack is not None and stack[0] == k
-                           else None)
+        if stack is not None and stack[0] != k:
+            # a walk leaves the stacked node only through a hop k < 2m
+            self._stack = stack = None
+        self._row = row = stack[1].get(tuple(forced)) if stack is not None else None
         if row is not None:
             self.reg.install(row[1])
         else:
@@ -323,11 +324,11 @@ class PauliFrame:
         with the rotation queries families[r]: one gather and one sign pass
         for the Paulis (`StateRegister.pauli_rows`), one pass per wire for
         the H layer (`layers.apply_h_rows`) and one row sum for each row's
-        law on the first `count` qubits. Until the next stack, hop k with one
-        of the combos installs its row's state after the Paulis, and the next
-        `h_layer` its final state and `measure` its law: each byte for byte
-        what the per-sibling passes give. The stack holds len(combos) x 2^n
-        amplitudes as classical rows, not live qubits."""
+        law on the first `count` qubits. Until a hop of another k, hop k with
+        one of the combos installs its row's state after the Paulis, and the
+        next `h_layer` its final state and `measure` its law: each byte for
+        byte what the per-sibling passes give. The stack holds len(combos) x
+        2^n amplitudes as classical rows, not live qubits."""
         bits = [self.reg.bit_of(q) for q in self.data]
         weights = np.array(bits)
         flips = np.array(combos) ^ np.array(self._queued)
@@ -460,15 +461,15 @@ class ProtocolRun:
     when `classical_output`, else the n_circ qubits go to the reader, who
     undoes their residual Paulis.
 
-    The run holds no qubits: `plane` does. The transcript, `branch_records`
-    and the one fresh (t, cz, h) family in flight, which a round uses
-    before the next round draws its own, are the run's whole classical
-    record: each party acts on the message it was just sent or on the
-    outcomes routed to it. A third log, `drawn`, holds the stream handed to
-    each draw: a user's family draw, an unforced hop and the readout's
-    measurement. A fourth, `hops`, holds at k hop k's (x bits, z bits),
-    which `outcomes(k)` returns, and the branch probability after hop k,
-    the records' factors multiplied in order (zeros and 1.0 at k = 0).
+    The run holds no qubits: `plane` does. It keeps three logs: the
+    transcript; `hops`, whose entry k holds hop k's (x bits, z bits)
+    (`outcomes(k)`), the branch probability after it (the factors of the
+    records multiplied in order) and its records, one per wire (zeros, 1.0
+    and none at k = 0); and `drawn`, the stream of each draw (a user's
+    family draw, an unforced hop, the readout's measurement). The first two
+    and the fresh (t, cz, h) family in flight, which a round uses before the
+    next round draws its own, are the run's whole classical record: each
+    party acts on the message it was just sent or on the outcomes routed to it.
 
     Server A's steps 4j-3 (j = 1..m+1) run through one method, `_round_a`.
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
@@ -493,8 +494,7 @@ class ProtocolRun:
         for p in self.parties:
             self.registry.register(p.name, SERVER_A)
             self.registry.register(p.name, SERVER_B)
-        self.branch_records = []
-        self.hops = [(((0,) * n, (0,) * n), 1.0)]
+        self.hops = [(((0,) * n, (0,) * n), 1.0, ())]
         # the physical reference when `eager_bell`, else the Pauli frame
         self.plane = (BellStore if eager_bell else PauliFrame)(w)
         rng_a, rng_b = server_rngs
@@ -523,6 +523,11 @@ class ProtocolRun:
         key = ("message", step, sender, receivers, parts, qubits)
         self.registry.send(_intern(self.interned, key, self._message,
                                    step, sender, receivers, parts, qubits))
+
+    @property
+    def branch_records(self):
+        """Every hop's branch records in order, as a fresh list."""
+        return [rec for *_, records in self.hops for rec in records]
 
     def outcomes(self, k):
         """Hop k's (x bits, z bits) from the hop log; zeros for k = 0,
@@ -565,11 +570,10 @@ class ProtocolRun:
         records, message, bits, factors = _intern(self.interned, ("hop", step, hopped),
                                                   self._hop_records, step, server.name,
                                                   receivers, hopped)
-        self.branch_records += records
         p = self.hops[-1][1]
         for f in factors:
             p *= f
-        self.hops.append((bits, p))
+        self.hops.append((bits, p, records))
         self.registry.send(message)
         if k % 2:
             self._round_b(j)
@@ -666,7 +670,7 @@ class ProtocolRun:
         m, n_circ = self.m, self.n_circ
         reader = self.users[m]
         step = f"step-{4 * m + 2}"
-        (ox, oz), self.branch_probability = self.hops[2 * m]
+        (ox, oz), self.branch_probability, _ = self.hops[2 * m]
         # the residual X of each wire: its input mask and the last X outcome
         xs = tuple([x ^ mx for x, mx in zip(ox, reader.mask_x)])
         if self.classical_output:
@@ -688,17 +692,17 @@ class ProtocolRun:
 
     def snapshot(self):
         """Everything a later hop changes: the plane's register and frame, the
-        rng states, the four logs by their lengths, the hop log's last entry
+        rng states, the three logs by their lengths, the hop log's last entry
         and the families in flight."""
         return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
-                len(self.branch_records), len(self.registry.transcript.records),
-                len(self.drawn), len(self.hops), self.hops[-1], self.fresh)
+                len(self.registry.transcript.records), len(self.drawn), len(self.hops),
+                self.hops[-1], self.fresh)
 
     def restore(self, snap):
         """Return to `snap`, which must lie on the current path: the hop log
         still holds its last entry. Of the rng streams, only those the draw
         log names since the snapshot are reset: no other stream has moved."""
-        reg, frame, rng_states, n_records, n_messages, n_drawn, n_hops, last, fresh = snap
+        reg, frame, rng_states, n_messages, n_drawn, n_hops, last, fresh = snap
         if len(self.hops) < n_hops or self.hops[n_hops - 1] is not last:
             raise ValueError(f"the snapshot is off the run's current path: hop {n_hops - 1} "
                              "has since been undone or taken again")
@@ -708,7 +712,6 @@ class ProtocolRun:
             rng.bit_generator.state = rng_states[rng]
         del self.drawn[n_drawn:]
         del self.hops[n_hops:]
-        del self.branch_records[n_records:]
         del self.registry.transcript.records[n_messages:]
 
     def leaves(self):
@@ -750,9 +753,10 @@ class ProtocolRun:
 
     def result(self):
         """The run's `RunResult`: the views, steps and ledger are replayed
-        from the transcript, and the configuration supplies its
-        `outcome_table()`."""
-        transcript = self.registry.transcript
+        from a copy of the transcript, which later hops leave as it is, and
+        the configuration supplies its `outcome_table()`."""
+        transcript = Transcript()
+        transcript.records = list(self.registry.transcript.records)
         return RunResult(
             n=self.n, m=self.m, n_circ=self.n_circ,
             classical_output=self.classical_output,
@@ -837,8 +841,8 @@ class _ToqcRun(ProtocolRun):
 
     def outcome_table(self):
         """The X and Z outcome bits of each hop k, zeros at k = 0."""
-        return {"x": {k: xs for k, ((xs, _), _) in enumerate(self.hops)},
-                "z": {k: zs for k, ((_, zs), _) in enumerate(self.hops)}}
+        return {"x": {k: xs for k, ((xs, _), *_) in enumerate(self.hops)},
+                "z": {k: zs for k, ((_, zs), *_) in enumerate(self.hops)}}
 
 
 def run_toqc(

@@ -165,3 +165,19 @@ def test_tampered_order_or_kind_fails(tmp_path, capsys, tgdmqc_text, tamper, rea
     assert cli.main(["audit", "--protocol", "tgdmqc", "--n", "2", "--m", "1",
                      "--transcript", str(path)]) == 1
     assert "verdict=fail" in capsys.readouterr().out
+
+
+def test_a_step_sent_against_its_direction_fails():
+    # at (n, m) = (1, 1) the two 2-bit downloads at steps 2 and 4 sent up,
+    # and the 4-bit upload at step 5 sent down, keep every total and every
+    # step's size: only the direction of each step shows the swap
+    w = random_program(1, 1, np.random.default_rng(67))
+    text = run_toqc(w, basis_bits=(1,), seed=68).transcript.render()
+    for step in ("step-2", "step-4"):
+        text = edit(text, step, sender="user", receiver="server-a")
+    text = edit(text, "step-5", sender="server-a", receiver="user")
+    verdict = audit_transcript_file(text, "toqc", 1, 1, 1)
+    assert not verdict.ok
+    assert verdict.details == ["step-2: sent by user, but the step goes down",
+                               "step-4: sent by user, but the step goes down",
+                               "step-5: sent by server-a, but the step goes up"]

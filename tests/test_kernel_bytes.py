@@ -8,8 +8,11 @@ the reference. Each runs at every bit position of 2- to 4,096-amplitude
 states, whose parts include exact values and zeros of both signs, with the
 prebuilt operands of `layers` (the 8 H powers, X, Z and all 64 T phase
 pairs) and with random unitaries and phases sent through the validating
-register methods.
+register methods. The pair phase, which now takes `apply_pair_diag`'s bit
+order, is held to its former body the same way.
 """
+
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -121,3 +124,34 @@ def test_validating_register_methods_equal_the_per_row_kernels(k):
                 reference_apply_diag1(start, m, *map(complex, pair))
                 assert reg.amplitudes().tobytes() == start.tobytes(), (k, m, pair)
                 reg.restore(snap)
+
+
+def reference_apply_pair_phase(state, m1, m2, b1, b2, phase):
+    """`StateRegister.apply_pair_phase` before it went through
+    `apply_pair_diag`, on the bit positions m1 and m2 of (q1, q2): it put
+    the higher bit first and keyed the one phased entry itself."""
+    d = [1.0, 1.0, 1.0, 1.0]
+    if m1 > m2:
+        d[(b1 << 1) | b2] = phase
+        kernels.apply_diag2(state, m1, m2, *d)
+    else:
+        d[(b2 << 1) | b1] = phase
+        kernels.apply_diag2(state, m2, m1, *d)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_pair_phase_equals_its_own_bit_order(k):
+    # the one bit-order rule of `apply_pair_diag` gives, byte for byte, what
+    # the pair phase's own swap gave, on every ordered pair of qubits
+    phases = (-1.0, 1j, np.exp(1j * np.pi / 4))
+    for state in start_states(k):
+        reg = StateRegister()
+        qubits = reg.alloc_zero_qubits(k)
+        for q1, q2 in permutations(qubits, 2):
+            m1, m2 = (reg.bit_of(q).bit_length() - 1 for q in (q1, q2))
+            for b1, b2, phase in product((0, 1), (0, 1), phases):
+                reg.install(state.copy())
+                want = state.copy()
+                reference_apply_pair_phase(want, m1, m2, b1, b2, phase)
+                reg.apply_pair_phase(q1, q2, b1, b2, phase)
+                assert reg.amplitudes().tobytes() == want.tobytes(), (k, m1, m2, b1, b2, phase)

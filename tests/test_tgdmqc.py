@@ -370,7 +370,7 @@ def test_a_run_runs_once(first, second):
 
 def _run_state(run):
     """Everything a refused call must leave as it was: the register bytes,
-    the frame, the four logs, the streams and the families in flight."""
+    the frame, the three logs, the streams and the families in flight."""
     (amps, *reg), frame = run.plane.snapshot()
     return (amps.tobytes(), reg, frame, list(run.registry.transcript.records),
             list(run.branch_records), list(run.drawn), list(run.hops),
@@ -432,6 +432,20 @@ def test_a_restore_off_the_current_path_is_refused(eager_bell):
         run.restore(s2)
     run.restore(s0)
     assert len(run.hops) == 1
+
+
+def test_a_result_taken_at_a_leaf_outlives_the_leaf():
+    # the walk hands out the same run at every leaf: a result taken at one
+    # leaf keeps that leaf's transcript and records while the walk goes on
+    w = random_program(2, 1, np.random.default_rng(99))
+    walk = _Run(w, random_rounds(2, 1, 100), 1, 101).leaves()
+    _, leaf = next(walk)
+    res = leaf.result()
+    text, records = res.transcript.render(), list(res.branch_records)
+    for _ in range(20):
+        next(walk)
+    assert res.transcript.render() == text
+    assert res.branch_records == records
 
 @pytest.mark.parametrize("n,m", [(1, 2), (2, 1)])
 def test_outcome_joint_has_every_plan_once(n, m):

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
@@ -247,6 +248,27 @@ def test_enumerated_branches_equal_single_runs(n, m, classical):
         assert got.steps_executed == ref.steps_executed
         assert got.outcomes == ref.outcomes
         assert got.views == ref.views
+
+
+def test_a_stacked_node_goes_when_the_walk_leaves_it():
+    # a walk leaves its plane holding the last node's stacked rows; a run
+    # restored to its start that reaches the last hop by another path must
+    # get the register of its own path, not a stale row. The two differ
+    # only in rounding, so the check is by bytes.
+    w = random_program(2, 1, np.random.default_rng(87))
+    psi = random_state(2, np.random.default_rng(88))
+    plans = np.random.default_rng(89).integers(0, 2, size=(6, 4, 2)).tolist()
+    for seed, plan in product((0, 9), [tuple(map(tuple, p)) for p in plans]):
+        run = toqc._ToqcRun(w, psi, None, 2, seed=seed)
+        start = run.snapshot()
+        for _ in run.leaves():
+            pass
+        run.restore(start)
+        run.open()
+        run.hop(1, plan[:2])
+        run.hop(2, plan[2:])
+        ref = run_toqc(w, psi=psi, n_circ=2, seed=seed, branch_plan=plan)
+        assert run.output_density.tobytes() == ref.output_density.tobytes(), (seed, plan)
 
 
 # -- classical output mode ------------------------------------------------------
