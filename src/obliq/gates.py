@@ -107,17 +107,15 @@ def as_seed(seed):
     or a tuple of ints; anything else raises a ValueError naming seed."""
     if seed is None:
         return None
+    # one integer (a 0-d array is one) or a sequence, each tried in its own
+    # form alone, so that a valid sequence raises nothing on its way
+    single = not hasattr(seed, "__iter__") or getattr(seed, "ndim", 1) == 0
     try:
-        (value,) = as_ints((seed,), "seed")
-        if value >= 0:
-            return value
+        values = as_ints((seed,) if single else seed, "seed")
+        if not values or min(values) >= 0:
+            return values[0] if single else values
     except ValueError:
-        try:
-            values = as_ints(seed, "seed")
-            if min(values, default=0) >= 0:
-                return values
-        except ValueError:
-            pass
+        pass
     raise ValueError(f"seed is {seed!r}, not None, a non-negative integer "
                      "or a sequence of them")
 

@@ -262,6 +262,19 @@ class BranchRecord:
 BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+def as_bell_outcome(entry, what="branch plan entry"):
+    """`entry` as a Bell outcome, a pair (a, b) of 0/1 ints by `as_bits`;
+    anything else raises a ValueError naming `what` and the entry. A pair of
+    plain ints, such as an entry of `BELL_OUTCOMES`, is returned as it is."""
+    if (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is int
+            and type(entry[1]) is int and entry in BELL_OUTCOMES):
+        return entry
+    try:
+        return as_bits(entry, "entry", 2)
+    except ValueError:
+        raise ValueError(f"{what} {entry!r} is not a Bell outcome (a, b)") from None
+
+
 def cut_branch_plan(plan, hops, width):
     """Check a forced plan of hops * width Bell outcomes, in chronological
     order, and cut it into one tuple of `width` (a, b) int pairs per hop."""
@@ -273,12 +286,7 @@ def cut_branch_plan(plan, hops, width):
         raise ValueError(
             f"branch plan has {len(plan)} outcomes, the run makes {hops * width}"
         )
-    for i, entry in enumerate(plan):
-        try:
-            plan[i] = as_bits(entry, "entry", 2)
-        except ValueError:
-            raise ValueError(
-                f"branch plan entry {entry!r} is not a Bell outcome (a, b)") from None
+    plan = [as_bell_outcome(entry) for entry in plan]
     return tuple(tuple(plan[k * width:(k + 1) * width]) for k in range(hops))
 
 

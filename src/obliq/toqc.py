@@ -54,8 +54,13 @@ of the last hop differ only in the hop's Pauli and in the rotation queries
 their outcomes give, so a plane that does not measure computes all their
 data planes at once, in a few passes over a stack of states
 (`PauliFrame.stack`; the batched frames of Gidney's Stim, Quantum 5, 497
-(2021)). Each sibling still runs every step, message, record and draw of
-the schedule; the plane serves it its row instead of recomputing it.
+(2021)). Those queries depend on the outcomes only through each wire's x
+XOR z (`outcome_parity`), so the walk derives one family per distinct
+parity, 2^n for the 4^n siblings, and each sibling's step 4m+1 and
+rotation layer take the family its row was stacked with instead of
+deriving it again. Each sibling still runs every step, message, record and
+draw of the schedule; the plane serves it its row and family instead of
+recomputing them.
 """
 
 from dataclasses import dataclass
@@ -73,6 +78,7 @@ from .harness import (
     Transcript,
     Verdict,
     all_branch_plans,
+    as_bell_outcome,
     cut_branch_plan,
 )
 # apply_masked_cz_layer, apply_xz and apply_zx are the per-gate references
@@ -169,12 +175,18 @@ def tcz_shift_delta(mask_x, ax_prev, ax):
 
 
 def h_shift_delta(mask_x, mask_z, first, second):
-    """Shift and delta of server A's round-j rotation queries from the (x
-    bits, z bits) of hops 2j-1 and 2j: their sums drive the shift, the
-    masks and hop 2j's bits the offset (0/1 ints, summed mod 2 by XOR)."""
-    (ox1, oz1), (ox2, oz2) = first, second
-    return (tuple([a ^ b ^ c ^ d for a, b, c, d in zip(ox2, oz2, ox1, oz1)]),
-            tuple([a ^ b ^ c ^ d for a, b, c, d in zip(mask_x, mask_z, ox2, oz2)]))
+    """Shift and delta of server A's round-j rotation queries from the
+    outcome parities (`outcome_parity`) of hops 2j-1 and 2j: their sum is
+    the shift, the masks and hop 2j's parity the offset (0/1 ints, summed
+    mod 2 by XOR). The outcomes enter only through the parities, so the 4^n
+    outcome combos of hop 2j give 2^n distinct shifts and deltas."""
+    return (tuple([a ^ b for a, b in zip(first, second)]),
+            tuple([a ^ b ^ c for a, b, c in zip(mask_x, mask_z, second)]))
+
+
+def outcome_parity(outcomes):
+    """x XOR z of each wire's Bell outcome (x, z)."""
+    return tuple([x ^ z for x, z in outcomes])
 
 
 # each query family's wire parts: (part name, row key) in wire order (rows
@@ -276,8 +288,9 @@ class PauliFrame:
 
     def h_layer(self, j, h):
         """Round j's masked rotation layer on the queries `h`. After a
-        stacked hop, handed the family its row was stacked with, it
-        installs the row's final state instead."""
+        stacked hop, handed the very family its row was stacked with (the
+        run takes it from `served_family`), it installs the row's final
+        state instead; any other family runs the pass on the served state."""
         row, self._row = self._row, None
         if row is not None and row[0] is h:
             self.reg.install(row[2])
@@ -318,6 +331,12 @@ class PauliFrame:
                                   [b ^ qb for (_, b), (_, qb) in zip(ab, queued)])
         return [(o, BELL_UNIFORM) for o in ab]
 
+    def served_family(self):
+        """The rotation queries that the row served by the last hop was
+        stacked with, or None when that hop served no row."""
+        row = self._row
+        return None if row is None else row[0]
+
     def stack(self, k, combos, families, count):
         """Compute hop k = 2m and round m's rotation layer for every sibling
         combo of hop k at once, from the register as it stands, combos[r]
@@ -325,10 +344,12 @@ class PauliFrame:
         for the Paulis (`StateRegister.pauli_rows`), one pass per wire for
         the H layer (`layers.apply_h_rows`) and one row sum for each row's
         law on the first `count` qubits. Until a hop of another k, hop k with
-        one of the combos installs its row's state after the Paulis, and the
-        next `h_layer` its final state and `measure` its law: each byte for
-        byte what the per-sibling passes give. The stack holds len(combos) x
-        2^n amplitudes as classical rows, not live qubits."""
+        one of the combos installs its row's state after the Paulis,
+        `served_family` then gives the row's family, and the next `h_layer`
+        handed it installs the final state and `measure` reads its law: each
+        byte for byte what the per-sibling passes give. A walk hands the
+        siblings of one outcome parity one family object. The stack holds
+        len(combos) x 2^n amplitudes as classical rows, not live qubits."""
         bits = [self.reg.bit_of(q) for q in self.data]
         weights = np.array(bits)
         flips = np.array(combos) ^ np.array(self._queued)
@@ -552,13 +573,25 @@ class ProtocolRun:
 
     def hop(self, k, outcomes=None):
         """Hop k and the steps up to the next hop (through the readout at
-        k = 2m). `outcomes` forces this hop's n Bell outcomes; None samples
-        them. A hop out of order is refused before anything moves."""
+        k = 2m). `outcomes` forces this hop's n Bell outcomes, each by the
+        rule of a branch plan's entries (`harness.as_bell_outcome`); None
+        samples them. A hop out of order, or forced outcomes that break the
+        rule, are refused before anything moves."""
         if not (k == len(self.hops) <= 2 * self.m and self.registry.transcript.records):
             due = len(self.hops) if self.registry.transcript.records else 0
             raise ValueError(f"hop {k} out of order: expected " + (
                 "open() first" if not due else f"hop {due}" if due <= 2 * self.m
                 else "no hop after the readout"))
+        if outcomes is not None:
+            try:
+                outcomes = tuple(outcomes)
+            except TypeError:
+                raise ValueError(f"hop {k} outcomes {outcomes!r} are not a sequence "
+                                 "of Bell outcomes") from None
+            if len(outcomes) != self.n:
+                raise ValueError(f"hop {k} has {len(outcomes)} outcomes, expected n={self.n}")
+            what = f"hop {k} outcome"
+            outcomes = tuple([as_bell_outcome(ab, what) for ab in outcomes])
         j = (k + 1) // 2
         # server A ends round j at step 4j-2, server B at step 4j; hop 2j-1
         # goes to user j, hop 2j to users j and j+1
@@ -628,7 +661,10 @@ class ProtocolRun:
         step, sender, parts, qubits = f"step-{4 * j - 3}", None, (), 0
         if j > 1:
             sender = self.users[j - 2]
-            h = self._rederived_h(j, self.outcomes(2 * j - 2))
+            # a stacked sibling takes the family its row was built with
+            h = self.plane.served_family()
+            if h is None:
+                h = self._rederived_h(j, outcome_parity(zip(*self.outcomes(2 * j - 2))))
             parts = family_parts("h-query-rederived", h)
         if j <= self.m:
             user = self.users[j - 1]
@@ -653,11 +689,14 @@ class ProtocolRun:
 
     def _rederived_h(self, j, second):
         """User j-1's re-derived rotation queries of round j-1 (j >= 2), sent
-        at step 4j-3, given hop 2j-2's (x bits, z bits) `second`; a walk
-        derives each distinct family once."""
+        at step 4j-3, given hop 2j-2's outcome parity `second`
+        (`outcome_parity`). Step 4j-3 calls it, except at a frame walk's
+        leaves: their stacked node called it once per parity, and they take
+        the family from their rows. A walk builds each distinct family once
+        (`_intern`)."""
         sender = self.users[j - 2]
         shift, delta = h_shift_delta(sender.mask_x, sender.mask_z,
-                                     self.outcomes(2 * j - 3), second)
+                                     outcome_parity(zip(*self.outcomes(2 * j - 3))), second)
         coeff = self.coeffs[j - 2]
         coeff = coeff and coeff.x
         fresh = self.fresh[2]
@@ -740,8 +779,10 @@ class ProtocolRun:
         snap = self.snapshot()
         last = k == 2 * self.m
         if last and not self.plane.measured:
-            self.plane.stack(k, combos, [self._rederived_h(self.m + 1, tuple(zip(*combo)))
-                                         for combo in combos], self.n_circ)
+            # the 4^n combos share 2^n parities: one family per parity
+            parities = [outcome_parity(combo) for combo in combos]
+            family = {p: self._rederived_h(self.m + 1, p) for p in dict.fromkeys(parities)}
+            self.plane.stack(k, combos, [family[p] for p in parities], self.n_circ)
         for i, combo in enumerate(combos):
             if i:
                 self.restore(snap)

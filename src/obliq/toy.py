@@ -18,7 +18,7 @@ from .harness import (
     ChannelRegistry,
     ClassicalPart,
     StepMessage,
-    cut_branch_plan,
+    as_bell_outcome,
 )
 from .layers import apply_masked_t_layer, apply_zx
 from .qsim import StateRegister, as_state
@@ -69,7 +69,7 @@ def run_toy(y, psi, seed=None, force_masks=None, force_branch=None):
     y = as_ints((y,), "y")[0] % 8
     psi = as_state(psi, 1)
     if force_branch is not None:
-        ((force_branch,),) = cut_branch_plan([force_branch], 1, 1)
+        force_branch = as_bell_outcome(force_branch)
     if force_masks is not None:
         try:
             fx, fz = force_masks

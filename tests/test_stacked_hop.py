@@ -10,6 +10,8 @@ order of its operands and on the loop numpy picks, so every comparison is by
 `tobytes()` or `.hex()`.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,54 @@ def test_a_plane_override_reads_the_served_register(monkeypatch, stacks, n_circ)
         want = ref.run_through()
         assert (want.output_distribution.tobytes(), want.output_bits) == (dist, bits)
         assert ref.server_a.rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+def test_a_walk_derives_each_rotation_family_once(monkeypatch, n, m):
+    # the walk builds one family per distinct (fresh, shift, delta, coeff);
+    # each stack derives one family per outcome parity (x XOR z per wire)
+    # of its combos, so two combos share a family object exactly when their
+    # parities agree; a leaf takes its row's family and derives none
+    built, stacked, derived = [], [], []
+    leaf = [False]
+    derive = toqc.derive_h_queries
+    rederived = toqc.ProtocolRun._rederived_h
+    round_a = toqc.ProtocolRun._round_a
+    stack = toqc.PauliFrame.stack
+
+    def counting_derive(fresh, shift, delta, coeff=None):
+        built.append((fresh[0], fresh[1], shift, delta, coeff))
+        return derive(fresh, shift, delta, coeff)
+
+    def counting_rederived(self, j, second):
+        derived.append((leaf[0], j))
+        return rederived(self, j, second)
+
+    def marked_round_a(self, j):
+        leaf[0] = j > self.m
+        try:
+            round_a(self, j)
+        finally:
+            leaf[0] = False
+
+    def recording_stack(self, k, combos, families, count):
+        stacked.append((combos, families))
+        stack(self, k, combos, families, count)
+
+    monkeypatch.setattr(toqc, "derive_h_queries", counting_derive)
+    monkeypatch.setattr(toqc.ProtocolRun, "_rederived_h", counting_rederived)
+    monkeypatch.setattr(toqc.ProtocolRun, "_round_a", marked_round_a)
+    monkeypatch.setattr(toqc.PauliFrame, "stack", recording_stack)
+    leaves = sum(1 for _ in _tgdmqc(n, m, 1, 134).leaves())
+    assert leaves == 4 ** (2 * n * m)
+    assert built and len(built) == len(set(built))
+    assert not any(at_leaf for at_leaf, _ in derived)
+    assert len(stacked) == 4 ** (n * (2 * m - 1))
+    assert sum(j == m + 1 for _, j in derived) == 2 ** n * len(stacked)
+    for combos, families in stacked:
+        parities = [tuple(a ^ b for a, b in combo) for combo in combos]
+        for (p, f), (q, g) in product(zip(parities, families), repeat=2):
+            assert (p == q) == (f is g), (p, q)
 
 
 def test_the_eager_bell_walk_runs_every_sibling(stacks):

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import re
 from collections import Counter
 from itertools import product
 
@@ -406,6 +407,29 @@ def test_a_hop_out_of_order_is_refused(eager_bell):
     refused(5, "no hop after the readout")
     refused(4, "no hop after the readout")
     assert len(run.registry.transcript.records) == 11 and len(run.hops) == 5
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+def test_forced_hop_outcomes_are_checked_before_anything_moves(eager_bell):
+    # a hop forced with anything but n Bell outcomes, each by the branch
+    # plan's entry rule, is refused before the plane, a stream or a log
+    # moves; forms the rule accepts run as their plain ints do
+    w = random_program(1, 1, np.random.default_rng(131))
+    run = _Run(w, random_rounds(1, 1, 132), 1, 133, eager_bell=eager_bell)
+    run.open()
+    _refused(run, lambda: run.hop(1, [(0, 1), (1, 1)]), r"^hop 1 has 2 outcomes, expected n=1$")
+    _refused(run, lambda: run.hop(1, []), r"^hop 1 has 0 outcomes, expected n=1$")
+    for entry in ((1, 2), (1.0, 0), 1, (0, 1, 1), (0,), (np.array([0, 1]), 1)):
+        _refused(run, lambda: run.hop(1, [entry]),
+                 fr"^hop 1 outcome {re.escape(repr(entry))} is not a Bell outcome \(a, b\)$")
+    _refused(run, lambda: run.hop(1, 5), r"^hop 1 outcomes 5 are not a sequence")
+    snap = run.snapshot()
+    run.hop(1, [(np.int64(1), True)])
+    assert run.outcomes(1) == ((1,), (1,))
+    text = run.registry.transcript.render()
+    run.restore(snap)
+    run.hop(1, [(1, 1)])
+    assert run.registry.transcript.render() == text
 
 
 @pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
