@@ -103,13 +103,14 @@ def as_count(value, what):
 
 def as_seed(seed):
     """`seed` for numpy's SeedSequence: None, a non-negative integer or a
-    sequence of them, each by the integer rule (`as_ints`), as None, an int
-    or a tuple of ints; anything else raises a ValueError naming seed."""
+    sequence of them (a tuple, list, range or 1-d array), each by the
+    integer rule (`as_ints`), as None, an int or a tuple of ints; anything
+    else, a set or a dict among them, raises a ValueError naming seed."""
     if seed is None:
         return None
-    # one integer (a 0-d array is one) or a sequence, each tried in its own
-    # form alone, so that a valid sequence raises nothing on its way
-    single = not hasattr(seed, "__iter__") or getattr(seed, "ndim", 1) == 0
+    # a 0-d array or any value but a sequence is tried as one integer
+    ndim = getattr(seed, "ndim", None)
+    single = ndim == 0 or ndim is None and not isinstance(seed, (tuple, list, range))
     try:
         values = as_ints((seed,) if single else seed, "seed")
         if not values or min(values) >= 0:

@@ -7,21 +7,21 @@ significant bit of the amplitude index, so a length-``2**k`` state reshaped to
 The per-qubit gate kernels take operands built once per gate, so that a call
 is one numpy pass over the state, not a handful of small ones:
 
-- `apply_1q` takes the gate's two columns as (2, 1) arrays
-  (`columns_1q`); broadcast against the two rows of the state, two
-  multiplies and one add write both rows of the result;
+- `apply_1q` takes the gate's two columns as (2, 1) arrays (`columns_1q`),
+  or a gate per row of a stack of states; broadcast against the two rows of
+  each state, two multiplies and one add write both rows of the result;
 - `apply_diag1` takes a row slice and a factor (`phase_rows`): a scalar for
   the one row whose phase is not 1, or a (2, 1) column when neither is.
 
 The results are byte for byte those of the per-row form (a copy of row 0,
 four scalar multiplies and two adds; one scalar multiply per phased row),
 but only because each product keeps its operand order: the gate entry
-first in `apply_1q`, the state first in `apply_diag1`. On numpy builds that
-dispatch complex multiplies to AVX-512 the two orders can differ in the last
-bit, and the one-call column multiply differs from the per-row one on
-2-amplitude states, which `apply_diag1` therefore multiplies per row.
-`tests/test_kernel_bytes.py` compares every bit position of 2 to 4,096
-amplitudes against the per-row form.
+first in `apply_1q`, for one state or a stack alike, the state first in
+`apply_diag1`. On numpy builds that dispatch complex multiplies to AVX-512
+the two orders can differ in the last bit, and the one-call column multiply
+differs from the per-row one on 2-amplitude states, which `apply_diag1`
+therefore multiplies per row. `tests/test_kernel_bytes.py` compares every
+bit position of 2 to 4,096 amplitudes against the per-row form.
 """
 
 import numpy as np
@@ -50,10 +50,13 @@ def phase_rows(d0, d1):
     return _BOTH_ROWS, np.array([[d0], [d1]], dtype=np.complex128)
 
 
-def apply_1q(state, m, c0, c1):
-    v = state.reshape(-1, 2, 1 << m)
+def apply_1q(state, m, c0, c1, where=True):
+    """The gate of columns (c0, c1) on bit m of `state`, or on each row of a
+    (rows, 2^k) stack given (rows, 1, 2, 1) columns, one gate per row;
+    numpy's `where` mask leaves the entries (rows) it masks out as they are."""
+    v = state.reshape((-1, 2, 1 << m) if state.ndim == 1 else (len(state), -1, 2, 1 << m))
     # both products are taken before the add writes v
-    np.add(c0 * v[:, :1], c1 * v[:, 1:], out=v)
+    np.add(c0 * v[..., :1, :], c1 * v[..., 1:, :], out=v, where=where)
 
 
 def apply_diag1(state, m, rows, d):

@@ -11,14 +11,16 @@ bits. They are pure functions over ints and tuples. The data plane
 the wires to register bits and applies the value: one kernel pass per active
 qubit for T and H, one sign pass for CZ. The H pass takes the value itself,
 which a branch walk builds once per distinct key, and `apply_h_rows` applies
-one value per row to a stack of states. `apply_masked_cz_layer`, `apply_zx`
-and `apply_xz` are the per-gate references of the fused passes.
+one value per row to a stack of states through the same kernel.
+`apply_masked_cz_layer`, `apply_zx` and `apply_xz` are the per-gate
+references of the fused passes.
 """
 
 from itertools import compress
 
 import numpy as np
 
+from . import kernels
 from .gates import matrix_of, pair_table, qubit_pairs
 from .qsim import checked_1q, checked_diag1, checked_phase
 
@@ -127,16 +129,12 @@ def apply_masked_h_layer(reg, qubits, powers):
 def apply_h_rows(rows, bits, powers):
     """`apply_masked_h_layer` on every row of a stack of states
     (`StateRegister.pauli_rows`), row r with the value powers[r], the wires
-    on the register bits `bits`. Per wire, one pass over all rows with the
-    products of `kernels.apply_1q` in its operand order (gate entry first),
-    written only to the rows whose power is not 0, as the per-row pass skips
-    them: the identity's products could flip the sign of a zero part."""
-    powers = np.asarray(powers)
-    count = len(rows)
-    for bit, e in zip(bits, powers.T):
-        v = rows.reshape(count, -1, 2, bit)
-        np.add(_H_COLUMN0[e] * v[:, :, :1], _H_COLUMN1[e] * v[:, :, 1:], out=v,
-               where=(e != 0).reshape(-1, 1, 1, 1))
+    on the register bits `bits`: one `kernels.apply_1q` pass per wire that
+    skips the rows of power 0, as the per-row pass does (the identity's
+    products could flip the sign of a zero part)."""
+    for bit, e in zip(bits, np.asarray(powers).T):
+        kernels.apply_1q(rows, bit.bit_length() - 1, _H_COLUMN0[e], _H_COLUMN1[e],
+                         where=(e != 0)[:, None, None, None])
 
 
 def apply_zx(reg, qubit, x_bit, z_bit):

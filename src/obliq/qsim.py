@@ -220,9 +220,10 @@ class StateRegister:
         return 1 << self._bitpos(q)
 
     def parity(self, mask):
-        """Boolean vector over the amplitude index: popcount(i & mask) is odd."""
+        """Boolean vector over the amplitude index: popcount(i & mask) is odd;
+        for a 1-d array of masks, one such row per mask."""
         index, parity = _index_tables(self._amps.size)
-        return parity[index & mask]
+        return parity[index & (mask[:, None] if getattr(mask, "ndim", 0) else mask)]
 
     def quadratic_parity(self, lin, quad):
         """Boolean vector over the amplitude index i: popcount(i & lin) plus,
@@ -271,9 +272,8 @@ class StateRegister:
         qubits: it takes no handle and does not count toward the
         OBLIQ_MAX_QUBITS cap or the live-qubit peak (it holds
         len(xmasks) x dimension amplitudes)."""
-        index, parity = _index_tables(self._amps.size)
-        rows = self._amps[index ^ np.asarray(xmasks)[:, None]]
-        np.multiply(rows, -1.0, out=rows, where=parity[index & np.asarray(zmasks)[:, None]])
+        rows = self._amps[_index_tables(self._amps.size)[0] ^ np.asarray(xmasks)[:, None]]
+        np.multiply(rows, -1.0, out=rows, where=self.parity(np.asarray(zmasks)))
         return rows
 
     def install(self, amps):
@@ -370,9 +370,7 @@ class StateRegister:
 
     def probabilities_on(self, subset):
         """Exact computational-basis marginal over `subset` (given order)."""
-        mat = self._subset_rows(subset)
-        re, im = mat.real, mat.imag
-        return (re * re + im * im).sum(axis=1)
+        return marginals(self._subset_rows(subset))
 
     def _subset_rows(self, subset):
         """The amplitudes as a matrix: rows keyed by the bits of `subset`
@@ -390,13 +388,12 @@ class StateRegister:
         return t.reshape(1 << len(axes), -1)
 
 
-def row_probabilities(rows, count):
-    """`probabilities_on` the first `count` qubits for every row of a stack
-    (`StateRegister.pauli_rows`), as one (rows, 2^count) array: the same
-    products and the same sums over each row's blocks."""
-    mat = rows.reshape(len(rows), 1 << count, -1)
+def marginals(mat):
+    """|amplitude|^2 summed along the last axis: the law of the row keys of
+    one amplitude matrix (`probabilities_on`), or of each matrix of a stack
+    (`PauliFrame.stack`)."""
     re, im = mat.real, mat.imag
-    return (re * re + im * im).sum(axis=2)
+    return (re * re + im * im).sum(axis=-1)
 
 
 @lru_cache(maxsize=4)

@@ -3,10 +3,11 @@ teleport-chained schedule that both protocols run.
 
 `ProtocolRun` is the one 4m+3-step schedule: the data qubits hop between
 two servers that never talk to each other, one hop per half-round of the
-program. Every gate layer is applied twice, once per server, with query
-exponents randomized so that the pair telescopes to the program layer while
-each server's queries stay uniform; the user side re-derives each second
-query from the first and the teleport outcomes. A configuration fixes five
+program. Every gate layer is applied twice, once per server in its one step
+between hops (`ProtocolServer.unitary_round`), with query exponents
+randomized so that the pair telescopes to the program layer while each
+server's queries stay uniform; the user side re-derives each second query
+from the first and the teleport outcomes. A configuration fixes five
 things: who holds the input masks, the run's `coeffs` (the offset
 coefficients of the re-derived queries, one `ProgramRound` or None per
 round), which user each hop's outcomes go to, the step-1 input and the
@@ -94,7 +95,7 @@ from .layers import (  # noqa: F401
     apply_zx,
     h_layer,
 )
-from .qsim import StateRegister, _sample_index, _xor_index, row_probabilities
+from .qsim import StateRegister, _sample_index, _xor_index, marginals
 
 USER = "user"
 SERVER_A = "server-a"
@@ -341,23 +342,24 @@ class PauliFrame:
         """Compute hop k = 2m and round m's rotation layer for every sibling
         combo of hop k at once, from the register as it stands, combos[r]
         with the rotation queries families[r]: one gather and one sign pass
-        for the Paulis (`StateRegister.pauli_rows`), one pass per wire for
-        the H layer (`layers.apply_h_rows`) and one row sum for each row's
-        law on the first `count` qubits. Until a hop of another k, hop k with
-        one of the combos installs its row's state after the Paulis,
-        `served_family` then gives the row's family, and the next `h_layer`
-        handed it installs the final state and `measure` reads its law: each
-        byte for byte what the per-sibling passes give. A walk hands the
-        siblings of one outcome parity one family object. The stack holds
-        len(combos) x 2^n amplitudes as classical rows, not live qubits."""
+        for the Paulis (`StateRegister.pauli_rows`), one `kernels.apply_1q`
+        pass per wire for the H layer (`layers.apply_h_rows`) and the law of
+        each row on the first `count` qubits (`qsim.marginals`, as in
+        `probabilities_on`). Until a hop of another k, hop k with one of the
+        combos installs its row's state after the Paulis, `served_family`
+        then gives the row's family, and the next `h_layer` handed it
+        installs the final state and `measure` reads its law: each byte for
+        byte what the per-sibling passes give. A walk hands the siblings of
+        one outcome parity one family object. The stack holds len(combos) x
+        2^n amplitudes as classical rows, not live qubits."""
         bits = [self.reg.bit_of(q) for q in self.data]
         weights = np.array(bits)
         flips = np.array(combos) ^ np.array(self._queued)
         after = self.reg.pauli_rows(flips[:, :, 0] @ weights, flips[:, :, 1] @ weights)
         final = after.copy()
         apply_h_rows(final, bits, [self._h_powers(k // 2, h) for h in families])
-        self._stack = k, dict(zip(combos, zip(families, after, final,
-                                              row_probabilities(final, count))))
+        laws = marginals(final.reshape(len(combos), 1 << count, -1))
+        self._stack = k, dict(zip(combos, zip(families, after, final, laws)))
 
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
@@ -433,24 +435,23 @@ class BellStore(PauliFrame):
 class ProtocolServer:
     """One server's classical side. The side ("a" or "b") fixes which Bell
     halves it owns and which pair index it measures during round j (2j-1
-    for A, 2j for B); its qubits and its program are the data plane's."""
+    for A, 2j for B); its qubits and its program are the data plane's. Its
+    one step between two hops (`ProtocolRun.hop`) is `unitary_round`."""
 
     def __init__(self, name, side, rng):
         self.name, self.side, self.rng = name, side, rng
 
-    # unused by the schedule, which splits a round at its hop; kept because
-    # the benchmark tracer wraps it (ROADMAP item 2)
-    def unitary_round(self, plane, j, t, cz, h, forced=None):
-        """This server's layers of round j on `plane`, then its hop: on side
-        A the rotation queries `h` are round j-1's (None at j = 1), on side
-        B round j's. Returns each wire's (outcome, probs)."""
-        if self.side == "a" and j >= 2:
+    def unitary_round(self, plane, j, t, cz, h):
+        """This server's layers on `plane` up to its next hop, on the queries
+        just sent. Side A: round j-1's rotation layer on `h` unless None (at
+        j = 1), then round j's phase layers on `t` and `cz` unless None (at
+        j = m+1). Side B: round j's phase layers, then its rotation layer."""
+        if self.side == "a" and h is not None:
             plane.h_layer(j - 1, h)
-        plane.phase_layers(j, t, cz)
-        if self.side == "b":
-            plane.h_layer(j, h)
-        k = 2 * j - 1 if self.side == "a" else 2 * j
-        return plane.hop(k, self.side, self.rng, forced)
+        if t is not None:
+            plane.phase_layers(j, t, cz)
+            if self.side == "b":
+                plane.h_layer(j, h)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,11 +487,12 @@ class ProtocolRun:
     transcript; `hops`, whose entry k holds hop k's (x bits, z bits)
     (`outcomes(k)`), the branch probability after it (the factors of the
     records multiplied in order) and its records, one per wire (zeros, 1.0
-    and none at k = 0); and `drawn`, the stream of each draw (a user's
-    family draw, an unforced hop, the readout's measurement). The first two
-    and the fresh (t, cz, h) family in flight, which a round uses before the
-    next round draws its own, are the run's whole classical record: each
-    party acts on the message it was just sent or on the outcomes routed to it.
+    and none at k = 0, which `open()` logs); and `drawn`, the stream of
+    each draw (a user's family draw, an unforced hop, the readout's
+    measurement). The first two and the fresh (t, cz, h) family in flight,
+    which a round uses before the next round draws its own, are the run's
+    whole classical record: each party acts on the message it was just sent
+    or on the outcomes routed to it.
 
     Server A's steps 4j-3 (j = 1..m+1) run through one method, `_round_a`.
     `open()` runs everything before hop 1; `hop(k, outcomes)` runs hop k and
@@ -515,7 +517,7 @@ class ProtocolRun:
         for p in self.parties:
             self.registry.register(p.name, SERVER_A)
             self.registry.register(p.name, SERVER_B)
-        self.hops = [(((0,) * n, (0,) * n), 1.0, ())]
+        self.hops = []
         # the physical reference when `eager_bell`, else the Pauli frame
         self.plane = (BellStore if eager_bell else PauliFrame)(w)
         rng_a, rng_b = server_rngs
@@ -569,6 +571,7 @@ class ProtocolRun:
         runs once: a run that has sent step 1 is refused."""
         if self.registry.transcript.records:
             raise ValueError("this run has already sent step 1; a ProtocolRun runs once")
+        self.hops.append((((0,) * self.n, (0,) * self.n), 1.0, ()))
         self._round_a(1)
 
     def hop(self, k, outcomes=None):
@@ -650,8 +653,7 @@ class ProtocolRun:
             + family_parts("h-query", h)
         )
         self._send(f"step-{4 * j - 1}", user.name, (SERVER_B,), parts)
-        self.plane.phase_layers(j, t, cz)
-        self.plane.h_layer(j, h)
+        self.server_b.unitary_round(self.plane, j, t, cz, h)
 
     def _round_a(self, j):
         """Step 4j-3 (j = 1..m+1) to server A, then its layers on the
@@ -659,6 +661,7 @@ class ProtocolRun:
         of round j-1; up to j = m, user j draws the phase queries of round
         j, which the input joins at j = 1. After step 4m+1, the readout."""
         step, sender, parts, qubits = f"step-{4 * j - 3}", None, (), 0
+        t = cz = h = None
         if j > 1:
             sender = self.users[j - 2]
             # a stacked sibling takes the family its row was built with
@@ -680,11 +683,8 @@ class ProtocolRun:
                 parts, qubits = self._load_input()
             parts += family_parts("t-query", t) + family_parts("cz-query", cz)
         self._send(step, sender.name, (SERVER_A,), parts, qubits)
-        if j > 1:
-            self.plane.h_layer(j - 1, h)
-        if j <= self.m:
-            self.plane.phase_layers(j, t, cz)
-        else:
+        self.server_a.unitary_round(self.plane, j, t, cz, h)
+        if j > self.m:
             self._read_out()
 
     def _rederived_h(self, j, second):
@@ -735,16 +735,17 @@ class ProtocolRun:
         and the families in flight."""
         return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
                 len(self.registry.transcript.records), len(self.drawn), len(self.hops),
-                self.hops[-1], self.fresh)
+                self.hops[-1] if self.hops else None, self.fresh)
 
     def restore(self, snap):
         """Return to `snap`, which must lie on the current path: the hop log
-        still holds its last entry. Of the rng streams, only those the draw
-        log names since the snapshot are reset: no other stream has moved."""
+        still holds its last entry (entry 0 is `open()`'s), if it had one. Of
+        the rng streams, only those the draw log names since the snapshot are
+        reset: no other stream has moved."""
         reg, frame, rng_states, n_messages, n_drawn, n_hops, last, fresh = snap
-        if len(self.hops) < n_hops or self.hops[n_hops - 1] is not last:
-            raise ValueError(f"the snapshot is off the run's current path: hop {n_hops - 1} "
-                             "has since been undone or taken again")
+        if len(self.hops) < n_hops or n_hops and self.hops[n_hops - 1] is not last:
+            raise ValueError(f"the snapshot is off the run's current path: hop-log entry "
+                             f"{n_hops - 1} has since been undone or taken again")
         self.fresh = fresh
         self.plane.restore((reg, frame))
         for rng in dict.fromkeys(self.drawn[n_drawn:]):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from obliq import oracle
-from obliq.gates import compile_parity, random_program, zero_program, zero_round
+from obliq.gates import as_seed, compile_parity, random_program, zero_program, zero_round
 from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_file
 from obliq.oracle import basis_state
 from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, StateRegister, default_max_qubits
@@ -325,3 +325,24 @@ def test_oracle_state_qubit_count_checked(call, n, named):
 def test_alloc_zero_qubits_count_checked(count, named):
     with pytest.raises(ValueError, match=f"^{named}$"):
         StateRegister().alloc_zero_qubits(count)
+
+
+@pytest.mark.parametrize("seed", [
+    {1: 2}, {3, 1}, frozenset({2}), (v for v in (1, 2)), iter([1, 2]), b"\x01",
+], ids=["dict", "set", "frozenset", "generator", "list-iterator", "bytes"])
+def test_a_seed_that_is_not_a_sequence_is_refused(no_messages, seed):
+    # an iterable that is not a sequence gives no order to rely on (a set)
+    # or not the values it shows (a dict's keys): seeds are an integer, a
+    # tuple, list or range, or an array of at most one dimension
+    with pytest.raises(ValueError, match=r"^seed is .*, not None, a non-negative integer"):
+        as_seed(seed)
+    with pytest.raises(ValueError, match=r"^seed is "):
+        run_toqc(zero_program(1, 1), basis_bits=(0,), seed=seed)
+
+
+@pytest.mark.parametrize("seed,value", [
+    (7, 7), (np.int64(7), 7), (np.array(7), 7), (True, 1), ((7, 3), (7, 3)), ([7, 3], (7, 3)),
+    (range(2), (0, 1)), (np.array([7, 3]), (7, 3)), ((), ()), (None, None),
+])
+def test_a_seed_is_an_integer_or_a_sequence_of_them(seed, value):
+    assert as_seed(seed) == value

@@ -2,6 +2,9 @@
 drives the data plane through its interface, in the order of the 4m+3
 steps."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -128,3 +131,41 @@ def test_tgdmqc_drives_the_plane_in_step_order(calls):
         # server A measures, then sends the bits; step 4m+3 is the reader's XOR
         ("measure", 2), ("send", "step-10"),
     ]
+
+
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "physical"])
+@pytest.mark.parametrize("protocol", ["toqc", "tgdmqc"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_every_layer_comes_from_the_server_step(monkeypatch, m, protocol, eager_bell):
+    # a server applies its layers in its one step between hops,
+    # `ProtocolServer.unitary_round`: server A takes m+1 steps (the last,
+    # before the readout, only round m's rotation layer) and server B m, and
+    # the 2m phase and 2m rotation layers of a run are called from there alone
+    step = toqc.ProtocolServer.unitary_round
+    steps, callers = Counter(), Counter()
+
+    def counting_step(server, plane, j, t, cz, h):
+        steps[server.side] += 1
+        step(server, plane, j, t, cz, h)
+
+    def caller_counted(name):
+        layer = getattr(toqc.PauliFrame, name)
+
+        def counted(plane, *args):
+            callers[name, sys._getframe(1).f_code.co_qualname] += 1
+            layer(plane, *args)
+        return counted
+
+    monkeypatch.setattr(toqc.ProtocolServer, "unitary_round", counting_step)
+    for name in ("phase_layers", "h_layer"):
+        monkeypatch.setattr(toqc.PauliFrame, name, caller_counted(name))
+    n = 2
+    rng = np.random.default_rng((m, 98))
+    w = random_program(n, m, rng)
+    if protocol == "toqc":
+        toqc.run_toqc(w, psi=random_state(n, rng), seed=99, eager_bell=eager_bell)
+    else:
+        run_tgdmqc(w, random_program(n, m, rng).rounds, seed=99, eager_bell=eager_bell)
+    assert steps == {"a": m + 1, "b": m}
+    where = "ProtocolServer.unitary_round"
+    assert callers == {("phase_layers", where): 2 * m, ("h_layer", where): 2 * m}

@@ -10,6 +10,7 @@ order of its operands and on the loop numpy picks, so every comparison is by
 `tobytes()` or `.hex()`.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -302,3 +303,23 @@ def test_the_stack_takes_no_live_qubits(monkeypatch, stacks):
     assert abs(total - 1.0) < 1e-12 and len(stacks) == 16
     with pytest.raises(qsim.CapacityError):
         exhaustive_output_distribution(w, rounds, eager_bell=True)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (1, 2)])
+def test_a_stacked_node_rotates_its_stack_through_the_kernel(monkeypatch, stacks, n, m):
+    # the stacked rotation layer is `kernels.apply_1q`, looked up through
+    # the module, on the whole (4^n, 2^n) stack: one call per wire and node
+    seen = Counter()
+    apply_1q = kernels.apply_1q
+
+    def recording(state, bit, c0, c1, where=True):
+        if state.ndim == 2:
+            seen[state.shape, bit] += 1
+        apply_1q(state, bit, c0, c1, where=where)
+
+    monkeypatch.setattr(kernels, "apply_1q", recording)
+    rng = np.random.default_rng((n, m, 141))
+    exhaustive_output_distribution(random_program(n, m, rng), random_program(n, m, rng).rounds)
+    nodes = 4 ** (n * (2 * m - 1))
+    assert stacks == [4 ** n] * nodes
+    assert seen == {((4 ** n, 2 ** n), bit): nodes for bit in range(n)}

@@ -458,6 +458,28 @@ def test_a_restore_off_the_current_path_is_refused(eager_bell):
     assert len(run.hops) == 1
 
 
+@pytest.mark.parametrize("eager_bell", [False, True], ids=["frame", "eager_bell"])
+def test_a_restore_past_an_undone_open_is_refused(eager_bell):
+    # open() logs the hop log's entry 0, so a snapshot taken after it is off
+    # the path of a run restored to before it (it would leave the plane
+    # opened and the transcript empty, so that open() ran twice), and stays
+    # off it once the run opens again, as after a hop taken again
+    w = random_program(2, 1, np.random.default_rng(102))
+    run = _Run(w, random_rounds(2, 1, 103), 1, 104, eager_bell=eager_bell)
+    s0 = run.snapshot()
+    run.open()
+    s1, opened, text = run.snapshot(), _run_state(run), run.registry.transcript.render()
+    run.restore(s0)
+    match = "^the snapshot is off the run's current path: hop-log entry 0 "
+    _refused(run, lambda: run.restore(s1), match)
+    run.open()
+    _refused(run, lambda: run.restore(s1), match)
+    # opened again, the run is the one opened before, with its own log entry
+    assert _run_state(run)[0] == opened[0] and run.registry.transcript.render() == text
+    run.restore(s0)
+    assert not run.hops and not run.registry.transcript.records
+
+
 def test_a_result_taken_at_a_leaf_outlives_the_leaf():
     # the walk hands out the same run at every leaf: a result taken at one
     # leaf keeps that leaf's transcript and records while the walk goes on
