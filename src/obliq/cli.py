@@ -3,9 +3,9 @@
 Every subcommand prints one key=value line per reported quantity and ends
 in one `verdict=` line, printed with the `verdict_<name>` and
 `detail_<name>` lines of its checks by `_emit`. It exits with 0 on pass, 1
-on a verification failure, 2 on a usage error. All randomness flows from
---seed; a missing seed is generated and printed so the run can be
-reproduced.
+on a verification failure, 2 on a usage error or a state too large for the
+memory. All randomness flows from --seed; a missing seed is generated and
+printed so the run can be reproduced.
 """
 
 import argparse
@@ -264,8 +264,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, CapacityError) as exc:
-        print(f"error={exc}", file=sys.stderr)
+    except (OSError, ValueError, CapacityError, MemoryError) as exc:
+        print(f"error={str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -402,7 +402,9 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     qubits. A record between two servers or naming an unknown party fails
     the verdict. The digests are not re-checked: that needs the message
     parts, which the text does not hold. A protocol, shape or flag that no
-    run can have raises a ValueError."""
+    run can have raises a ValueError. A run of m rounds sends at least one
+    record per step, so an m above the number of records fails with one
+    detail, before the O(m) per-step table is built."""
     if protocol not in ("toqc", "tgdmqc"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if classical_output and protocol == "tgdmqc":
@@ -411,6 +413,10 @@ def audit_transcript_file(text, protocol, n, m, n_circ, classical_output=False):
     n_circ = check_n_circ(n_circ, n)
     transcript = Transcript()
     transcript.records = parse_transcript(text)
+    if m > len(transcript.records):
+        return Verdict(f"{protocol}-complexity", False, [
+            f"m is {m}, but the transcript holds only {len(transcript.records)} "
+            f"record(s), fewer than the {4 * m + 2} steps of m rounds"])
     try:
         ledger = transcript.ledger()
     except ValueError as exc:

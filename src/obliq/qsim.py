@@ -2,9 +2,10 @@
 
 Qubits are identified by opaque handles; handles are never reused within a
 register. Internally each live qubit owns one axis of the amplitude tensor,
-with the earliest-allocated qubit on the most significant index bits. A qubit
-slot is reclaimed only by measuring it (Bell or computational), which keeps
-the register normalized at all times. The live-qubit cap has one setting,
+with the earliest-allocated qubit on the most significant index bits; one
+list of the live handles, in axis order, gives every position. A qubit slot
+is reclaimed only by measuring it (Bell or computational), which keeps the
+register normalized at all times. The live-qubit cap has one setting,
 the OBLIQ_MAX_QUBITS environment variable (22 when unset), and an input
 state one check, `as_state`.
 """
@@ -80,7 +81,6 @@ class StateRegister:
         self.max_qubits = default_max_qubits()
         self._amps = np.ones(1, dtype=np.complex128)
         self._order = []          # axis -> handle
-        self._axis = {}           # handle -> axis
         self._next_uid = 0
 
     # -- bookkeeping -------------------------------------------------------
@@ -101,22 +101,20 @@ class StateRegister:
         return abs(float(np.sum(self._amps.real**2 + self._amps.imag**2)) - 1.0)
 
     def snapshot(self):
-        """The amplitudes and handle map, for `restore` to return to."""
-        return self._amps.copy(), list(self._order), dict(self._axis), self._next_uid
+        """The amplitudes, the live handles in axis order and the next uid,
+        for `restore` to return to."""
+        return self._amps.copy(), list(self._order), self._next_uid
 
     def restore(self, snap):
-        amps, order, axis, next_uid = snap
+        amps, order, self._next_uid = snap
         self._amps = amps.copy()
         self._order = list(order)
-        self._axis = dict(axis)
-        self._next_uid = next_uid
 
     def _bitpos(self, q):
         try:
-            axis = self._axis[q]
-        except KeyError:
+            return len(self._order) - 1 - self._order.index(q)
+        except ValueError:
             raise ValueError(f"qubit {q!r} is not live") from None
-        return len(self._order) - 1 - axis
 
     def _pair_bitpos(self, q1, q2, what):
         """The bit positions of two distinct live qubits; `what` names the
@@ -133,18 +131,11 @@ class StateRegister:
             )
 
     def _new_handles(self, count):
-        start, base = self._next_uid, len(self._order)
+        start = self._next_uid
         handles = [QubitHandle(uid) for uid in range(start, start + count)]
         self._next_uid += count
-        self._axis.update(zip(handles, range(base, base + count)))
         self._order += handles
         return handles
-
-    def _drop(self, q):
-        axis = self._axis.pop(q)
-        self._order.pop(axis)
-        for h in self._order[axis:]:
-            self._axis[h] -= 1
 
     # -- allocation --------------------------------------------------------
 
@@ -249,12 +240,9 @@ class StateRegister:
         which no read-out sees. X^x Z^z is the same up to the global sign
         (-1)^(sum of x z), which no density matrix or probability shows.
         """
-        top, axis = len(self._order) - 1, self._axis
         xmask = zmask = 0
         for q, x, z in zip(qubits, xs, zs):
-            if q not in axis:
-                self._bitpos(q)  # raises: q is not live
-            bit = 1 << (top - axis[q])
+            bit = self.bit_of(q)
             if x % 2:
                 xmask ^= bit
             if z % 2:
@@ -334,10 +322,8 @@ class StateRegister:
             idx = _sample_index(probs, rng)
             a, b = idx >> 1, idx & 1
         self._amps = np.ascontiguousarray(branches[idx] / math.sqrt(probs[idx]))
-        # release the later axis first so the earlier one stays valid
-        first, second = (q1, q2) if self._axis[q1] > self._axis[q2] else (q2, q1)
-        self._drop(first)
-        self._drop(second)
+        self._order.remove(q1)
+        self._order.remove(q2)
         return int(a), int(b), probs
 
     def measure_z(self, q, rng=None, force=None):
@@ -358,7 +344,7 @@ class StateRegister:
             bit = _sample_index(probs, rng)
         part = kernels.gather_bit(self._amps, m, bit)
         self._amps = part / math.sqrt(probs[bit])
-        self._drop(q)
+        self._order.remove(q)
         return bit, probs[bit]
 
     # -- read-out ----------------------------------------------------------

@@ -264,7 +264,7 @@ class PauliFrame:
         self.reg = StateRegister()
         self.w = w
         self.data = None
-        self._queued = [(0, 0)] * w.n
+        self._queued = ((0, 0),) * w.n
         # a branch walk's table of built values (`_intern`), None in a single
         # run; then the stacked siblings (`stack`), the row the last hop
         # served and the law of the row `h_layer` installed
@@ -315,9 +315,9 @@ class PauliFrame:
             # One rng.random(n) call gives the doubles and the final state of
             # n rng.random() calls, whatever spare half `integers` left.
             forced = [divmod(int(r * 4), 2) for r in rng.random(len(self.data)).tolist()]
-        ab = [(a, b) for a, b in forced]
+        ab = tuple([(a, b) for a, b in forced])
         queued = self._queued
-        self._queued = ab if k < 2 * self.w.m else [(0, 0)] * len(ab)
+        self._queued = ab if k < 2 * self.w.m else ((0, 0),) * len(ab)
         stack = self._stack
         if stack is not None and stack[0] != k:
             # a walk leaves the stacked node only through a hop k < 2m
@@ -388,13 +388,13 @@ class PauliFrame:
         return self.reg.density_on(self.data[:count])
 
     def snapshot(self):
-        """The register's snapshot, then the data handles and queued Paulis."""
-        return self.reg.snapshot(), (self.data, tuple(self._queued))
+        """The register's snapshot, then the data handles and queued Paulis
+        (a tuple, so neither side copies it)."""
+        return self.reg.snapshot(), (self.data, self._queued)
 
     def restore(self, snap):
-        reg, (self.data, queued) = snap
+        reg, (self.data, self._queued) = snap
         self.reg.restore(reg)
-        self._queued = list(queued)
         self._row = self._law = None
 
 
@@ -730,10 +730,10 @@ class ProtocolRun:
     # -- resuming ----------------------------------------------------------
 
     def snapshot(self):
-        """Everything a later hop changes: the plane's register and frame, the
-        rng states, the three logs by their lengths, the hop log's last entry
-        and the families in flight."""
-        return (*self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
+        """Everything a later hop changes: the plane's snapshot, as one value
+        whose layout is the plane's own, the rng states, the three logs by
+        their lengths, the hop log's last entry and the families in flight."""
+        return (self.plane.snapshot(), {rng: rng.bit_generator.state for rng in self.rngs},
                 len(self.registry.transcript.records), len(self.drawn), len(self.hops),
                 self.hops[-1] if self.hops else None, self.fresh)
 
@@ -742,12 +742,12 @@ class ProtocolRun:
         still holds its last entry (entry 0 is `open()`'s), if it had one. Of
         the rng streams, only those the draw log names since the snapshot are
         reset: no other stream has moved."""
-        reg, frame, rng_states, n_messages, n_drawn, n_hops, last, fresh = snap
+        plane, rng_states, n_messages, n_drawn, n_hops, last, fresh = snap
         if len(self.hops) < n_hops or n_hops and self.hops[n_hops - 1] is not last:
             raise ValueError(f"the snapshot is off the run's current path: hop-log entry "
                              f"{n_hops - 1} has since been undone or taken again")
         self.fresh = fresh
-        self.plane.restore((reg, frame))
+        self.plane.restore(plane)
         for rng in dict.fromkeys(self.drawn[n_drawn:]):
             rng.bit_generator.state = rng_states[rng]
         del self.drawn[n_drawn:]

@@ -85,6 +85,15 @@ def test_tampered_step_sizes_with_equal_totals_fail(tgdmqc_text):
     assert any(d.startswith("step-3:") for d in verdict.details)
 
 
+def test_an_m_above_the_record_count_fails_without_a_step_table(tgdmqc_text):
+    # 4m + 2 steps at m = 10^5: one detail, not one per missing step
+    first_line = tgdmqc_text.splitlines()[0] + "\n"
+    verdict = audit_transcript_file(first_line, "tgdmqc", 2, 10 ** 5, 1)
+    assert not verdict.ok
+    assert len(verdict.details) <= 3, len(verdict.details)
+    assert "m is 100000" in verdict.details[0]
+
+
 def test_audit_rejects_unknown_protocol(tgdmqc_text):
     with pytest.raises(ValueError, match="unknown protocol"):
         audit_transcript_file(tgdmqc_text, "toy", 2, 1, 1)

@@ -46,6 +46,21 @@ def test_toqc_over_capacity_is_usage_error(tmp_path, monkeypatch, capsys):
     assert "live-qubit limit of 22" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB", ""])
+def test_out_of_memory_is_usage_error(program_path, monkeypatch, capsys, message):
+    # a cap raised past what the memory holds: the allocation fails, which
+    # is not a verification failure (exit 1); nothing large is allocated
+    def out_of_memory(self, vec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("obliq.qsim.StateRegister._tensor", out_of_memory)
+    assert cli.main(["toqc", "--program", program_path, "--input", "01",
+                     "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert f"error={message or 'MemoryError'}" in captured.err
+    assert "verdict=" not in captured.out
+
+
 def test_tgdmqc_passes(tmp_path, capsys):
     rng = np.random.default_rng(4)
     w, users = tmp_path / "w.txt", tmp_path / "users.txt"

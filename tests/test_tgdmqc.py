@@ -123,8 +123,8 @@ def test_restore_returns_run_to_its_snapshot(eager_bell):
     run = _Run(w, random_rounds(1, 2, 71), 1, 72, eager_bell=eager_bell)
 
     def state():
-        (amps, order, axis, uid), *rest = run.snapshot()
-        return amps.tobytes(), order, axis, uid, rest
+        ((amps, order, uid), frame), *rest = run.snapshot()
+        return amps.tobytes(), order, uid, frame, rest
 
     run.open()
     run.hop(1, ((1, 0),))
