@@ -248,40 +248,63 @@ def concat_programs(w1, w2):
 
 
 def random_program(n, m, rng):
+    """A uniform random program on n qubits in m rounds, drawn from `rng`.
+
+    All m rounds come from one `rng.integers(0, 8, size=(m, 2n + n(n-1)/2))`
+    call, each row in the order x, y, z, with x = v >> 1, y = v and
+    z = v >> 2. That equals the three calls per round `rng.integers(0, 4,
+    size=n)`, `(0, 8, size=n)` and `(0, 2, size=n(n-1)/2)`, value for value
+    and in the generator's final state: on a power-of-two range numpy's
+    bounded draw takes the top bits of the next 32-bit half of the stream
+    and never rejects one, and the spare half of a 64-bit draw stays in the
+    bit generator between calls.
+    """
     n, m = as_count(n, "n"), as_count(m, "m")
-    rounds = []
-    for _ in range(m):
-        rounds.append(
-            ProgramRound(
-                tuple(rng.integers(0, 4, size=n).tolist()),
-                tuple(rng.integers(0, 8, size=n).tolist()),
-                tuple(rng.integers(0, 2, size=n * (n - 1) // 2).tolist()),
-            )
-        )
-    return Program(n, tuple(rounds))
+    shifts = np.array([1] * n + [0] * n + [2] * (n * (n - 1) // 2))
+    rows = (rng.integers(0, 8, size=(m, shifts.size)) >> shifts).tolist()
+    return Program(n, tuple(ProgramRound(tuple(r[:n]), tuple(r[n:2 * n]), tuple(r[2 * n:]))
+                            for r in rows))
 
 
 # -- applying rounds to a register -------------------------------------------
 
 def round_unitary_apply(reg, qubits, rnd):
-    """Apply one round's unitary H(x) T(y) CZ(z) to the given qubits.
+    """Apply one round's unitary H(x) T(y) CZ(z) to the given qubits of the
+    register `reg`; `rnd` must be a ProgramRound on len(qubits) qubits.
 
     CZ factors go first (lexicographic pairs), then T (ascending qubit), then
-    H; within each family the factors commute.
+    H; within each family the factors commute. Each T phase and H power is
+    applied from its operand in `_round_operands`, checked when it was
+    built, so a gate costs one kernel pass and no check.
     """
     n = len(qubits)
     rnd.check_shape(n)
-    for (s, t), zp in zip(qubit_pairs(n), rnd.z):
-        if zp % 2:
-            reg.apply_cz(qubits[s - 1], qubits[t - 1])
-    for s in range(n):
-        yp = rnd.y[s] % 8
+    t_ops, h_ops = _round_operands()
+    for (s, t), zp in zip(pair_table(n), rnd.z):
+        if zp:
+            reg.apply_cz(qubits[s], qubits[t])
+    for q, yp in zip(qubits, rnd.y):
         if yp:
-            reg.apply_diag1(qubits[s], 1.0, np.exp(1j * np.pi * yp / 4))
-    for s in range(n):
-        xp = rnd.x[s] % 4
+            reg.apply_checked_diag1(q, t_ops[yp])
+    for q, xp in zip(qubits, rnd.x):
         if xp:
-            reg.apply_1q(qubits[s], matrix_of("H", xp))
+            reg.apply_checked_1q(q, h_ops[xp])
+
+
+@lru_cache(maxsize=1)
+def _round_operands():
+    """The register's kernel operands of T^k for k in [0, 8) and of H^k for
+    k in [0, 4), built from `matrix_of` and checked once (by
+    `qsim.checked_diag1` and `qsim.checked_1q`), their arrays read-only.
+    They are the oracle's own, apart from the protocol's tables in `layers`."""
+    from .qsim import checked_1q, checked_diag1  # qsim imports this module
+
+    t_ops = tuple(checked_diag1(1.0, matrix_of("T", k)[1, 1]) for k in range(8))
+    h_ops = tuple(checked_1q(matrix_of("H", k)) for k in range(4))
+    for columns in h_ops:
+        for c in columns:
+            c.flags.writeable = False
+    return t_ops, h_ops
 
 
 # -- program text format ------------------------------------------------------

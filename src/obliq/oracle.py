@@ -2,7 +2,10 @@
 
 This module is the independent check for the protocol runs. It touches only
 the register primitives and the round application from `gates`; none of the
-party or query machinery is involved.
+party or query machinery is involved. The round application takes its T and
+H operands from `gates.matrix_of`, each built and checked once per exponent,
+not from the protocol's tables in `layers`, so the oracle stays independent
+of the protocol's data plane.
 """
 
 import numpy as np

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .gates import as_bits, as_count
+from .gates import as_bits, as_count, as_ints
 
 DEFAULT_MAX_QUBITS = 22
 MAX_QUBITS_ENV = "OBLIQ_MAX_QUBITS"
@@ -191,20 +191,22 @@ class StateRegister:
         kernels.apply_diag1(self._amps, self._bitpos(q), *rows)
 
     def apply_cz(self, q1, q2, power=1):
-        """Controlled-Z to the given power (phase -1 on |11> when power is odd)."""
-        self._pair_bitpos(q1, q2, "apply_cz")
-        if power % 2 == 0:
-            return
-        self.apply_pair_phase(q1, q2, 1, 1, -1.0)
+        """Controlled-Z to the integer `power` (phase -1 on |11> when power
+        is odd)."""
+        (power,) = as_ints((power,), "power")
+        bitpos = self._pair_bitpos(q1, q2, "apply_cz")
+        if power % 2:
+            self._apply_pair_cells(bitpos, 1.0, 1.0, 1.0, -1.0)
 
     def apply_pair_phase(self, q1, q2, b1, b2, phase):
-        """Multiply amplitudes with (q1,q2) bits equal to (b1,b2) by `phase`."""
-        if abs(abs(phase) - 1.0) > 1e-12:
-            raise ValueError("phase must have unit modulus")
-        self._pair_bitpos(q1, q2, "apply_pair_phase")  # the error names this method
+        """Multiply amplitudes with (q1,q2) bits equal to (b1,b2) by `phase`;
+        b1 and b2 must be bits and |phase| = 1."""
+        cell = (_bit_arg(b1, "b1") << 1) | _bit_arg(b2, "b2")
+        checked_phase(phase)
+        bitpos = self._pair_bitpos(q1, q2, "apply_pair_phase")
         d = [1.0, 1.0, 1.0, 1.0]
-        d[(b1 << 1) | b2] = phase
-        self.apply_pair_diag(q1, q2, *d)
+        d[cell] = phase
+        self._apply_pair_cells(bitpos, *d)
 
     def bit_of(self, q):
         """The amplitude-index bit that holds qubit q."""
@@ -279,7 +281,13 @@ class StateRegister:
         """Apply a two-qubit diagonal, entries keyed by (q1 bit, q2 bit)."""
         for d in (d00, d01, d10, d11):
             checked_phase(d)
-        m1, m2 = self._pair_bitpos(q1, q2, "apply_pair_diag")
+        self._apply_pair_cells(self._pair_bitpos(q1, q2, "apply_pair_diag"),
+                               d00, d01, d10, d11)
+
+    def _apply_pair_cells(self, bitpos, d00, d01, d10, d11):
+        """The diagonal keyed by (q1 bit, q2 bit) on the bit positions
+        (m1, m2) of (q1, q2): the one rule that puts the higher bit first."""
+        m1, m2 = bitpos
         if m1 > m2:
             kernels.apply_diag2(self._amps, m1, m2, d00, d01, d10, d11)
         else:
@@ -297,7 +305,7 @@ class StateRegister:
         """
         m1, m2 = self._pair_bitpos(q1, q2, "bell_measure")
         if force is not None:
-            force = _forced(force, pair=True)
+            force = _bit_arg(force, "force", pair=True)
         if m1 > m2:
             quad = kernels.gather_pair(self._amps, m1, m2)
             s00, s01, s10, s11 = quad  # rows keyed (q1 bit, q2 bit)
@@ -332,7 +340,7 @@ class StateRegister:
         Returns (bit, probability of that bit).
         """
         if force is not None:
-            force = _forced(force, pair=False)
+            force = _bit_arg(force, "force")
         m = self._bitpos(q)
         p1 = kernels.prob_bit1(self._amps, m)
         probs = (1.0 - p1, p1)
@@ -404,19 +412,24 @@ def _xor_index(dim, mask):
 
 def checked_1q(gate):
     """The kernel operand (`kernels.columns_1q`) of a 2x2 unitary; raises
-    ValueError if `gate` is not one."""
+    ValueError if `gate` is not one (a NaN or infinite entry among them)."""
     g = np.asarray(gate, dtype=np.complex128)
     if g.shape != (2, 2):
         raise ValueError("gate must be 2x2")
+    # a unitary's entries have modulus at most 1; testing that first refuses
+    # NaN and inf, and keeps the matmul below from overflowing
+    big = np.abs(g).max()
+    if not big <= 1.0 + 1e-12:
+        raise ValueError(f"gate is not unitary (an entry has modulus {big:.2e})")
     err = np.abs(g @ g.conj().T - np.eye(2)).max()
-    if err > 1e-12:
+    if not err <= 1e-12:
         raise ValueError(f"gate is not unitary (deviation {err:.2e})")
     return kernels.columns_1q(g)
 
 
 def checked_phase(d):
-    """`d` as a Python complex; raises ValueError unless |d| = 1."""
-    if abs(abs(d) - 1.0) > 1e-12:
+    """`d` as a Python complex; raises ValueError unless |d| = 1 (NaN is not)."""
+    if not abs(abs(d) - 1.0) <= 1e-12:
         raise ValueError("diagonal entries must have unit modulus")
     return complex(d)
 
@@ -427,14 +440,15 @@ def checked_diag1(d0, d1):
     return kernels.phase_rows(checked_phase(d0), checked_phase(d1))
 
 
-def _forced(force, pair):
-    """`force` by the one bit rule (`gates.as_bits`): a pair of 0/1 ints when
-    `pair`, else one; anything else raises a ValueError naming it."""
+def _bit_arg(value, what, pair=False):
+    """The argument `what` by the one bit rule (`gates.as_bits`): a pair of
+    0/1 ints when `pair`, else one; anything else raises a ValueError naming
+    it."""
     try:
-        return as_bits(force, "force", 2) if pair else as_bits((force,), "force")[0]
+        return as_bits(value, what, 2) if pair else as_bits((value,), what)[0]
     except ValueError:
-        what = "a pair of bits" if pair else "a bit"
-        raise ValueError(f"force={force!r} is not {what}") from None
+        kind = "a pair of bits" if pair else "a bit"
+        raise ValueError(f"{what}={value!r} is not {kind}") from None
 
 
 def _sample_index(probs, rng):

@@ -83,6 +83,34 @@ def test_all_matrices_unitary():
             assert np.abs(u @ u.conj().T - np.eye(u.shape[0])).max() < 1e-12
 
 
+# -- random programs -------------------------------------------------------------
+
+def reference_random_program(n, m, rng):
+    """`random_program` as three generator calls per round, x, y and z."""
+    return Program(n, tuple(
+        ProgramRound(tuple(rng.integers(0, 4, size=n).tolist()),
+                     tuple(rng.integers(0, 8, size=n).tolist()),
+                     tuple(rng.integers(0, 2, size=n * (n - 1) // 2).tolist()))
+        for _ in range(m)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11, (3, 4)])
+def test_random_program_equals_three_draws_per_round(seed):
+    # the one-call draw gives the same values, as Python ints, and leaves the
+    # generator where the per-round calls leave it, spare 32-bit half and all
+    for n in range(1, 9):
+        for m in range(1, 5):
+            for spare in (False, True):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                if spare:  # start from a state that holds a spare half
+                    a.integers(0, 2), b.integers(0, 2)
+                    assert a.bit_generator.state["has_uint32"] == 1
+                got, want = random_program(n, m, a), reference_random_program(n, m, b)
+                assert got == want, (seed, n, m, spare)
+                assert all(type(v) is int for r in got.rounds for v in r.x + r.y + r.z)
+                assert a.bit_generator.state == b.bit_generator.state, (seed, n, m, spare)
+
+
 # -- program algebra -----------------------------------------------------------
 
 def test_identity_program_shape():

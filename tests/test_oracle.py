@@ -6,7 +6,10 @@ import pytest
 from obliq.gates import (
     Program,
     ProgramRound,
+    _round_operands,
     compile_parity,
+    matrix_of,
+    qubit_pairs,
     random_program,
     split_program,
     zero_program,
@@ -121,6 +124,59 @@ def test_outcome_distribution_basis_inputs():
     w = zero_program(2, 1)
     dist = outcome_distribution(w, basis_state(2, (1, 0)), 2)
     assert dist[2] == pytest.approx(1.0, abs=1e-14)  # bits (1,0) -> index 2
+
+
+def reference_round_apply(reg, qubits, rnd):
+    """`round_unitary_apply` through the register methods that check every
+    operand at every call: a CZ as its pair diagonal, T as diag(1, e^(i pi
+    y/4)) and H as its matrix power."""
+    for (s, t), zp in zip(qubit_pairs(len(qubits)), rnd.z):
+        if zp:
+            reg.apply_pair_diag(qubits[s - 1], qubits[t - 1], 1.0, 1.0, 1.0, -1.0)
+    for q, yp in zip(qubits, rnd.y):
+        if yp:
+            reg.apply_diag1(q, 1.0, np.exp(1j * np.pi * yp / 4))
+    for q, xp in zip(qubits, rnd.x):
+        if xp:
+            reg.apply_1q(q, matrix_of("H", xp))
+
+
+def reference_readouts(program, psi, n_circ):
+    reg = StateRegister()
+    qubits = reg.alloc_state(psi, program.n)
+    for rnd in program.rounds:
+        reference_round_apply(reg, qubits, rnd)
+    return (reg.density_on(qubits[:n_circ]),
+            np.asarray(reg.probabilities_on(qubits[:n_circ]), dtype=float))
+
+
+def exactness_cases():
+    rng = np.random.default_rng(2211)
+    for n in range(1, 7):
+        for m in (1, 2, 3):
+            yield random_program(n, m, rng), random_state(n, rng), int(rng.integers(1, n + 1))
+        yield zero_program(n, 2), random_state(n, rng), n
+        bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+        yield random_program(n, 2, rng), basis_state(n, bits), 1
+        yield random_program(n, 1, rng), basis_state(n, (0,) * n), n
+
+
+def test_oracle_equals_per_call_checked_rounds_byte_for_byte():
+    # the operands built once per exponent are the ones each call built, so
+    # the oracle's outputs keep every byte
+    for w, psi, n_circ in exactness_cases():
+        rho, probs = reference_readouts(w, psi, n_circ)
+        assert ideal_output(w, psi, n_circ).tobytes() == rho.tobytes(), (w, n_circ)
+        assert outcome_distribution(w, psi, n_circ).tobytes() == probs.tobytes(), (w, n_circ)
+
+
+def test_round_operands_are_read_only():
+    t_ops, h_ops = _round_operands()
+    assert len(t_ops) == 8 and len(h_ops) == 4
+    for columns in h_ops:
+        for c in columns:
+            with pytest.raises(ValueError, match="read-only"):
+                c[0, 0] = 0
 
 
 def test_total_variation():

@@ -189,6 +189,58 @@ def test_pair_methods_name_a_repeated_qubit(method, args):
     assert reg.amplitudes().tolist() == [1, 0, 0, 0]
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda reg, q: reg.apply_diag1(q[0], 1.0, NAN),
+    lambda reg, q: reg.apply_diag1(q[0], complex(NAN, 0.0), 1.0),
+    lambda reg, q: reg.apply_pair_phase(q[0], q[1], 1, 1, NAN),
+    lambda reg, q: reg.apply_pair_phase(q[0], q[1], 0, 1, complex(0.0, INF)),
+    lambda reg, q: reg.apply_pair_diag(q[0], q[1], 1.0, 1.0, 1.0, NAN),
+    lambda reg, q: reg.apply_1q(q[1], np.array([[1, 0], [0, NAN]])),
+    lambda reg, q: reg.apply_1q(q[0], np.array([[INF, 0], [0, 1]])),
+    lambda reg, q: reg.apply_1q(q[0], np.array([[0, 1], [1, complex(0.0, INF)]])),
+    lambda reg, q: reg.apply_1q(q[0], np.array([[1e200, 1e200], [1e200, -1e200]])),
+], ids=["diag1-nan", "diag1-nan-d0", "pair-phase-nan", "pair-phase-inf", "pair-diag-nan",
+        "1q-nan", "1q-inf", "1q-complex-inf", "1q-overflow"])
+def test_gates_refuse_nan_and_inf(call):
+    # NaN compares False with every tolerance, so each check must be the
+    # form that NaN fails; the 1q check must refuse before its matmul warns
+    # of an invalid value or an overflow
+    reg = StateRegister()
+    vec = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+    q = reg.alloc_state(vec / np.linalg.norm(vec))
+    before = reg.amplitudes()
+    with pytest.raises(ValueError):
+        call(reg, q)
+    assert reg.amplitudes().tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda reg, q: reg.apply_pair_phase(q[0], q[1], -1, 0, 1j), r"^b1=-1 is not a bit$"),
+    (lambda reg, q: reg.apply_pair_phase(q[0], q[1], 2, 0, 1j), r"^b1=2 is not a bit$"),
+    (lambda reg, q: reg.apply_pair_phase(q[0], q[1], 1, 1.0, 1j), r"^b2=1\.0 is not a bit$"),
+    (lambda reg, q: reg.apply_pair_phase(q[0], q[1], 0, "1", 1j), r"^b2='1' is not a bit$"),
+    (lambda reg, q: reg.apply_cz(q[0], q[1], power=1.5), r"^power: value 1\.5 is not an integer$"),
+    (lambda reg, q: reg.apply_cz(q[0], q[1], power="1"), r"^power: value '1' is not an integer$"),
+], ids=["b1-minus-one", "b1-two", "b2-float", "b2-str", "cz-power-float", "cz-power-str"])
+def test_pair_gates_check_their_arguments(call, named):
+    reg = StateRegister()
+    q = reg.alloc_state(np.full(4, 0.5, dtype=complex))
+    with pytest.raises(ValueError, match=named):
+        call(reg, q)
+    assert reg.amplitudes().tolist() == [0.5] * 4
+
+
+def test_pair_gates_take_numpy_ints_and_bools():
+    reg = StateRegister()
+    q = reg.alloc_state(np.full(4, 0.5, dtype=complex))
+    reg.apply_pair_phase(q[0], q[1], np.int64(1), np.bool_(False), -1.0)
+    reg.apply_cz(q[0], q[1], power=np.int8(3))
+    assert reg.amplitudes().tolist() == [0.5, 0.5, -0.5, -0.5]
+
+
 def test_bell_measure_on_bell_state_is_00():
     reg = StateRegister()
     q1, q2 = reg.alloc_bell_pair()
