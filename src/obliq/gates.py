@@ -1,4 +1,5 @@
-"""Gate matrices, the program data model, and program utilities.
+"""Gate matrices, the program data model, and program utilities. No
+register code lives here: the oracle applies a program's rounds.
 
 A program acts on n qubits in m rounds. Each round holds three exponent
 families: `x` (mod 4) for the modified Hadamard H, `y` (mod 8) for the 1/8
@@ -206,6 +207,14 @@ class Program:
         return len(self.rounds)
 
 
+def as_program(value, what):
+    """`value` if it is a Program; anything else raises a ValueError naming
+    `what` and the value's type."""
+    if not isinstance(value, Program):
+        raise ValueError(f"{what} is a {type(value).__name__}, not a Program")
+    return value
+
+
 def identity_program(n, m):
     """The program whose every exponent entry is 1 (identity of the product)."""
     n, m = as_count(n, "n"), as_count(m, "m")
@@ -220,6 +229,7 @@ def zero_program(n, m):
 
 def program_product(w, w2):
     """Componentwise product of exponents, mod 4 / 8 / 2 respectively."""
+    w, w2 = as_program(w, "w"), as_program(w2, "w2")
     if w.n != w2.n or w.m != w2.m:
         raise ValueError("programs must share n and m")
     rounds = tuple(
@@ -235,6 +245,7 @@ def program_product(w, w2):
 
 def split_program(w, m1):
     """Split into the first m1 rounds and the rest (both nonempty)."""
+    w = as_program(w, "w")
     (m1,) = as_ints((m1,), "m1")
     if not 1 <= m1 < w.m:
         raise ValueError(f"m1 must satisfy 1 <= m1 < {w.m}")
@@ -242,6 +253,7 @@ def split_program(w, m1):
 
 
 def concat_programs(w1, w2):
+    w1, w2 = as_program(w1, "w1"), as_program(w2, "w2")
     if w1.n != w2.n:
         raise ValueError("programs must share n")
     return Program(w1.n, w1.rounds + w2.rounds)
@@ -264,47 +276,6 @@ def random_program(n, m, rng):
     rows = (rng.integers(0, 8, size=(m, shifts.size)) >> shifts).tolist()
     return Program(n, tuple(ProgramRound(tuple(r[:n]), tuple(r[n:2 * n]), tuple(r[2 * n:]))
                             for r in rows))
-
-
-# -- applying rounds to a register -------------------------------------------
-
-def round_unitary_apply(reg, qubits, rnd):
-    """Apply one round's unitary H(x) T(y) CZ(z) to the given qubits of the
-    register `reg`; `rnd` must be a ProgramRound on len(qubits) qubits.
-
-    CZ factors go first (lexicographic pairs), then T (ascending qubit), then
-    H; within each family the factors commute. Each T phase and H power is
-    applied from its operand in `_round_operands`, checked when it was
-    built, so a gate costs one kernel pass and no check.
-    """
-    n = len(qubits)
-    rnd.check_shape(n)
-    t_ops, h_ops = _round_operands()
-    for (s, t), zp in zip(pair_table(n), rnd.z):
-        if zp:
-            reg.apply_cz(qubits[s], qubits[t])
-    for q, yp in zip(qubits, rnd.y):
-        if yp:
-            reg.apply_checked_diag1(q, t_ops[yp])
-    for q, xp in zip(qubits, rnd.x):
-        if xp:
-            reg.apply_checked_1q(q, h_ops[xp])
-
-
-@lru_cache(maxsize=1)
-def _round_operands():
-    """The register's kernel operands of T^k for k in [0, 8) and of H^k for
-    k in [0, 4), built from `matrix_of` and checked once (by
-    `qsim.checked_diag1` and `qsim.checked_1q`), their arrays read-only.
-    They are the oracle's own, apart from the protocol's tables in `layers`."""
-    from .qsim import checked_1q, checked_diag1  # qsim imports this module
-
-    t_ops = tuple(checked_diag1(1.0, matrix_of("T", k)[1, 1]) for k in range(8))
-    h_ops = tuple(checked_1q(matrix_of("H", k)) for k in range(4))
-    for columns in h_ops:
-        for c in columns:
-            c.flags.writeable = False
-    return t_ops, h_ops
 
 
 # -- program text format ------------------------------------------------------

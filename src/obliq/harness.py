@@ -264,11 +264,8 @@ BELL_OUTCOMES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def as_bell_outcome(entry, what="branch plan entry"):
     """`entry` as a Bell outcome, a pair (a, b) of 0/1 ints by `as_bits`;
-    anything else raises a ValueError naming `what` and the entry. A pair of
-    plain ints, such as an entry of `BELL_OUTCOMES`, is returned as it is."""
-    if (type(entry) is tuple and len(entry) == 2 and type(entry[0]) is int
-            and type(entry[1]) is int and entry in BELL_OUTCOMES):
-        return entry
+    anything else raises a ValueError naming `what` and the entry. It checks
+    outcomes where they enter: a forced plan, a public hop, a toy branch."""
     try:
         return as_bits(entry, "entry", 2)
     except ValueError:

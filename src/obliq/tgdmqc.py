@@ -20,7 +20,7 @@ classical.
 
 import numpy as np
 
-from .gates import Program, as_rounds, check_n_circ, program_product
+from .gates import Program, as_program, as_rounds, program_product
 from .oracle import ideal_outcome_distribution, total_variation
 from .toqc import (  # noqa: F401
     ProtocolRun,
@@ -46,6 +46,7 @@ class _Run(ProtocolRun):
     run's coefficients of round j, and user m+1 as the reader."""
 
     def __init__(self, w, user_rounds, n_circ, seed, **kw):
+        w = as_program(w, "w")
         n, m = w.n, w.m
         user_rounds = as_rounds(user_rounds, n, "user_rounds")
         if len(user_rounds) != m:
@@ -94,16 +95,17 @@ def exhaustive_output_distribution(w, user_rounds, n_circ=1, seed=0, **kw):
     (`toqc.PauliFrame.stack`); the physical plane (`eager_bell=True`) runs
     each leaf's own passes. Every plan shares `seed`, so each leaf equals
     `run_tgdmqc(..., seed=seed, branch_plan=plan)` byte for byte; `**kw`
-    (`eager_bell`) goes to the run.
+    (`eager_bell`) goes to the run, which checks every argument. A walk
+    of more than 4^`toqc.WALK_MAX_OUTCOMES` plans is refused before step 1.
     Also returns the joint distribution of all Bell outcomes (what the
     users collectively receive), keyed by the chronological outcome tuple,
     and the total probability.
     """
-    n_circ = check_n_circ(n_circ, w.n)
-    acc = np.zeros(1 << n_circ, dtype=float)
+    run = _Run(w, user_rounds, n_circ, seed, **kw)
+    acc = np.zeros(1 << run.n_circ, dtype=float)
     outcome_joint = {}
     total = 0.0
-    for plan, run in _Run(w, user_rounds, n_circ, seed, **kw).leaves():
+    for plan, _ in run.leaves():
         p = run.branch_probability
         total += p
         acc += p * run.output_distribution
@@ -126,4 +128,5 @@ def verify_against_ideal(w, user_rounds, n_circ=1, seed=0, exhaustive=True, **kw
 
 def program_with_users(w, user_rounds):
     """The product program the run effectively applies."""
+    w = as_program(w, "w")
     return program_product(w, Program(w.n, tuple(user_rounds)))

@@ -70,7 +70,7 @@ from itertools import product
 
 import numpy as np
 
-from .gates import as_bits, as_seed, bits_index, check_n_circ, pair_table
+from .gates import as_bits, as_program, as_seed, bits_index, check_n_circ, pair_table
 from .harness import (
     BranchRecord,
     ChannelRegistry,
@@ -102,6 +102,11 @@ SERVER_A = "server-a"
 SERVER_B = "server-b"
 
 UV_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+# a branch walk takes at most 4^10 plans (2mn <= 10 Bell outcomes): at 30-45
+# us and a caller's 200 B dict entry per plan (2-vCPU VM), under a minute and
+# 200 MB; a walk of 4^12 plans would take 8-12 minutes and 3.3 GB
+WALK_MAX_OUTCOMES = 10
 
 
 def _intern(table, key, build, *args):
@@ -579,7 +584,8 @@ class ProtocolRun:
         k = 2m). `outcomes` forces this hop's n Bell outcomes, each by the
         rule of a branch plan's entries (`harness.as_bell_outcome`); None
         samples them. A hop out of order, or forced outcomes that break the
-        rule, are refused before anything moves."""
+        rule, are refused before anything moves; `run_through` and the walk
+        call `_hop`, right by construction."""
         if not (k == len(self.hops) <= 2 * self.m and self.registry.transcript.records):
             due = len(self.hops) if self.registry.transcript.records else 0
             raise ValueError(f"hop {k} out of order: expected " + (
@@ -595,6 +601,10 @@ class ProtocolRun:
                 raise ValueError(f"hop {k} has {len(outcomes)} outcomes, expected n={self.n}")
             what = f"hop {k} outcome"
             outcomes = tuple([as_bell_outcome(ab, what) for ab in outcomes])
+        self._hop(k, outcomes)
+
+    def _hop(self, k, outcomes):
+        """`hop` on a due k and None or n (a, b) pairs of 0/1 ints."""
         j = (k + 1) // 2
         # server A ends round j at step 4j-2, server B at step 4j; hop 2j-1
         # goes to user j, hop 2j to users j and j+1
@@ -629,10 +639,10 @@ class ProtocolRun:
             (("bell-x", 1, xs), ("bell-z", 1, zs)), 0), (xs, zs), factors
 
     def run_through(self):
-        """Open, then every hop with the plan's or sampled outcomes."""
+        """Open, then every hop with the plan's (checked) or sampled outcomes."""
         self.open()
         for k, outcomes in enumerate(self.plan, 1):
-            self.hop(k, outcomes)
+            self._hop(k, outcomes)
         return self.result()
 
     def _round_b(self, j):
@@ -761,13 +771,19 @@ class ProtocolRun:
         Each hop's n outcomes and the steps after them run once per tree
         node. The run is the same object each time, valid until the next
         leaf; it is left at the last leaf. A run built with a branch plan
-        is refused: the walk takes every plan.
+        is refused: the walk takes every plan. So is a walk of more than
+        4^WALK_MAX_OUTCOMES plans, before step 1 is sent.
 
         The walk builds each distinct value once (`_intern`); every message
         still goes through the channel registry.
         """
         if self.plan[0] is not None:
             raise ValueError("the branch walk takes every plan, not a branch_plan")
+        outcomes = 2 * self.m * self.n
+        if outcomes > WALK_MAX_OUTCOMES:
+            raise ValueError(f"a branch walk at n={self.n}, m={self.m} takes 4^{outcomes} = "
+                             f"{4 ** outcomes} plans, over the cap of 4^{WALK_MAX_OUTCOMES} "
+                             f"= {4 ** WALK_MAX_OUTCOMES}")
         self.interned = self.plane.interned = {}
         self.open()
         yield from self._walk(1, (), tuple(all_branch_plans(self.n)))
@@ -787,7 +803,7 @@ class ProtocolRun:
         for i, combo in enumerate(combos):
             if i:
                 self.restore(snap)
-            self.hop(k, combo)
+            self._hop(k, combo)
             if last:
                 yield prefix + combo, self
             else:
@@ -845,6 +861,7 @@ class _ToqcRun(ProtocolRun):
 
     def __init__(self, w, psi, basis_bits, n_circ, *, seed=None,
                  classical_output=False, **kw):
+        w = as_program(w, "w")
         n, m = w.n, w.m
         if (psi is None) == (basis_bits is None):
             raise ValueError("give exactly one of psi or basis_bits")

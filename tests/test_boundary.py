@@ -5,13 +5,27 @@ import re
 import numpy as np
 import pytest
 
-from obliq import oracle
-from obliq.gates import as_seed, compile_parity, random_program, zero_program, zero_round
+from obliq import oracle, tgdmqc
+from obliq.gates import (
+    as_seed,
+    compile_parity,
+    concat_programs,
+    program_product,
+    random_program,
+    split_program,
+    zero_program,
+    zero_round,
+)
 from obliq.harness import ChannelRegistry, audit_mask_average, audit_transcript_file
 from obliq.oracle import basis_state
 from obliq.qsim import DEFAULT_MAX_QUBITS, MAX_QUBITS_ENV, StateRegister, default_max_qubits
-from obliq.tgdmqc import exhaustive_output_distribution, run_tgdmqc, verify_against_ideal
-from obliq.toqc import run_toqc
+from obliq.tgdmqc import (
+    exhaustive_output_distribution,
+    program_with_users,
+    run_tgdmqc,
+    verify_against_ideal,
+)
+from obliq.toqc import _ToqcRun, run_toqc
 from obliq.toy import run_toy
 from test_toqc import enumerate_branches
 
@@ -346,3 +360,62 @@ def test_a_seed_that_is_not_a_sequence_is_refused(no_messages, seed):
 ])
 def test_a_seed_is_an_integer_or_a_sequence_of_them(seed, value):
     assert as_seed(seed) == value
+
+
+W1 = zero_program(1, 1)
+
+
+def _apply_on_one_qubit(program):
+    reg = StateRegister()
+    return oracle.apply_program(reg, reg.alloc_zero_qubits(1), program)
+
+
+PROGRAM_ENTRY_POINTS = {
+    "run_toqc": ("w", lambda bad: run_toqc(bad, basis_bits=(0,))),
+    "run_tgdmqc": ("w", lambda bad: run_tgdmqc(bad, W1.rounds)),
+    "exhaustive_output_distribution": ("w", lambda bad: exhaustive_output_distribution(
+        bad, W1.rounds)),
+    "verify_against_ideal": ("w", lambda bad: verify_against_ideal(bad, W1.rounds)),
+    "program_with_users": ("w", lambda bad: program_with_users(bad, W1.rounds)),
+    "apply_program": ("program", _apply_on_one_qubit),
+    "ideal_output": ("program", lambda bad: oracle.ideal_output(bad, basis_state(1, (0,)), 1)),
+    "outcome_distribution": ("program", lambda bad: oracle.outcome_distribution(
+        bad, basis_state(1, (0,)), 1)),
+    "ideal_outcome_distribution": ("program", lambda bad: oracle.ideal_outcome_distribution(
+        bad, 1)),
+    "program_product-w": ("w", lambda bad: program_product(bad, W1)),
+    "program_product-w2": ("w2", lambda bad: program_product(W1, bad)),
+    "split_program": ("w", lambda bad: split_program(bad, 1)),
+    "concat_programs-w1": ("w1", lambda bad: concat_programs(bad, W1)),
+    "concat_programs-w2": ("w2", lambda bad: concat_programs(W1, bad)),
+}
+
+
+@pytest.mark.parametrize("bad,kind", [(None, "NoneType"), (W1.rounds, "tuple"), ("x", "str")],
+                         ids=["none", "rounds", "str"])
+@pytest.mark.parametrize("entry", PROGRAM_ENTRY_POINTS)
+def test_a_program_that_is_not_a_program_is_named(no_messages, entry, bad, kind):
+    what, call = PROGRAM_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=fr"^{what} is a {kind}, not a Program$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (2, 3), (11, 1)])
+def test_a_branch_walk_over_the_cap_is_refused_before_step_1(no_messages, n, m):
+    w = zero_program(n, m)
+    outcomes = 2 * n * m
+    named = (fr"^a branch walk at n={n}, m={m} takes 4\^{outcomes} = {4 ** outcomes} plans, "
+             fr"over the cap of 4\^10 = 1048576$")
+    with pytest.raises(ValueError, match=named):
+        exhaustive_output_distribution(w, w.rounds)
+    for run in (_ToqcRun(w, None, (0,) * n, 1), tgdmqc._Run(w, w.rounds, 1, 0)):
+        with pytest.raises(ValueError, match=named):
+            next(run.leaves())
+        assert run.registry.transcript.records == [] and run.hops == []
+
+
+def test_the_largest_tested_walk_stays_under_the_cap():
+    # (n, m) = (2, 2): 4^8 plans, the walk of test_oqc_reduction_via_split[2]
+    w = zero_program(2, 2)
+    plan, run = next(tgdmqc._Run(w, w.rounds, 1, 0).leaves())
+    assert plan == ((0, 0),) * 8 and len(run.hops) == 5

@@ -20,10 +20,10 @@ from obliq.gates import (
     program_product,
     qubit_pairs,
     random_program,
-    round_unitary_apply,
     split_program,
     zero_program,
 )
+from obliq.oracle import round_unitary_apply
 from obliq.qsim import StateRegister, trace_distance
 from test_qsim import pure_density
 

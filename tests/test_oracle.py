@@ -6,7 +6,6 @@ import pytest
 from obliq.gates import (
     Program,
     ProgramRound,
-    _round_operands,
     compile_parity,
     matrix_of,
     qubit_pairs,
@@ -15,6 +14,8 @@ from obliq.gates import (
     zero_program,
 )
 from obliq.oracle import (
+    H_OPERANDS,
+    T_OPERANDS,
     apply_program,
     basis_state,
     ideal_outcome_distribution,
@@ -34,7 +35,7 @@ def test_zero_program_keeps_state():
 
 
 def test_single_round_equals_round_apply():
-    from obliq.gates import round_unitary_apply
+    from obliq.oracle import round_unitary_apply
 
     rng = np.random.default_rng(1)
     w = random_program(2, 1, rng)
@@ -171,7 +172,7 @@ def test_oracle_equals_per_call_checked_rounds_byte_for_byte():
 
 
 def test_round_operands_are_read_only():
-    t_ops, h_ops = _round_operands()
+    t_ops, h_ops = T_OPERANDS, H_OPERANDS
     assert len(t_ops) == 8 and len(h_ops) == 4
     for columns in h_ops:
         for c in columns:
