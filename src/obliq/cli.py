@@ -130,6 +130,9 @@ def cmd_tgdmqc(args):
     seed = _seed_or_new(args)
     w = gates.load_program(args.server_program)
     users = gates.load_program(args.user_rounds)
+    if args.exhaustive_branches:
+        # refused at once, not after the single run has printed its bits
+        toqc.check_walk(w.n, w.m)
     res = tgdmqc.run_tgdmqc(w, users.rounds, args.n_circ, seed=seed,
                             eager_bell=args.eager_bell)
     print(f"output_bits={''.join(str(b) for b in res.output_bits)}")

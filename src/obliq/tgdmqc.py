@@ -117,12 +117,13 @@ def verify_against_ideal(w, user_rounds, n_circ=1, seed=0, exhaustive=True, **kw
     """(total variation, distribution, ideal): the output distribution summed
     over every Bell branch against the product program's ideal one.
     `exhaustive` takes only True; it stays because `perfbench/workloads.py`
-    passes it. `**kw` (`eager_bell`) goes to the walk. One run's check is
-    its exact per-branch law, `output_distribution`."""
+    passes it. `**kw` (`eager_bell`) goes to the walk, which runs first, so
+    a walk over the cap is refused before the reference is built. One run's
+    check is its exact per-branch law, `output_distribution`."""
     if exhaustive is not True:
         raise ValueError(f"exhaustive is {exhaustive!r}; only True remains")
-    ideal = ideal_outcome_distribution(program_with_users(w, user_rounds), n_circ)
     dist, _, _ = exhaustive_output_distribution(w, user_rounds, n_circ, seed=seed, **kw)
+    ideal = ideal_outcome_distribution(program_with_users(w, user_rounds), n_circ)
     return total_variation(dist, ideal), dist, ideal
 
 

@@ -64,9 +64,9 @@ draw of the schedule; the plane serves it its row and family instead of
 recomputing them.
 """
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +107,15 @@ UV_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 # us and a caller's 200 B dict entry per plan (2-vCPU VM), under a minute and
 # 200 MB; a walk of 4^12 plans would take 8-12 minutes and 3.3 GB
 WALK_MAX_OUTCOMES = 10
+
+
+def check_walk(n, m):
+    """Refuse a branch walk at (n, m) of more than 4^WALK_MAX_OUTCOMES plans."""
+    outcomes = 2 * m * n
+    if outcomes > WALK_MAX_OUTCOMES:
+        raise ValueError(f"a branch walk at n={n}, m={m} takes 4^{outcomes} = "
+                         f"{4 ** outcomes} plans, over the cap of 4^{WALK_MAX_OUTCOMES} "
+                         f"= {4 ** WALK_MAX_OUTCOMES}")
 
 
 def _intern(table, key, build, *args):
@@ -327,7 +336,7 @@ class PauliFrame:
         if stack is not None and stack[0] != k:
             # a walk leaves the stacked node only through a hop k < 2m
             self._stack = stack = None
-        self._row = row = stack[1].get(tuple(forced)) if stack is not None else None
+        self._row = row = stack[1].pop(tuple(forced), None) if stack is not None else None
         if row is not None:
             self.reg.install(row[1])
         else:
@@ -351,12 +360,14 @@ class PauliFrame:
         pass per wire for the H layer (`layers.apply_h_rows`) and the law of
         each row on the first `count` qubits (`qsim.marginals`, as in
         `probabilities_on`). Until a hop of another k, hop k with one of the
-        combos installs its row's state after the Paulis, `served_family`
-        then gives the row's family, and the next `h_layer` handed it
-        installs the final state and `measure` reads its law: each byte for
-        byte what the per-sibling passes give. A walk hands the siblings of
-        one outcome parity one family object. The stack holds len(combos) x
-        2^n amplitudes as classical rows, not live qubits."""
+        combos takes its row (a second visit runs the per-sibling passes,
+        so no pass reaches the stack) and installs its state after the
+        Paulis, `served_family` then gives the row's family, and the next
+        `h_layer` handed it installs the final state and `measure` reads its
+        law: each byte for byte what the per-sibling passes give. A walk
+        hands the siblings of one outcome parity one family object. The
+        stack holds len(combos) x 2^n amplitudes as classical rows, not live
+        qubits."""
         bits = [self.reg.bit_of(q) for q in self.data]
         weights = np.array(bits)
         flips = np.array(combos) ^ np.array(self._queued)
@@ -459,8 +470,7 @@ class ProtocolServer:
                 plane.h_layer(j, h)
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolUser:
+class ProtocolUser(NamedTuple):
     """One user party: the stream the run draws its fresh queries from and
     its input masks (zero for tgdmqc users). The offset coefficients of the
     rounds it re-derives are the run's `coeffs`."""
@@ -779,11 +789,7 @@ class ProtocolRun:
         """
         if self.plan[0] is not None:
             raise ValueError("the branch walk takes every plan, not a branch_plan")
-        outcomes = 2 * self.m * self.n
-        if outcomes > WALK_MAX_OUTCOMES:
-            raise ValueError(f"a branch walk at n={self.n}, m={self.m} takes 4^{outcomes} = "
-                             f"{4 ** outcomes} plans, over the cap of 4^{WALK_MAX_OUTCOMES} "
-                             f"= {4 ** WALK_MAX_OUTCOMES}")
+        check_walk(self.n, self.m)
         self.interned = self.plane.interned = {}
         self.open()
         yield from self._walk(1, (), tuple(all_branch_plans(self.n)))
@@ -831,8 +837,7 @@ class ProtocolRun:
         )
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """A run of either protocol: `output_density` for a quantum output, else
     the bits and their exact distribution given the run's Bell branch."""
 

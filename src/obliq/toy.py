@@ -8,7 +8,7 @@ telescope with server A's to exactly T^y, and undoes the masks on the qubit
 it gets back.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from .qsim import StateRegister, as_state
 from .toqc import derive_t_queries
 
 
-@dataclass
-class ToyResult:
+class ToyResult(NamedTuple):
     y: int
     output_density: np.ndarray
     transcript: object
@@ -35,7 +34,7 @@ class ToyResult:
     mask_x: int
     mask_z: int
     outcome: tuple
-    views: dict = field(default_factory=dict)
+    views: dict
 
 
 def rederive_queries(q, mask_x, outcome_x):

@@ -145,6 +145,31 @@ def test_a_served_row_needs_the_family_it_was_stacked_with():
     assert dist.tobytes() == law.tobytes()
 
 
+def test_a_pass_on_a_served_row_leaves_the_stack_as_it_was():
+    # a served row becomes the register: a rotation pass on another family
+    # then runs in place on it, and a second visit of the same combo must
+    # still see the post-hop state that the per-sibling passes give
+    rng = np.random.default_rng(143)
+    plane = _node(2, rng, start_states(2)[0])
+    snap = plane.snapshot()
+    combos = _combos(2, rng)
+    families = [{0: (1, 2), 1: (3, 0)} for _ in combos]
+    other = {0: (2, 2), 1: (0, 0)}
+    # the other family rotates both wires, so its pass moves the register
+    assert 0 not in layers.h_layer(other, plane.w.rounds[0].x)
+    plane.hop(2, "b", None, combos[5])
+    want = plane.reg.amplitudes()
+    plane.restore(snap)
+    plane.stack(2, combos, families, 2)
+    seen = []
+    for _ in range(2):
+        plane.hop(2, "b", None, combos[5])
+        seen.append(plane.reg.amplitudes())
+        plane.h_layer(1, other)
+        plane.restore(snap)
+    assert [a.tobytes() for a in seen] == [want.tobytes()] * 2
+
+
 # -- the walk ---------------------------------------------------------------------
 
 def _same_leaf(leaf, ref_run):
