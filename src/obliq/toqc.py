@@ -64,6 +64,7 @@ draw of the schedule; the plane serves it its row and family instead of
 recomputing them.
 """
 
+from dataclasses import dataclass
 from functools import partial
 from itertools import product
 from typing import NamedTuple
@@ -837,7 +838,8 @@ class ProtocolRun:
         )
 
 
-class RunResult(NamedTuple):
+@dataclass
+class RunResult:
     """A run of either protocol: `output_density` for a quantum output, else
     the bits and their exact distribution given the run's Bell branch."""
 

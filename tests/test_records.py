@@ -1,5 +1,5 @@
-"""Wire records and run results are values: none can be changed after it is
-built, and each equals the record rebuilt from its own fields."""
+"""Wire records and the toy's run result are values: none can be changed after
+it is built, and each equals the record rebuilt from its own fields."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ def _records():
         "StepMessage": res.transcript.records[0],
         "BranchRecord": res.branch_records[0],
         "ParsedRecord": parse_transcript(res.transcript.render())[0],
-        "RunResult": res,
         "ToyResult": run_toy(5, random_state(1, rng), seed=152),
     }
 

@@ -50,18 +50,8 @@ def test_tgdmqc_exhaustive_branches_over_the_walk_cap_is_usage_error(tmp_path, c
     captured = capsys.readouterr()
     assert "error=a branch walk at n=3, m=2 takes 4^12 = 16777216 plans" in captured.err
     assert "verdict=" not in captured.out
-
-
-def test_a_walk_over_the_cap_is_refused_before_the_sampled_run(tmp_path, capsys):
-    # the walk runs first: the refusal prints no result of the single run
-    rng = np.random.default_rng(15)
-    w, users = tmp_path / "w.txt", tmp_path / "users.txt"
-    save_program(random_program(3, 2, rng), w)
-    save_program(random_program(3, 2, rng), users)
-    assert cli.main(["tgdmqc", "--server-program", str(w), "--user-rounds", str(users),
-                     "--seed", "16", "--exhaustive-branches"]) == 2
-    # the seed line alone: no output_bits= line
-    assert capsys.readouterr().out == "seed=16\n"
+    # refused before the sampled run: the seed line alone, no output_bits= line
+    assert captured.out == "seed=16\n"
 
 
 def test_a_walk_over_the_cap_builds_no_reference(monkeypatch):
