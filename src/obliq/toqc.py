@@ -61,12 +61,17 @@ parity, 2^n for the 4^n siblings, and each sibling's step 4m+1 and
 rotation layer take the family its row was stacked with instead of
 deriving it again. Each sibling still runs every step, message, record and
 draw of the schedule; the plane serves it its row and family instead of
-recomputing them.
+recomputing them. Each value is built where it changes: per run, each
+hop's step label and route; per walk, the 4^n combos, their parities and
+their X and Z register masks; per stacked node, the queued Pauli's XOR
+mask, one family and one H layer value per parity; per leaf, only what the
+leaf's outcomes decide.
 """
 
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -279,12 +284,15 @@ class PauliFrame:
         self.reg = StateRegister()
         self.w = w
         self.data = None
-        self._queued = ((0, 0),) * w.n
+        # the identity Pauli, (0, 0) on every wire: queued at the start and
+        # by the last hop
+        self._zero = self._queued = ((0, 0),) * w.n
         # a branch walk's table of built values (`_intern`), None in a single
-        # run; then the stacked siblings (`stack`), the row the last hop
-        # served and the law of the row `h_layer` installed
+        # run; then the walk's combo masks (`_combo_masks`), the stacked
+        # siblings (`stack`), the row the last hop served and the law of the
+        # row `h_layer` installed
         self.interned = None
-        self._stack = self._row = self._law = None
+        self._masks = self._stack = self._row = self._law = None
 
     def load(self, psi=None):
         """Allocate the n data qubits in |psi>, or in |0...0> when psi is None."""
@@ -323,29 +331,29 @@ class PauliFrame:
 
     def hop(self, k, side, rng, forced):
         """Apply hop k's frame update, forcing the outcomes when `forced`
-        gives one per wire; returns each wire's (outcome, probs)."""
+        gives one per wire, a tuple of (a, b) int tuples as the run hands
+        it, taken as it is; returns each wire's (outcome, probs)."""
         if forced is None:
             # one uniform per wire, as `_sample_index(BELL_UNIFORM, rng)`
             # draws: its cumulative sums k/4 are exact, so it picks floor(4r).
             # One rng.random(n) call gives the doubles and the final state of
             # n rng.random() calls, whatever spare half `integers` left.
-            forced = [divmod(int(r * 4), 2) for r in rng.random(len(self.data)).tolist()]
-        ab = tuple([(a, b) for a, b in forced])
+            forced = tuple([divmod(int(r * 4), 2) for r in rng.random(len(self.data)).tolist()])
         queued = self._queued
-        self._queued = ab if k < 2 * self.w.m else ((0, 0),) * len(ab)
+        self._queued = forced if k < 2 * self.w.m else self._zero
         stack = self._stack
         if stack is not None and stack[0] != k:
             # a walk leaves the stacked node only through a hop k < 2m
             self._stack = stack = None
-        self._row = row = stack[1].pop(tuple(forced), None) if stack is not None else None
+        self._row = row = stack[1].pop(forced, None) if stack is not None else None
         if row is not None:
             self.reg.install(row[1])
         else:
             # Z^qb X^qa Z^b X^a = (-1)^(qa b) Z^(qb+b) X^(qa+a): one Pauli,
             # up to a global sign no output can see
-            self.reg.apply_paulis(self.data, [a ^ qa for (a, _), (qa, _) in zip(ab, queued)],
-                                  [b ^ qb for (_, b), (_, qb) in zip(ab, queued)])
-        return [(o, BELL_UNIFORM) for o in ab]
+            self.reg.apply_paulis(self.data, [a ^ qa for (a, _), (qa, _) in zip(forced, queued)],
+                                  [b ^ qb for (_, b), (_, qb) in zip(forced, queued)])
+        return [(o, BELL_UNIFORM) for o in forced]
 
     def served_family(self):
         """The rotation queries that the row served by the last hop was
@@ -365,18 +373,37 @@ class PauliFrame:
         so no pass reaches the stack) and installs its state after the
         Paulis, `served_family` then gives the row's family, and the next
         `h_layer` handed it installs the final state and `measure` reads its
-        law: each byte for byte what the per-sibling passes give. A walk
-        hands the siblings of one outcome parity one family object. The
-        stack holds len(combos) x 2^n amplitudes as classical rows, not live
-        qubits."""
+        law: each byte for byte what the per-sibling passes give. The stack
+        holds len(combos) x 2^n amplitudes as classical rows, not live
+        qubits. The combos' masks are built once per walk (`_combo_masks`),
+        the queued Pauli XORed on per node; the H layer value once per
+        distinct family object (a walk hands the siblings of one parity
+        one object), expanded to the rows by one index."""
         bits = [self.reg.bit_of(q) for q in self.data]
-        weights = np.array(bits)
-        flips = np.array(combos) ^ np.array(self._queued)
-        after = self.reg.pauli_rows(flips[:, :, 0] @ weights, flips[:, :, 1] @ weights)
+        xmasks, zmasks = self._combo_masks(combos, bits)
+        qx = sum([bit for bit, (a, _) in zip(bits, self._queued) if a])
+        qz = sum([bit for bit, (_, b) in zip(bits, self._queued) if b])
+        after = self.reg.pauli_rows(xmasks ^ qx, zmasks ^ qz)
         final = after.copy()
-        apply_h_rows(final, bits, [self._h_powers(k // 2, h) for h in families])
+        slots = {}
+        index = [slots.setdefault(id(h), (len(slots), h))[0] for h in families]
+        values = np.array([self._h_powers(k // 2, h) for _, h in slots.values()])
+        apply_h_rows(final, bits, values[index])
         laws = marginals(final.reshape(len(combos), 1 << count, -1))
         self._stack = k, dict(zip(combos, zip(families, after, final, laws)))
+
+    def _combo_masks(self, combos, bits):
+        """The X and Z register masks of each combo's outcomes on the wires at
+        register bits `bits`, as two integer arrays. A walk (`interned` not
+        None) stacks the one combos tuple at every node, so it builds them
+        once and keeps them for that object; a direct call builds them."""
+        held = self._masks
+        if held is None or held[0] is not combos or held[1] != bits:
+            outcomes, weights = np.array(combos), np.array(bits)
+            held = combos, bits, outcomes[:, :, 0] @ weights, outcomes[:, :, 1] @ weights
+            if self.interned is not None:
+                self._masks = held
+        return held[2], held[3]
 
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
@@ -385,11 +412,21 @@ class PauliFrame:
         it: the draws of one collapsing `measure_z` per qubit, without the
         collapse, which no later step reads. A drawn prefix always has
         positive probability (`_sample_index`), so no law divides by zero.
-        After a stacked row's final state, the law is the row's."""
+        After a stacked row's final state, the law is the row's. One bit
+        reads the law's two entries with the float operations of the
+        general loop and `_sample_index`."""
         law, self._law = self._law, None
         dist = (law if law is not None and law.size == 1 << count
                 else self.reg.probabilities_on(self.data[:count]))
         block = dist.tolist()
+        if count == 1:
+            p0, p1 = block
+            p1 = p1 / (p0 + p1)
+            r, q0 = rng.random(), 1.0 - p1
+            # `_sample_index` on (q0, p1): its cumulative sums, then its
+            # fallback, the last outcome of positive probability
+            bit = 0 if r < q0 else 1 if r < q0 + p1 or p1 > 0 else 0
+            return dist, (bit,)
         bits = []
         for _ in range(count):
             half = len(block) >> 1
@@ -540,6 +577,16 @@ class ProtocolRun:
         self.server_a = ProtocolServer(SERVER_A, "a", rng_a)
         self.server_b = ProtocolServer(SERVER_B, "b", rng_b)
         self.rngs = [p.rng for p in self.parties] + [rng_a, rng_b]
+        # hop k's step label, measuring server and receivers' names (entry 0
+        # unused): server A ends round j at step 4j-2, server B at step 4j;
+        # hop 2j-1 goes to user j, hop 2j to users j and j+1
+        self._routes = [None]
+        for k in range(1, 2 * m + 1):
+            j = (k + 1) // 2
+            server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
+                                 else (self.server_b, self.users[j - 1:j + 1]))
+            self._routes.append((f"step-{2 * k}", server,
+                                 tuple(dict.fromkeys(p.name for p in receivers))))
         self.drawn = []
         self.fresh = None
         # the branch walk's table of built values (`_intern`); None in a single run
@@ -615,13 +662,8 @@ class ProtocolRun:
         self._hop(k, outcomes)
 
     def _hop(self, k, outcomes):
-        """`hop` on a due k and None or n (a, b) pairs of 0/1 ints."""
-        j = (k + 1) // 2
-        # server A ends round j at step 4j-2, server B at step 4j; hop 2j-1
-        # goes to user j, hop 2j to users j and j+1
-        step = f"step-{2 * k}"
-        server, receivers = ((self.server_a, self.users[j - 1:j]) if k % 2
-                             else (self.server_b, self.users[j - 1:j + 1]))
+        """`hop` on a due k and None or a tuple of n (a, b) pairs of 0/1 ints."""
+        step, server, receivers = self._routes[k]
         rng = server.rng if outcomes is not None else self._draw_from(server.rng)
         hopped = tuple(self.plane.hop(k, server.side, rng, outcomes))
         records, message, bits, factors = _intern(self.interned, ("hop", step, hopped),
@@ -633,21 +675,21 @@ class ProtocolRun:
         self.hops.append((bits, p, records))
         self.registry.send(message)
         if k % 2:
-            self._round_b(j)
+            self._round_b((k + 1) // 2)
         else:
-            self._round_a(j + 1)
+            self._round_a(k // 2 + 1)
 
     def _hop_records(self, step, sender, receivers, hopped):
-        """A hop's branch records, one per wire, its outcome message, its
-        (x bits, z bits) and each wire's branch probability factor."""
+        """A hop's branch records, one per wire, its outcome message to the
+        parties named `receivers`, its (x bits, z bits) and each wire's
+        branch probability factor."""
         measured = self.plane.measured
         records = tuple([BranchRecord(step, s, probs, ab, measured)
                          for s, (ab, probs) in enumerate(hopped, 1)])
         xs, zs = zip(*[ab for ab, _ in hopped])
         factors = tuple([probs[(a << 1) | b] for (a, b), probs in hopped])
-        return records, self._message(
-            step, sender, tuple(dict.fromkeys(p.name for p in receivers)),
-            (("bell-x", 1, xs), ("bell-z", 1, zs)), 0), (xs, zs), factors
+        return records, self._message(step, sender, receivers,
+                                      (("bell-x", 1, xs), ("bell-z", 1, zs)), 0), (xs, zs), factors
 
     def run_through(self):
         """Open, then every hop with the plan's (checked) or sampled outcomes."""
@@ -776,14 +818,15 @@ class ProtocolRun:
         del self.registry.transcript.records[n_messages:]
 
     def leaves(self):
-        """Yield (plan, self) for every Bell branch plan, in
-        `all_branch_plans` order, walking the outcome tree depth-first.
+        """(plan, self) for every Bell branch plan, in `all_branch_plans`
+        order, walking the outcome tree depth-first.
 
         Each hop's n outcomes and the steps after them run once per tree
         node. The run is the same object each time, valid until the next
-        leaf; it is left at the last leaf. A run built with a branch plan
-        is refused: the walk takes every plan. So is a walk of more than
-        4^WALK_MAX_OUTCOMES plans, before step 1 is sent.
+        leaf; it is left at the last leaf. The call refuses, before anything
+        moves, a run built with a branch plan (the walk takes every plan), a
+        walk of more than 4^WALK_MAX_OUTCOMES plans and a run that has sent
+        step 1; else it sends step 1 and returns the walk.
 
         The walk builds each distinct value once (`_intern`); every message
         still goes through the channel registry.
@@ -791,22 +834,26 @@ class ProtocolRun:
         if self.plan[0] is not None:
             raise ValueError("the branch walk takes every plan, not a branch_plan")
         check_walk(self.n, self.m)
-        self.interned = self.plane.interned = {}
         self.open()
-        yield from self._walk(1, (), tuple(all_branch_plans(self.n)))
+        self.interned = self.plane.interned = {}
+        combos = tuple(all_branch_plans(self.n))
+        parities = [outcome_parity(combo) for combo in combos]
+        distinct = tuple(dict.fromkeys(parities))
+        # the per-parity families, expanded to the combos in one call
+        expand = itemgetter(*[distinct.index(p) for p in parities])
+        return self._walk(1, (), combos, distinct, expand)
 
-    def _walk(self, k, prefix, combos):
+    def _walk(self, k, prefix, combos, parities, expand):
         """The walk from hop k on, after the outcomes `prefix`. At the last
         hop a plane that does not measure computes the data plane of all
         the siblings at once (`PauliFrame.stack`), each with the rotation
-        queries its outcomes give, and serves each sibling its row."""
+        queries its outcomes give: one family per distinct parity in
+        `parities`, which `expand` takes to the combos."""
         snap = self.snapshot()
         last = k == 2 * self.m
         if last and not self.plane.measured:
-            # the 4^n combos share 2^n parities: one family per parity
-            parities = [outcome_parity(combo) for combo in combos]
-            family = {p: self._rederived_h(self.m + 1, p) for p in dict.fromkeys(parities)}
-            self.plane.stack(k, combos, [family[p] for p in parities], self.n_circ)
+            family = [self._rederived_h(self.m + 1, p) for p in parities]
+            self.plane.stack(k, combos, expand(family), self.n_circ)
         for i, combo in enumerate(combos):
             if i:
                 self.restore(snap)
@@ -814,7 +861,7 @@ class ProtocolRun:
             if last:
                 yield prefix + combo, self
             else:
-                yield from self._walk(k + 1, prefix + combo, combos)
+                yield from self._walk(k + 1, prefix + combo, combos, parities, expand)
 
     def result(self):
         """The run's `RunResult`: the views, steps and ledger are replayed

@@ -165,3 +165,29 @@ def test_measure_z_refuses_to_force_a_zero_probability_outcome():
 def test_toqc_takes_exactly_one_input(inputs):
     with pytest.raises(ValueError, match="^give exactly one of psi or basis_bits$"):
         run_toqc(zero_program(1, 1), **inputs)
+
+
+def _refused_walks():
+    """A run with a branch plan, a run whose walk is over the cap and a run
+    that has sent step 1, each with the message its walk is refused with."""
+    w, big = zero_program(1, 1), zero_program(3, 2)
+    opened = tgdmqc._Run(w, w.rounds, 1, 0)
+    opened.open()
+    return [
+        (tgdmqc._Run(w, w.rounds, 1, 0, branch_plan=[(0, 0), (0, 0)]),
+         "^the branch walk takes every plan, not a branch_plan$"),
+        (tgdmqc._Run(big, big.rounds, 1, 0), r"^a branch walk at n=3, m=2 takes 4\^12"),
+        (opened, "^this run has already sent step 1; a ProtocolRun runs once$"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["branch-plan", "over-the-cap", "opened"])
+def test_a_refused_walk_is_refused_at_the_call_and_moves_nothing(case):
+    # the call itself refuses, before any next(), and leaves the run as it
+    # was: no walk table, no new message, no new hop-log entry
+    run, message = _refused_walks()[case]
+    records, hops = list(run.registry.transcript.records), list(run.hops)
+    with pytest.raises(ValueError, match=message):
+        run.leaves()
+    assert run.interned is None and run.plane.interned is None
+    assert run.registry.transcript.records == records and run.hops == hops
