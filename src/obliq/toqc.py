@@ -210,6 +210,13 @@ def outcome_parity(outcomes):
     return tuple([x ^ z for x, z in outcomes])
 
 
+def _combo_masks(combos, bits):
+    """The X and Z register masks of each combo's outcomes on the wires at
+    register bits `bits`, as two integer arrays."""
+    outcomes, weights = np.array(combos), np.array(bits)
+    return outcomes[:, :, 0] @ weights, outcomes[:, :, 1] @ weights
+
+
 # each query family's wire parts: (part name, row key) in wire order (rows
 # u for the ring families, (u, v) for the pair family), and the bits per entry
 _RING_ROWS = tuple([(f"u={u}", u) for u in (0, 1)])
@@ -288,11 +295,10 @@ class PauliFrame:
         # by the last hop
         self._zero = self._queued = ((0, 0),) * w.n
         # a branch walk's table of built values (`_intern`), None in a single
-        # run; then the walk's combo masks (`_combo_masks`), the stacked
-        # siblings (`stack`), the row the last hop served and the law of the
-        # row `h_layer` installed
+        # run; then the stacked siblings (`stack`), the row the last hop
+        # served and the law of the row `h_layer` installed
         self.interned = None
-        self._masks = self._stack = self._row = self._law = None
+        self._stack = self._row = self._law = None
 
     def load(self, psi=None):
         """Allocate the n data qubits in |psi>, or in |0...0> when psi is None."""
@@ -375,12 +381,14 @@ class PauliFrame:
         `h_layer` handed it installs the final state and `measure` reads its
         law: each byte for byte what the per-sibling passes give. The stack
         holds len(combos) x 2^n amplitudes as classical rows, not live
-        qubits. The combos' masks are built once per walk (`_combo_masks`),
+        qubits. The combos' X and Z register masks are built once per walk
+        (`_intern`, keyed by the combos tuple and the wires' register bits),
         the queued Pauli XORed on per node; the H layer value once per
         distinct family object (a walk hands the siblings of one parity
         one object), expanded to the rows by one index."""
-        bits = [self.reg.bit_of(q) for q in self.data]
-        xmasks, zmasks = self._combo_masks(combos, bits)
+        bits = tuple([self.reg.bit_of(q) for q in self.data])
+        xmasks, zmasks = _intern(self.interned, ("combo-masks", combos, bits),
+                                 _combo_masks, combos, bits)
         qx = sum([bit for bit, (a, _) in zip(bits, self._queued) if a])
         qz = sum([bit for bit, (_, b) in zip(bits, self._queued) if b])
         after = self.reg.pauli_rows(xmasks ^ qx, zmasks ^ qz)
@@ -392,19 +400,6 @@ class PauliFrame:
         laws = marginals(final.reshape(len(combos), 1 << count, -1))
         self._stack = k, dict(zip(combos, zip(families, after, final, laws)))
 
-    def _combo_masks(self, combos, bits):
-        """The X and Z register masks of each combo's outcomes on the wires at
-        register bits `bits`, as two integer arrays. A walk (`interned` not
-        None) stacks the one combos tuple at every node, so it builds them
-        once and keeps them for that object; a direct call builds them."""
-        held = self._masks
-        if held is None or held[0] is not combos or held[1] != bits:
-            outcomes, weights = np.array(combos), np.array(bits)
-            held = combos, bits, outcomes[:, :, 0] @ weights, outcomes[:, :, 1] @ weights
-            if self.interned is not None:
-                self._masks = held
-        return held[2], held[3]
-
     def measure(self, count, rng):
         """Z-measure the first `count` data qubits; returns the exact
         distribution of the bits, then the bits. Each bit takes one
@@ -412,21 +407,11 @@ class PauliFrame:
         it: the draws of one collapsing `measure_z` per qubit, without the
         collapse, which no later step reads. A drawn prefix always has
         positive probability (`_sample_index`), so no law divides by zero.
-        After a stacked row's final state, the law is the row's. One bit
-        reads the law's two entries with the float operations of the
-        general loop and `_sample_index`."""
+        After a stacked row's final state, the law is the row's."""
         law, self._law = self._law, None
         dist = (law if law is not None and law.size == 1 << count
                 else self.reg.probabilities_on(self.data[:count]))
         block = dist.tolist()
-        if count == 1:
-            p0, p1 = block
-            p1 = p1 / (p0 + p1)
-            r, q0 = rng.random(), 1.0 - p1
-            # `_sample_index` on (q0, p1): its cumulative sums, then its
-            # fallback, the last outcome of positive probability
-            bit = 0 if r < q0 else 1 if r < q0 + p1 or p1 > 0 else 0
-            return dist, (bit,)
         bits = []
         for _ in range(count):
             half = len(block) >> 1

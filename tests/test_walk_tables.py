@@ -1,11 +1,11 @@
 """The walk's per-walk tables: `PauliFrame.stack` builds the combos' X and Z
-register masks once per walk and keeps them for the one combos object it is
+register masks once per walk and keeps them for the one combos tuple it is
 handed at every node, puts the node's queued Pauli on top as one XOR mask
 and builds one H layer value per distinct family object. A frame that
-stacks another combos list, or the same list under another queued Pauli,
-must serve what a fresh frame serves, and what the per-sibling passes give,
-byte for byte, inside a walk's table (`interned` a dict) and in a direct
-call (`interned` None)."""
+stacks the same combos again under another queued Pauli, or another combos
+tuple, must serve what a fresh frame serves, and what the per-sibling
+passes give, byte for byte, inside a walk's table (`interned` a dict) and
+in a direct call (`interned` None)."""
 
 import numpy as np
 import pytest
@@ -53,18 +53,20 @@ def test_a_frame_stacking_twice_serves_what_fresh_frames_serve(walk, n_circ):
     x = tuple(int(v) for v in rng.integers(0, 4, size=N))
     w = Program(N, (ProgramRound(x, (0,) * N, (0,) * (N * (N - 1) // 2)),))
     state = random_state(N, rng)
-    # 64 sampled combos and their reverse: two lists of equal length
-    combos = _combos(N, rng)
+    # 64 sampled combos, the same tuple again, then its reverse: the second
+    # stack reuses the first one's masks under another queued Pauli, the
+    # third builds its own masks for a combos tuple of equal length
+    combos = tuple(_combos(N, rng))
     assert len(combos) == 64
     runs = []
-    for order in (combos, combos[::-1]):
+    for order in (combos, combos, combos[::-1]):
         queued = tuple(tuple(int(b) for b in ab) for ab in rng.integers(0, 2, size=(N, 2)))
         # three family objects shared among the rows, as a walk shares one
         # object among the siblings of one outcome parity
         pool = [{u: tuple(int(v) for v in row) for u, row in enumerate(rows)}
                 for rows in rng.integers(0, 4, size=(3, 2, N))]
         runs.append((order, queued, [pool[i] for i in rng.integers(0, 3, size=len(order))]))
-    assert runs[0][1] != runs[1][1]
+    assert len({queued for _, queued, _ in runs}) == 3
 
     plane = _frame(w, state, {} if walk else None)
     start = plane.snapshot()
